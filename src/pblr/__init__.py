@@ -23,7 +23,7 @@ from .bounds import (
     subgamma_evidence_bound,
     subgaussian_bound,
 )
-from .losses import LossSpec, crop, empirical_gibbs_risk_mc, nll_loss, squared_loss
+from .losses import LossSpec, empirical_gibbs_risk, expected_loss
 from .subgamma import (
     SubGammaParams,
     empirical_mgf_check,

@@ -17,7 +17,12 @@ from . import __version__, experiments as exp
 
 def _seed_default() -> int:
     env = os.environ.get("PBL_SEED")
-    return int(env) if env else exp.DEFAULT_SEED
+    if not env:
+        return exp.DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"PBL_SEED must be an integer, got {env!r}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -64,17 +69,13 @@ def build_parser() -> argparse.ArgumentParser:
                      default=list(exp.DEFAULT_N_GRID))
     p_c.add_argument("--crop", type=float, nargs=2, metavar=("A", "B"),
                      default=list(exp.DEFAULT_CROP))
-    p_c.add_argument("--mc-weights", type=int, default=exp.DEFAULT_MC_WEIGHTS,
-                     help="posterior samples for the cropped empirical term")
-    p_c.add_argument("--mc-gen", type=int, default=exp.DEFAULT_MC_GEN_WEIGHTS,
-                     help="posterior samples for the generalization oracle")
 
     p_v = sub.add_parser("validate", help="bound coverage study and MGF check")
     _add_common(p_v)
     p_v.add_argument("--delta", type=float, default=exp.DEFAULT_DELTA)
     p_v.add_argument("--trials", type=int, default=100)
-    p_v.add_argument("--mc-weights", type=int, default=10_000)
-    p_v.add_argument("--mc-test", type=int, default=exp.DEFAULT_MC_TEST)
+    p_v.add_argument("--mc-weights", type=int, default=exp.DEFAULT_MC_WEIGHTS,
+                     help="posterior samples for the cropped generalization oracle")
     p_v.add_argument("--mgf-m", type=int, default=exp.MGF_M)
     return parser
 
@@ -129,9 +130,7 @@ def cmd_fig_c(args) -> int:
     rows, meta = exp.run_fig_c(seed=args.seed, n_grid=args.n_grid,
                                delta=args.delta, sigma2=args.sigma2,
                                sigma_pi2=args.sigma_pi2,
-                               crop_interval=tuple(args.crop),
-                               mc_weights=args.mc_weights,
-                               mc_gen_weights=args.mc_gen)
+                               crop_interval=tuple(args.crop))
     exp.write_csv(args.out / "fig_c.csv", exp.FIG_C_COLUMNS, rows, meta)
     print(f"wrote {args.out / 'fig_c.csv'}")
     return 0
@@ -141,7 +140,7 @@ def cmd_validate(args) -> int:
     coverage, mgf, ok = exp.run_validate(seed=args.seed, trials=args.trials,
                                          delta=args.delta,
                                          m_weights=args.mc_weights,
-                                         m_test=args.mc_test, mgf_m=args.mgf_m)
+                                         mgf_m=args.mgf_m)
     out = args.out
     with open(out / "coverage.json", "w", encoding="utf-8") as fh:
         json.dump(coverage.as_dict(), fh, indent=2)
@@ -159,11 +158,11 @@ def cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    args.out.mkdir(parents=True, exist_ok=True)
     handlers = {"fig-a": cmd_fig_a, "fig-b": cmd_fig_b, "fig-c": cmd_fig_c,
                 "validate": cmd_validate}
     try:
+        args = build_parser().parse_args(argv)  # reads PBL_SEED
+        args.out.mkdir(parents=True, exist_ok=True)
         return handlers[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

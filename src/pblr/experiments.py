@@ -13,7 +13,7 @@ import numpy as np
 from . import __version__, rng
 from . import bounds as bnd
 from .blr import ModelConfig, evidence_decomposition, fit_posterior
-from .losses import LossSpec, empirical_gibbs_risk_mc
+from .losses import LossSpec, empirical_gibbs_risk
 from .mc import ValidityStudyConfig, gibbs_generalization_risk, run_validity_study
 from .selection import ModelEntry, ModelFamily, selection_vs_averaging_report
 from .subgamma import (empirical_mgf_check, nll_subgamma_params,
@@ -40,9 +40,8 @@ LINREG_SIGMA_PI2 = 0.01
 DEFAULT_DELTA = 0.05
 DEFAULT_CROP = (1.0, 4.0)
 DEFAULT_N_GRID = (10, 100, 1_000, 10_000, 100_000, 1_000_000)
+# posterior draws of the coverage study's cropped generalization oracle
 DEFAULT_MC_WEIGHTS = 10_000
-DEFAULT_MC_GEN_WEIGHTS = 100_000
-DEFAULT_MC_TEST = 1_000
 
 # MGF study defaults: a small-variance squared-loss configuration
 MGF_TASK = LinearTaskSpec(w_star=np.array([0.3, -0.2]), input_var=0.5,
@@ -97,6 +96,8 @@ def run_fig_b(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
               degrees=DEFAULT_DEGREES, test_size=1000):
     """Evidence decomposition per degree plus the Gibbs NLL risk on fresh data."""
     degrees = check_degrees(degrees)
+    if test_size < 1:
+        raise ValueError(f"test_size must be at least 1, got {test_size}")
     dataset, cfg = _sine_setup(seed, n, noise_var, sigma2, sigma_pi2)
     test_spec = SineTaskSpec(n=test_size, noise_var=noise_var,
                              seed=rng.derive_seed(seed, rng.TEST_SET_TAG))
@@ -151,12 +152,12 @@ def fig_c_w_star(d=LINREG_D, norm=LINREG_W_NORM) -> np.ndarray:
 def run_fig_c(seed=DEFAULT_SEED, n_grid=DEFAULT_N_GRID, delta=DEFAULT_DELTA,
               sigma2=LINREG_SIGMA2, sigma_pi2=LINREG_SIGMA_PI2, d=LINREG_D,
               w_norm=LINREG_W_NORM, input_var=LINREG_INPUT_VAR,
-              noise_var=LINREG_NOISE_VAR, crop_interval=DEFAULT_CROP,
-              mc_weights=DEFAULT_MC_WEIGHTS, mc_gen_weights=DEFAULT_MC_GEN_WEIGHTS):
+              noise_var=LINREG_NOISE_VAR, crop_interval=DEFAULT_CROP):
     """Bound values against training-set size on the Gaussian linear task.
 
-    Returns (rows, metadata); the sub-gamma parameters are echoed in the
-    metadata together with every MC sample count.
+    Every column is exact: the Gibbs risks are closed-form Gaussian
+    expectations. Returns (rows, metadata); the sub-gamma parameters are
+    echoed in the metadata.
     """
     if any(n < 1 for n in n_grid):
         raise ValueError("sample sizes must be at least 1")
@@ -174,12 +175,8 @@ def run_fig_c(seed=DEFAULT_SEED, n_grid=DEFAULT_N_GRID, delta=DEFAULT_DELTA,
         post = fit_posterior(design, model)
         report = evidence_decomposition(design, model)  # identity checked inline
         emp_nll = report.gibbs_emp_risk_total / n
-        gen_nll, _ = gibbs_generalization_risk(
-            post, task, sigma2, LossSpec.nll(sigma2), mc_gen_weights,
-            rng.derive_seed(seed, rng.POSTERIOR_TAG, n, 0))
-        emp_crop, _ = empirical_gibbs_risk_mc(
-            post, design, cropped, mc_weights,
-            rng.derive_seed(seed, rng.POSTERIOR_TAG, n, 1))
+        gen_nll = gibbs_generalization_risk(post, task, LossSpec.nll(sigma2))
+        emp_crop = empirical_gibbs_risk(post, design, cropped)
         sqrt_n = math.sqrt(n)
         rows.append((
             n,
@@ -199,7 +196,6 @@ def run_fig_c(seed=DEFAULT_SEED, n_grid=DEFAULT_N_GRID, delta=DEFAULT_DELTA,
         "sigma2": sigma2, "sigma_pi2": sigma_pi2,
         "crop_a": a, "crop_b": b,
         "s2": params.s2, "c": params.c,
-        "mc_weights": mc_weights, "mc_gen_weights": mc_gen_weights,
     }
     return rows, metadata
 
@@ -210,8 +206,7 @@ FIG_C_COLUMNS = ("n", "emp_gibbs_nll", "gen_gibbs_nll", "bound_subgamma",
 
 
 def default_validity_config(seed=DEFAULT_SEED, trials=100, n=20, d=3,
-                            delta=DEFAULT_DELTA, m_weights=10_000,
-                            m_test=DEFAULT_MC_TEST,
+                            delta=DEFAULT_DELTA, m_weights=DEFAULT_MC_WEIGHTS,
                             crop_interval=DEFAULT_CROP) -> ValidityStudyConfig:
     """Coverage-study configuration: a low-dimensional copy of the fig_c task."""
     task = LinearTaskSpec(w_star=fig_c_w_star(d, LINREG_W_NORM),
@@ -227,17 +222,15 @@ def default_validity_config(seed=DEFAULT_SEED, trials=100, n=20, d=3,
         families=("subgamma", "catoni", "alquier_sqrtn"),
         cropped_loss=LossSpec.cropped(LossSpec.nll(LINREG_SIGMA2), a, b),
         m_weights=m_weights,
-        m_test=m_test,
         seed=seed,
     )
 
 
 def run_validate(seed=DEFAULT_SEED, trials=100, delta=DEFAULT_DELTA,
-                 m_weights=10_000, m_test=DEFAULT_MC_TEST, mgf_m=MGF_M):
+                 m_weights=DEFAULT_MC_WEIGHTS, mgf_m=MGF_M):
     """Coverage study plus MGF envelope check; returns (coverage, mgf, ok)."""
     coverage = run_validity_study(default_validity_config(
-        seed=seed, trials=trials, delta=delta, m_weights=m_weights,
-        m_test=m_test))
+        seed=seed, trials=trials, delta=delta, m_weights=m_weights))
     slack = delta + 2.0 * math.sqrt(delta * (1.0 - delta) / trials)
     coverage_ok = all(fam.rate <= slack for fam in coverage.families)
     params = squared_loss_subgamma_params(

@@ -1,8 +1,10 @@
-"""Per-example losses (NLL, squared, cropped) and Monte-Carlo Gibbs risk.
+"""Per-example losses (NLL, squared, cropped) and their exact Gaussian expectations.
 
 The NLL loss is an affine transform of the squared loss:
 nll = 0.5*log(2*pi*sigma2) + squared / (2*sigma2). Cropping clamps the
-inner loss into [a, b] per example, before any averaging.
+inner loss into [a, b] per example, before any averaging. Every loss is a
+function of the residual r = y - w . phi(x), and under a Gaussian posterior
+(or a Gaussian task) r is Gaussian, so its expected loss has a closed form.
 """
 
 import math
@@ -10,12 +12,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .blr import GaussianPosterior
 from .tasks import DesignMatrix
 
-# Keep weight-by-example loss blocks near ~200 MB.
-_BLOCK_ELEMENTS = 25_000_000
+# Variance floor of the cropped expectation: a zero variance is the limit of
+# a tiny one, and the floor keeps the z-scores of the thresholds finite.
+_MIN_VAR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -57,72 +61,64 @@ class LossSpec:
         return cls(kind="cropped", inner=inner, a=a, b=b)
 
 
-def squared_loss(w: np.ndarray, features: np.ndarray, y: float) -> float:
-    """(w . features - y)^2."""
-    return float(np.dot(w, features) - y) ** 2
-
-
-def nll_loss(w: np.ndarray, sigma2: float, features: np.ndarray, y: float) -> float:
-    """Gaussian negative log-likelihood of one example under weights w."""
-    return 0.5 * math.log(2.0 * math.pi * sigma2) \
-        + squared_loss(w, features, y) / (2.0 * sigma2)
-
-
-def crop(value, a: float, b: float):
-    """Clamp value (scalar or array) into [a, b]."""
-    if not a < b:
-        raise ValueError("need a < b")
-    return np.minimum(b, np.maximum(a, value))
-
-
-def _apply_from_squared(spec: LossSpec, sq):
-    """Turn a block of squared residuals into the requested loss, in place."""
+def _affine_in_squared(spec: LossSpec) -> tuple[float, float]:
+    """(c0, denom) with loss(r) = c0 + r^2 / denom, for the squared and nll losses."""
     if spec.kind == "squared":
-        return sq
-    if spec.kind == "nll":
-        sq /= 2.0 * spec.sigma2
-        sq += 0.5 * math.log(2.0 * math.pi * spec.sigma2)
-        return sq
-    inner = _apply_from_squared(spec.inner, sq)
-    np.clip(inner, spec.a, spec.b, out=inner)
-    return inner
+        return 0.0, 1.0
+    return 0.5 * math.log(2.0 * math.pi * spec.sigma2), 2.0 * spec.sigma2
 
 
-def loss_matrix(spec: LossSpec, weights: np.ndarray, phi: np.ndarray,
-                labels: np.ndarray) -> np.ndarray:
-    """Loss of every weight vector on every example: shape (m, n)."""
-    resid = weights @ phi.T - labels[None, :]
-    np.square(resid, out=resid)
-    return _apply_from_squared(spec, resid)
+def expected_loss(spec: LossSpec, mu, var):
+    """E loss(r) for a residual r ~ N(mu, var), elementwise; var = 0 gives loss(mu)."""
+    mu = np.asarray(mu, dtype=float)
+    var = np.asarray(var, dtype=float)
+    if spec.kind == "cropped":
+        return _expected_cropped(spec, mu, var)
+    c0, denom = _affine_in_squared(spec)
+    return c0 + (mu * mu + var) / denom
 
 
-def mean_loss_per_weight(spec: LossSpec, weights: np.ndarray,
-                         design: DesignMatrix) -> np.ndarray:
-    """Dataset-average loss for each weight vector, blocked over examples."""
-    m = weights.shape[0]
-    n = design.n
-    if n == 0:
-        return np.zeros(m)
-    sums = np.zeros(m)
-    step = max(1, _BLOCK_ELEMENTS // m)
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        block = loss_matrix(spec, weights, design.phi[start:stop],
-                            design.labels[start:stop])
-        sums += block.sum(axis=1)
-    return sums / n
+def _expected_cropped(spec: LossSpec, mu, var):
+    """E clip(c0 + r^2 / denom, a, b) for r ~ N(mu, var), from Phi and phi.
 
-
-def empirical_gibbs_risk_mc(post: GaussianPosterior, design: DesignMatrix,
-                            loss: LossSpec, m: int, seed: int) -> tuple[float, float]:
-    """Monte-Carlo estimate of E_{w~posterior} of the dataset-average loss.
-
-    Returns (estimate, standard error); deterministic given the seed.
+    The inner loss is below a for |r| < t_a and above b for |r| > t_b; in
+    between it is c0 + r^2 / denom, whose truncated-normal second moment on
+    [lo, hi] is (mu^2 + var) P + sd ((mu + lo) phi(z_lo) - (mu + hi) phi(z_hi)).
     """
-    if m < 2:
-        raise ValueError("need at least 2 Monte-Carlo samples")
-    from .mc import sample_posterior  # local import, mc builds on losses
+    # Imported here, not at the top: scipy.special adds about 0.1 s to
+    # `import pblr.cli`, and only cropped losses need it.
+    from scipy.special import ndtr
 
-    weights = sample_posterior(post, m, seed)
-    per_weight = mean_loss_per_weight(loss, weights, design)
-    return float(per_weight.mean()), float(per_weight.std(ddof=1) / math.sqrt(m))
+    a, b = spec.a, spec.b
+    c0, denom = _affine_in_squared(spec.inner)
+    t_a = math.sqrt(max(a - c0, 0.0) * denom)
+    t_b = math.sqrt(max(b - c0, 0.0) * denom)
+    var = np.maximum(var, _MIN_VAR)
+    sd = np.sqrt(var)
+    edges = (-t_b, -t_a, t_a, t_b)
+    z = [(t - mu) / sd for t in edges]
+    with np.errstate(over="ignore"):
+        pdf = [np.exp(-0.5 * zi * zi) / math.sqrt(2.0 * math.pi) for zi in z]
+    cdf = [ndtr(zi) for zi in z]
+    low = cdf[2] - cdf[1]
+    high = cdf[0] + ndtr(-z[3])
+    mid = (cdf[1] - cdf[0]) + (cdf[3] - cdf[2])
+    mid_sq = (mu * mu + var) * mid + sd * (
+        (mu + edges[0]) * pdf[0] - (mu + edges[1]) * pdf[1]
+        + (mu + edges[2]) * pdf[2] - (mu + edges[3]) * pdf[3])
+    return a * low + b * high + c0 * mid + mid_sq / denom
+
+
+def empirical_gibbs_risk(post: GaussianPosterior, design: DesignMatrix,
+                         loss: LossSpec) -> float:
+    """Exact E_{w~posterior} of the dataset-average loss.
+
+    Under the posterior N(mean, A^{-1}) with A = L L', the residual
+    y_i - phi_i . w is N(y_i - phi_i . mean, ||L^{-1} phi_i||^2).
+    """
+    if design.n == 0:
+        raise ValueError("the empirical risk needs at least one example")
+    z = solve_triangular(post.chol, design.phi.T, lower=True)
+    var = np.einsum("ij,ij->j", z, z)
+    resid = design.labels - design.phi @ post.mean
+    return float(np.mean(expected_loss(loss, resid, var)))

@@ -1,11 +1,13 @@
-"""Monte-Carlo oracles: posterior sampling, generalization risk, coverage study.
+"""Oracles: posterior sampling, generalization risk, coverage study.
 
-The coverage study plays the frequentist game the bounds are stated for:
-draw many independent training samples, fit the optimal posterior on each,
-and check how often the true (oracle-estimated) Gibbs risk exceeds each
-bound. MC noise is absorbed by subtracting three standard errors before a
-violation is declared, so the study exercises the bounds rather than the
-estimators.
+The generalization risk of the squared and NLL losses is exact; the cropped
+risk has no closed form over the posterior, so it is a Monte-Carlo average
+over posterior weights of the exact risk given each weight. The coverage
+study plays the frequentist game the bounds are stated for: draw many
+independent training samples, fit the optimal posterior on each, and check
+how often the true Gibbs risk exceeds each bound. MC noise is absorbed by
+subtracting three standard errors before a violation is declared, so the
+study exercises the bounds rather than the estimators.
 """
 
 import dataclasses
@@ -21,11 +23,9 @@ from . import bounds as bnd
 from . import rng
 from .blr import (GaussianPosterior, ModelConfig, evidence_decomposition,
                   fit_posterior)
-from .losses import LossSpec, empirical_gibbs_risk_mc, loss_matrix
+from .losses import LossSpec, empirical_gibbs_risk, expected_loss
 from .subgamma import nll_subgamma_params
 from .tasks import LinearTaskSpec, gen_linear_task, identity_design
-
-_BLOCK_ELEMENTS = 25_000_000
 
 
 def sample_posterior(post: GaussianPosterior, m: int, seed: int) -> np.ndarray:
@@ -42,52 +42,33 @@ def sample_posterior(post: GaussianPosterior, m: int, seed: int) -> np.ndarray:
                                                  trans="T").T
 
 
-def _closed_form_risks(weights: np.ndarray, task: LinearTaskSpec,
-                       sigma2: float, kind: str) -> np.ndarray:
-    """Exact E_{x,y} loss(w, x, y) per weight row, for squared or nll."""
-    diff = task.w_star[None, :] - weights
-    sq = task.input_var * np.einsum("ij,ij->i", diff, diff) + task.noise_var
-    if kind == "squared":
-        return sq
-    if kind == "nll":
-        return 0.5 * math.log(2.0 * math.pi * sigma2) + sq / (2.0 * sigma2)
-    raise ValueError(f"no closed-form risk for loss kind {kind!r}")
-
-
 def gibbs_generalization_risk(post: GaussianPosterior, task: LinearTaskSpec,
-                              sigma2: float, loss: LossSpec, m_weights: int,
-                              seed: int, m_test: int = 1000) -> tuple[float, float]:
-    """Estimate E_{w~posterior} E_{(x,y)~task} loss(w, x, y).
+                              loss: LossSpec) -> float:
+    """Exact E_{w~posterior} E_{(x,y)~task} loss(w, x, y) for squared and nll losses.
 
-    Squared and nll losses use the exact inner expectation per sampled
-    weight; cropped losses fall back to a fresh test sample of m_test
-    draws shared across weights. Returns (estimate, standard error).
+    Given w the residual y - w.x is N(0, s(w)) with s(w) = task.squared_risk(w),
+    and E_w s(w) = s(mean) + input_var tr(A^{-1}); both losses are affine in s.
+    """
+    if loss.kind == "cropped":
+        raise ValueError("the cropped risk has no closed form over w; "
+                         "use gibbs_generalization_risk_mc")
+    s = task.squared_risk(post.mean) + task.input_var * post.cov_trace()
+    return float(expected_loss(loss, 0.0, s))
+
+
+def gibbs_generalization_risk_mc(post: GaussianPosterior, task: LinearTaskSpec,
+                                 loss: LossSpec, m_weights: int,
+                                 seed: int) -> tuple[float, float]:
+    """Estimate E_{w~posterior} E_{(x,y)~task} loss(w, x, y) over m_weights draws of w.
+
+    The inner expectation over (x, y) is exact, since given w the residual
+    is N(0, task.squared_risk(w)). Returns (estimate, standard error).
     """
     if m_weights < 2:
         raise ValueError("need at least 2 weight samples")
     weights = sample_posterior(post, m_weights, seed)
-    if loss.kind in ("squared", "nll"):
-        per_w = _closed_form_risks(weights, task, sigma2, loss.kind)
-        return float(per_w.mean()), float(per_w.std(ddof=1) / math.sqrt(m_weights))
-    if loss.kind != "cropped":
-        raise ValueError(f"unsupported loss kind {loss.kind!r}")
-
-    test = gen_linear_task(
-        dataclasses.replace(task, seed=rng.derive_seed(seed, rng.TEST_SET_TAG)),
-        m_test)
-    phi = np.asarray(test.raw_inputs)
-    row_means = np.empty(m_weights)
-    col_sums = np.zeros(m_test)
-    step = max(1, _BLOCK_ELEMENTS // m_test)
-    for start in range(0, m_weights, step):
-        stop = min(m_weights, start + step)
-        block = loss_matrix(loss, weights[start:stop], phi, test.labels)
-        row_means[start:stop] = block.mean(axis=1)
-        col_sums += block.sum(axis=0)
-    col_means = col_sums / m_weights
-    estimate = float(row_means.mean())
-    var = row_means.var(ddof=1) / m_weights + col_means.var(ddof=1) / m_test
-    return estimate, float(math.sqrt(var))
+    per_w = expected_loss(loss, 0.0, task.squared_risk(weights))
+    return float(per_w.mean()), float(per_w.std(ddof=1) / math.sqrt(m_weights))
 
 
 @dataclass(frozen=True)
@@ -121,28 +102,21 @@ def jensen_mean_predictor_risk(post: GaussianPosterior, task: LinearTaskSpec,
         m)
     x = np.asarray(fresh.raw_inputs)
     y = fresh.labels
-    resid_gibbs = y - np.einsum("ij,ij->i", weights, x)
-    resid_mean = y - x @ post.mean
-    sq_gibbs = resid_gibbs ** 2
-    sq_mean = resid_mean ** 2
-    if loss.kind == "nll":
-        const = 0.5 * math.log(2.0 * math.pi * loss.sigma2)
-        sq_gibbs = const + sq_gibbs / (2.0 * loss.sigma2)
-        sq_mean = const + sq_mean / (2.0 * loss.sigma2)
-    diff = sq_gibbs - sq_mean
+    loss_gibbs = expected_loss(loss, y - np.einsum("ij,ij->i", weights, x), 0.0)
+    loss_mean = expected_loss(loss, y - x @ post.mean, 0.0)
+    diff = loss_gibbs - loss_mean
     root_m = math.sqrt(m)
     return JensenRisk(
-        mean_pred_risk=float(sq_mean.mean()),
-        mean_pred_se=float(sq_mean.std(ddof=1) / root_m),
-        gibbs_risk=float(sq_gibbs.mean()),
-        gibbs_se=float(sq_gibbs.std(ddof=1) / root_m),
+        mean_pred_risk=float(loss_mean.mean()),
+        mean_pred_se=float(loss_mean.std(ddof=1) / root_m),
+        gibbs_risk=float(loss_gibbs.mean()),
+        gibbs_se=float(loss_gibbs.std(ddof=1) / root_m),
         diff=float(diff.mean()),
         diff_se=float(diff.std(ddof=1) / root_m),
     )
 
 
-KNOWN_FAMILIES = ("subgamma", "catoni", "alquier_sqrtn", "alquier_n",
-                  "sentinel_inf")
+KNOWN_FAMILIES = ("subgamma", "catoni", "alquier_sqrtn", "alquier_n")
 
 
 @dataclass(frozen=True)
@@ -157,7 +131,6 @@ class ValidityStudyConfig:
     families: tuple = ("subgamma", "catoni", "alquier_sqrtn")
     cropped_loss: Optional[LossSpec] = None
     m_weights: int = 4000
-    m_test: int = 1000
     seed: int = 0
 
     def __post_init__(self):
@@ -226,12 +199,10 @@ def _trial_bounds_and_risks(cfg: ValidityStudyConfig, trial: int) -> dict:
     cropped = cfg.cropped_loss
     emp_crop = risk_crop = se_crop = None
     if any(f in cfg.families for f in ("catoni", "alquier_sqrtn", "alquier_n")):
-        emp_crop, _ = empirical_gibbs_risk_mc(
-            post, design, cropped, cfg.m_weights,
-            rng.derive_seed(cfg.seed, rng.TRIAL_TAG, trial, 1))
-        risk_crop, se_crop = gibbs_generalization_risk(
-            post, cfg.task, cfg.model.noise_var, cropped, cfg.m_weights,
-            rng.derive_seed(cfg.seed, rng.TRIAL_TAG, trial, 2), cfg.m_test)
+        emp_crop = empirical_gibbs_risk(post, design, cropped)
+        risk_crop, se_crop = gibbs_generalization_risk_mc(
+            post, cfg.task, cropped, cfg.m_weights,
+            rng.derive_seed(cfg.seed, rng.TRIAL_TAG, trial, 2))
 
     for family in cfg.families:
         if family == "subgamma":
@@ -240,21 +211,18 @@ def _trial_bounds_and_risks(cfg: ValidityStudyConfig, trial: int) -> dict:
                 cfg.task.d, cfg.task.w_star_sq_norm, cfg.task.noise_var)
             bound = bnd.subgamma_bound(emp_nll, kl, cfg.n, cfg.delta,
                                        params.s2, params.c)
-            risk, se = gibbs_generalization_risk(
-                post, cfg.task, cfg.model.noise_var,
-                LossSpec.nll(cfg.model.noise_var), cfg.m_weights,
-                rng.derive_seed(cfg.seed, rng.TRIAL_TAG, trial, 3))
+            risk = gibbs_generalization_risk(post, cfg.task,
+                                             LossSpec.nll(cfg.model.noise_var))
+            se = 0.0
         elif family == "catoni":
             bound = bnd.catoni_bound(emp_crop, kl, cfg.n, cfg.delta,
                                      cropped.a, cropped.b)
             risk, se = risk_crop, se_crop
-        elif family in ("alquier_sqrtn", "alquier_n"):
+        else:  # alquier_sqrtn, alquier_n
             lam = math.sqrt(cfg.n) if family == "alquier_sqrtn" else float(cfg.n)
             psi = bnd.hoeffding_psi_bound(lam, cfg.n, cropped.a, cropped.b)
             bound = bnd.alquier_bound(emp_crop, kl, cfg.n, cfg.delta, lam, psi)
             risk, se = risk_crop, se_crop
-        else:  # sentinel_inf: plumbing-only family that can never be violated
-            bound, risk, se = math.inf, 0.0, 0.0
         out[family] = (bound, risk, se)
     return out
 
@@ -284,7 +252,6 @@ def run_validity_study(cfg: ValidityStudyConfig) -> CoverageReport:
         "sigma2": cfg.model.noise_var,
         "sigma_pi2": cfg.model.prior_var,
         "m_weights": cfg.m_weights,
-        "m_test": cfg.m_test,
         "crop": None if cfg.cropped_loss is None
                 else [cfg.cropped_loss.a, cfg.cropped_loss.b],
     }

@@ -118,9 +118,7 @@ def _deviation_samples(task: LinearTaskSpec, prior_var: float, loss: LossSpec,
     x = gen.normal(0.0, math.sqrt(task.input_var), size=(m, d))
     eps = gen.normal(0.0, math.sqrt(task.noise_var), size=m)
     y = x @ task.w_star + eps
-    # exact inner expectation: E_{x,y} (y - w.x)^2 = input_var ||w* - w||^2 + noise_var
-    diff = task.w_star[None, :] - w
-    risk_sq = task.input_var * np.einsum("ij,ij->i", diff, diff) + task.noise_var
+    risk_sq = task.squared_risk(w)
     loss_sq = (y - np.einsum("ij,ij->i", w, x)) ** 2
     v = risk_sq - loss_sq
     if loss.kind == "squared":

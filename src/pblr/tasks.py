@@ -111,6 +111,14 @@ class LinearTaskSpec:
     def w_star_sq_norm(self) -> float:
         return float(self.w_star @ self.w_star)
 
+    def squared_risk(self, w: np.ndarray) -> np.ndarray:
+        """E_{x,y} (y - w.x)^2 = input_var ||w* - w||^2 + noise_var, per weight vector.
+
+        Given w, the residual y - w.x is N(0, squared_risk(w)).
+        """
+        diff = self.w_star - w
+        return self.input_var * np.einsum("...i,...i->...", diff, diff) + self.noise_var
+
 
 def polynomial_features(x: float, degree: int) -> np.ndarray:
     """Map a scalar to [1, x, x^2, ..., x^degree].

@@ -3,7 +3,9 @@
 Each oracle takes a deliberately different computational path from the
 code under test: full-covariance marginal likelihood instead of the
 Cholesky decomposition route, plain gradient descent instead of a linear
-solve, sequential 1-D Bayesian updating instead of batch formulas.
+solve, sequential 1-D Bayesian updating instead of batch formulas, plain
+Monte Carlo over sampled weights and data instead of closed-form Gaussian
+expectations.
 """
 
 import math
@@ -63,3 +65,33 @@ def kl_gaussians(mean0: np.ndarray, cov0: np.ndarray, mean1: np.ndarray,
     _, logdet1 = np.linalg.slogdet(cov1)
     return 0.5 * (float(np.trace(inv1 @ cov0)) + float(diff @ inv1 @ diff)
                   - d + logdet1 - logdet0)
+
+
+def loss_of_residual(spec, resid: np.ndarray) -> np.ndarray:
+    """Loss of each residual y - w.x, written out directly per loss kind."""
+    if spec.kind == "cropped":
+        return np.clip(loss_of_residual(spec.inner, resid), spec.a, spec.b)
+    sq = resid * resid
+    if spec.kind == "squared":
+        return sq
+    return 0.5 * math.log(2.0 * math.pi * spec.sigma2) + sq / (2.0 * spec.sigma2)
+
+
+def posterior_draws(post, m: int, seed: int) -> np.ndarray:
+    """m posterior weight vectors from numpy's sampler and the explicit covariance."""
+    cov = np.linalg.inv(post.precision)
+    return np.random.default_rng(seed).multivariate_normal(post.mean, cov, size=m)
+
+
+def empirical_risk_mc(spec, weights: np.ndarray, phi: np.ndarray,
+                      labels: np.ndarray) -> tuple:
+    """(estimate, se) of E_w of the dataset-average loss; one iid term per weight."""
+    per_w = loss_of_residual(spec, labels[None, :] - weights @ phi.T).mean(axis=1)
+    return float(per_w.mean()), float(per_w.std(ddof=1) / math.sqrt(len(per_w)))
+
+
+def generalization_risk_mc(spec, weights: np.ndarray, x: np.ndarray,
+                           y: np.ndarray) -> tuple:
+    """(estimate, se) of E_w E_{x,y} loss from paired draws (w_j, x_j, y_j)."""
+    per_pair = loss_of_residual(spec, y - np.einsum("ij,ij->i", weights, x))
+    return float(per_pair.mean()), float(per_pair.std(ddof=1) / math.sqrt(len(per_pair)))

@@ -37,11 +37,9 @@ def test_fig_b_identity_and_kl_growth_default_seed():
 
 
 def test_fig_c_small_grid_structure():
-    rows, meta = exp.run_fig_c(seed=1, n_grid=(10, 100), mc_weights=400,
-                               mc_gen_weights=4000)
+    rows, meta = exp.run_fig_c(seed=1, n_grid=(10, 100))
     assert meta["c"] == 0.005
     assert 0.2795 <= meta["s2"] <= 0.2810
-    assert meta["mc_weights"] == 400
     for row in rows:
         n, emp, gen, sg, cat, al_sqrt, al_n = row
         assert sg < cat
@@ -51,8 +49,8 @@ def test_fig_c_small_grid_structure():
 
 
 def test_fig_c_deterministic():
-    a, _ = exp.run_fig_c(seed=2, n_grid=(10,), mc_weights=300, mc_gen_weights=2000)
-    b, _ = exp.run_fig_c(seed=2, n_grid=(10,), mc_weights=300, mc_gen_weights=2000)
+    a, _ = exp.run_fig_c(seed=2, n_grid=(10,))
+    b, _ = exp.run_fig_c(seed=2, n_grid=(10,))
     assert a == b
 
 
@@ -68,7 +66,7 @@ def test_write_csv_metadata_and_values(tmp_path):
 
 def test_run_validate_quick():
     coverage, mgf, ok = exp.run_validate(seed=0, trials=2, m_weights=400,
-                                         m_test=200, mgf_m=10_000)
+                                         mgf_m=10_000)
     assert ok
     assert {f.family for f in coverage.families} == \
         {"subgamma", "catoni", "alquier_sqrtn"}
