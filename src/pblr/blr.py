@@ -12,7 +12,8 @@ explicit inverse.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -58,17 +59,25 @@ class GaussianPosterior:
     def d(self) -> int:
         return self.mean.shape[0]
 
-    def logdet_precision(self) -> float:
+    @cached_property  # computed on first use: evidence, KL and Gibbs NLL share it
+    def _logdet(self) -> float:
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
+
+    @cached_property
+    def _cov_trace(self) -> float:
+        inv_l = solve_triangular(self.chol, np.eye(self.d), lower=True)
+        return float(np.sum(inv_l * inv_l))
+
+    def logdet_precision(self) -> float:
+        return self._logdet
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A^{-1} rhs via the stored Cholesky factor."""
         return cho_solve((self.chol, True), rhs)
 
     def cov_trace(self) -> float:
-        """tr(A^{-1}), from triangular solves against the identity columns."""
-        inv_l = solve_triangular(self.chol, np.eye(self.d), lower=True)
-        return float(np.sum(inv_l * inv_l))
+        """tr(A^{-1}), from triangular solves against the identity columns; computed once."""
+        return self._cov_trace
 
 
 @dataclass(frozen=True)
@@ -92,15 +101,7 @@ class EvidenceReport:
                              f"{self.neg_log_evidence} vs {self.gibbs_emp_risk_total} + {self.kl}")
 
     def as_dict(self) -> dict:
-        return {
-            "neg_log_evidence": self.neg_log_evidence,
-            "gibbs_emp_risk_total": self.gibbs_emp_risk_total,
-            "kl": self.kl,
-            "n": self.n,
-            "d": self.d,
-            "sigma2": self.sigma2,
-            "sigma_pi2": self.sigma_pi2,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict())
@@ -174,9 +175,11 @@ def gibbs_expected_empirical_nll(post: GaussianPosterior, design: DesignMatrix,
     return _nll_at_mean_total(design, cfg, post.mean) + trace_term
 
 
-def evidence_decomposition(design: DesignMatrix, cfg: ModelConfig) -> EvidenceReport:
-    """Negative log evidence and its exact (risk, KL) split for one fit."""
-    post = fit_posterior(design, cfg)
+def evidence_decomposition(post: GaussianPosterior, design: DesignMatrix,
+                           cfg: ModelConfig) -> EvidenceReport:
+    """Negative log evidence and its exact (risk, KL) split for a posterior fitted to design."""
+    if post.d != design.d:
+        raise ValueError(f"posterior has {post.d} weights, design {design.d} features")
     return EvidenceReport(
         neg_log_evidence=_neg_log_evidence_from(post, design, cfg),
         gibbs_emp_risk_total=gibbs_expected_empirical_nll(post, design, cfg),

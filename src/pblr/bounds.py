@@ -9,8 +9,11 @@ underflows (n up to 1e6 and beyond).
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
+
+_MAX_EXP = math.log(sys.float_info.max)  # largest x with a finite exp(x)
 
 
 def _check_common(kl: float, n: int, delta: float) -> None:
@@ -46,8 +49,10 @@ def catoni_evidence_bound(neg_log_evidence: float, n: int, delta: float,
     if not a < b:
         raise ValueError("need a < b")
     scale = (b - a) / (1.0 - math.exp(a - b))
-    root = math.exp(a + (-neg_log_evidence + math.log(delta)) / n)
-    return a + scale * (1.0 - root)
+    exponent = a + (-neg_log_evidence + math.log(delta)) / n
+    if not exponent <= _MAX_EXP:  # also catches NaN
+        raise ValueError(f"Catoni evidence bound is not finite (exponent {exponent})")
+    return a + scale * (1.0 - math.exp(exponent))
 
 
 def hoeffding_psi_bound(lam: float, n: int, a: float, b: float) -> float:

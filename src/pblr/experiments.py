@@ -15,7 +15,7 @@ from . import bounds as bnd
 from .blr import ModelConfig, evidence_decomposition, fit_posterior
 from .losses import LossSpec, empirical_gibbs_risk
 from .mc import ValidityStudyConfig, gibbs_generalization_risk, run_validity_study
-from .selection import ModelEntry, ModelFamily, selection_vs_averaging_report
+from .selection import ModelEntry, ModelFamily
 from .subgamma import (empirical_mgf_check, nll_subgamma_params,
                        squared_loss_subgamma_params)
 from .tasks import (TWO_PI, LinearTaskSpec, SineTaskSpec, gen_linear_task,
@@ -106,7 +106,7 @@ def run_fig_b(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
     for degree in degrees:
         design = polynomial_design(dataset, degree)
         post = fit_posterior(design, cfg)
-        report = evidence_decomposition(design, cfg)  # identity checked inline
+        report = evidence_decomposition(post, design, cfg)  # identity checked inline
         phi_test = test.raw_inputs[:, None] ** np.arange(degree + 1)[None, :]
         resid = test.labels - phi_test @ post.mean
         quad = np.einsum("ij,ij->i", phi_test, post.solve(phi_test.T).T)
@@ -126,23 +126,11 @@ def polynomial_family(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
     dataset, cfg = _sine_setup(seed, n, noise_var, sigma2, sigma_pi2)
     entries = []
     for idx, degree in enumerate(degrees):
-        report = evidence_decomposition(polynomial_design(dataset, degree), cfg)
+        design = polynomial_design(dataset, degree)
+        report = evidence_decomposition(fit_posterior(design, cfg), design, cfg)
         entries.append(ModelEntry(model_id=idx, degree=degree, config=cfg,
                                   evidence=report))
     return ModelFamily(models=tuple(entries))
-
-
-def fig_b_selection(seed=DEFAULT_SEED, delta=DEFAULT_DELTA, s2=1.0, c=0.0,
-                    **kwargs):
-    """Selection report over the polynomial family fitted on one sine sample.
-
-    The shared (s2, c) pair only shifts every per-model bound by the same
-    constant, so the winner and the gap do not depend on it; the closed
-    forms for these parameters assume Gaussian inputs and do not cover the
-    sine task, hence the caller supplies them.
-    """
-    family = polynomial_family(seed=seed, **kwargs)
-    return selection_vs_averaging_report(family, delta, s2, c)
 
 
 def fig_c_w_star(d=LINREG_D, norm=LINREG_W_NORM) -> np.ndarray:
@@ -173,7 +161,7 @@ def run_fig_c(seed=DEFAULT_SEED, n_grid=DEFAULT_N_GRID, delta=DEFAULT_DELTA,
         dataset = gen_linear_task(task, n)
         design = identity_design(dataset)
         post = fit_posterior(design, model)
-        report = evidence_decomposition(design, model)  # identity checked inline
+        report = evidence_decomposition(post, design, model)  # identity checked inline
         emp_nll = report.gibbs_emp_risk_total / n
         gen_nll = gibbs_generalization_risk(post, task, LossSpec.nll(sigma2))
         emp_crop = empirical_gibbs_risk(post, design, cropped)

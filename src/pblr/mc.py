@@ -191,7 +191,7 @@ def _trial_bounds_and_risks(cfg: ValidityStudyConfig, trial: int) -> dict:
     dataset = gen_linear_task(dataclasses.replace(cfg.task, seed=data_seed), cfg.n)
     design = identity_design(dataset)
     post = fit_posterior(design, cfg.model)
-    report = evidence_decomposition(design, cfg.model)
+    report = evidence_decomposition(post, design, cfg.model)
     kl = report.kl
     emp_nll = report.gibbs_emp_risk_total / cfg.n
 

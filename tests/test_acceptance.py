@@ -52,7 +52,7 @@ def test_criterion_1_evidence_identity():
     start = time.monotonic()
     worst = 0.0
     for design, cfg in random_instances(101, 100):
-        report = evidence_decomposition(design, cfg)
+        report = evidence_decomposition(fit_posterior(design, cfg), design, cfg)
         gap = abs(report.neg_log_evidence
                   - (report.gibbs_emp_risk_total + report.kl))
         worst = max(worst, gap / max(1.0, abs(report.neg_log_evidence)))

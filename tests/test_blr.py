@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pblr import blr
 from pblr.blr import (EvidenceReport, ModelConfig, evidence_decomposition,
                       fit_posterior, gaussian_kl, gibbs_expected_empirical_nll,
                       log_gibbs_posterior_density, neg_log_evidence)
@@ -162,7 +163,8 @@ def test_evidence_identity_on_random_instances():
     rng = np.random.default_rng(6)
     for _ in range(50):
         design, cfg = random_instance(rng)
-        report = evidence_decomposition(design, cfg)  # validates inline
+        post = fit_posterior(design, cfg)
+        report = evidence_decomposition(post, design, cfg)  # validates inline
         gap = abs(report.neg_log_evidence
                   - (report.gibbs_emp_risk_total + report.kl))
         assert gap <= 1e-8 * max(1.0, abs(report.neg_log_evidence))
@@ -171,13 +173,13 @@ def test_evidence_identity_on_random_instances():
 
 def test_evidence_decomposition_empty():
     design = DesignMatrix(phi=np.zeros((0, 2)), labels=np.zeros(0))
-    report = evidence_decomposition(design, UNIT_CFG)
+    report = evidence_decomposition(fit_posterior(design, UNIT_CFG), design, UNIT_CFG)
     assert (report.neg_log_evidence, report.gibbs_emp_risk_total, report.kl) \
         == (pytest.approx(0.0), pytest.approx(0.0), pytest.approx(0.0))
 
 
 def test_evidence_decomposition_one_point_sums():
-    report = evidence_decomposition(ONE_POINT, UNIT_CFG)
+    report = evidence_decomposition(fit_posterior(ONE_POINT, UNIT_CFG), ONE_POINT, UNIT_CFG)
     assert report.gibbs_emp_risk_total == pytest.approx(1.2939385332046727, abs=1e-12)
     assert report.kl == pytest.approx(0.22157359027997264, abs=1e-12)
     assert report.neg_log_evidence == pytest.approx(1.5155121234846454, abs=1e-12)
@@ -190,7 +192,7 @@ def test_evidence_report_rejects_violated_identity():
 
 
 def test_evidence_report_json_fields():
-    report = evidence_decomposition(ONE_POINT, UNIT_CFG)
+    report = evidence_decomposition(fit_posterior(ONE_POINT, UNIT_CFG), ONE_POINT, UNIT_CFG)
     payload = json.loads(report.to_json())
     assert set(payload) == {"neg_log_evidence", "gibbs_emp_risk_total", "kl",
                             "n", "d", "sigma2", "sigma_pi2"}
@@ -243,3 +245,22 @@ def test_precision_trace_never_decreases_with_data():
 def test_posterior_rejects_nonfinite_labels():
     with pytest.raises(ValueError):
         DesignMatrix(phi=np.array([[1.0]]), labels=np.array([np.inf]))
+
+
+def test_posterior_computes_its_trace_once(monkeypatch):
+    calls = []
+    real = blr.solve_triangular
+    monkeypatch.setattr(blr, "solve_triangular",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    design, cfg = random_instance(np.random.default_rng(3))
+    post = fit_posterior(design, cfg)
+    report = evidence_decomposition(post, design, cfg)
+    assert gaussian_kl(post, cfg) == report.kl
+    assert len(calls) == 1
+
+
+def test_evidence_decomposition_rejects_mismatched_posterior():
+    post = fit_posterior(ONE_POINT, UNIT_CFG)
+    design = DesignMatrix(phi=np.ones((1, 2)), labels=np.ones(1))
+    with pytest.raises(ValueError, match="weights"):
+        evidence_decomposition(post, design, UNIT_CFG)

@@ -19,7 +19,7 @@ def decomposition_instance(seed=0, n=25, d=3):
     design = DesignMatrix(phi=rng.standard_normal((n, d)),
                           labels=rng.standard_normal(n))
     cfg = ModelConfig(noise_var=1.2, prior_var=0.9)
-    return evidence_decomposition(design, cfg)
+    return evidence_decomposition(fit_posterior(design, cfg), design, cfg)
 
 
 # ---------------------------------------------------------------- catoni
@@ -230,3 +230,9 @@ def test_bound_report_validation():
         BoundReport(family="mystery", value=1.0, n=1, delta=0.5)
     with pytest.raises(ValueError):
         BoundReport(family="catoni", value=math.inf, n=1, delta=0.5)
+
+
+def test_catoni_evidence_overflow_is_a_value_error():
+    # a huge evidence makes e^{a - ln(Z delta)/n} overflow: not finite, not OverflowError
+    with pytest.raises(ValueError, match="not finite"):
+        catoni_evidence_bound(-1e6, 10, 0.05, 1.0, 4.0)

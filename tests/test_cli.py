@@ -1,6 +1,7 @@
 import json
 import time
 
+from pblr import experiments as exp
 from pblr.cli import build_parser, main
 
 
@@ -120,3 +121,25 @@ def test_explicit_seed_overrides_env(monkeypatch):
     monkeypatch.setenv("PBL_SEED", "99")
     args = build_parser().parse_args(["fig-a", "--seed", "5"])
     assert args.seed == 5
+
+
+def test_tiny_sigma2_names_the_flag(tmp_path, capsys):
+    assert run(["fig-c", "--sigma2", "1e-320", "--n-grid", 10, "--out", tmp_path]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and "sigma2" in err[0]
+    assert not (tmp_path / "fig_c.csv").exists()
+
+
+def test_seed_scan_selects_fig_b_evidence_argmin(tmp_path):
+    expected = {}
+    for seed in range(20):
+        rows = exp.run_fig_b(seed=seed)
+        nles = [row[1] for row in rows]
+        family = exp.polynomial_family(seed=seed)
+        assert [m.evidence.neg_log_evidence for m in family.models] == nles  # bitwise
+        best = rows[nles.index(min(nles))][0]
+        expected[best] = expected.get(best, 0) + 1
+    assert run(["fig-b", "--seed", 0, "--seeds", 20, "--out", tmp_path]) == 0
+    lines = (tmp_path / "fig_b_selection.csv").read_text(encoding="utf-8").split("\n")
+    table = [l for l in lines if l and not l.startswith("#")][1:]
+    assert {int(d): int(w) for d, w in (l.split(",") for l in table)} == expected

@@ -72,3 +72,13 @@ def test_run_validate_quick():
         {"subgamma", "catoni", "alquier_sqrtn"}
     assert all(f.violations == 0 for f in coverage.families)
     assert mgf.all_dominated()
+
+
+def test_fig_b_factors_each_degree_once(cholesky_calls):
+    exp.run_fig_b(degrees=tuple(range(1, 8)))
+    assert len(cholesky_calls) == 7
+
+
+def test_fig_c_factors_each_sample_size_once(cholesky_calls):
+    exp.run_fig_c(n_grid=(10, 100, 1000))
+    assert len(cholesky_calls) == 3

@@ -5,9 +5,10 @@ import pytest
 
 from pblr.blr import GaussianPosterior, ModelConfig, fit_posterior
 from pblr.losses import LossSpec
-from pblr.mc import (ValidityStudyConfig, gibbs_generalization_risk,
-                     gibbs_generalization_risk_mc, jensen_mean_predictor_risk,
-                     run_validity_study, sample_posterior)
+from pblr.mc import (ValidityStudyConfig, _trial_bounds_and_risks,
+                     gibbs_generalization_risk, gibbs_generalization_risk_mc,
+                     jensen_mean_predictor_risk, run_validity_study,
+                     sample_posterior)
 from pblr.tasks import DesignMatrix, LinearTaskSpec, gen_linear_task
 
 from oracles import generalization_risk_mc, posterior_draws
@@ -211,3 +212,8 @@ def test_study_config_validation():
         study_config(cropped_loss=None)  # bounded families need a crop
     with pytest.raises(ValueError):
         study_config(trials=0)
+
+
+def test_coverage_trial_factors_once(cholesky_calls):
+    _trial_bounds_and_risks(study_config(), 0)
+    assert len(cholesky_calls) == 1

@@ -6,7 +6,7 @@ import pytest
 
 from pblr.blr import EvidenceReport, ModelConfig
 from pblr.bounds import subgamma_evidence_bound
-from pblr.experiments import fig_b_selection, polynomial_family
+from pblr.experiments import polynomial_family
 from pblr.selection import (ModelEntry, ModelFamily, hierarchical_bound,
                             model_selection_bounds,
                             selection_vs_averaging_report)
@@ -107,12 +107,13 @@ def test_report_json_schema():
 
 
 def test_fig_b_selection_report_shape():
-    report = fig_b_selection(seed=0, degrees=(1, 2, 3))
+    family = polynomial_family(seed=0, degrees=(1, 2, 3))
+    report = selection_vs_averaging_report(family, 0.05, 1.0, 0.0)
     assert report.degrees == (1, 2, 3)
     assert len(report.bounds) == 3
     assert report.gap >= -1e-12
     # the shared (s2, c) shift is model-independent: any pair keeps the winner
-    other = fig_b_selection(seed=0, degrees=(1, 2, 3), s2=0.4, c=0.2)
+    other = selection_vs_averaging_report(family, 0.05, 0.4, 0.2)
     assert other.selected_id == report.selected_id
 
 
