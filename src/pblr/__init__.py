@@ -10,18 +10,15 @@ from .blr import (
     fit_posterior,
     gaussian_kl,
     gibbs_expected_empirical_nll,
-    log_gibbs_posterior_density,
     neg_log_evidence,
 )
 from .bounds import (
-    BoundReport,
     alquier_bound,
     catoni_bound,
     catoni_evidence_bound,
     hoeffding_psi_bound,
     subgamma_bound,
     subgamma_evidence_bound,
-    subgaussian_bound,
 )
 from .losses import LossSpec, empirical_gibbs_risk, expected_loss
 from .subgamma import (
@@ -47,13 +44,10 @@ from .tasks import (
     gen_sine_task,
     identity_design,
     polynomial_design,
-    polynomial_features,
-    write_dataset_csv,
 )
 from .mc import (
     ValidityStudyConfig,
     gibbs_generalization_risk,
-    jensen_mean_predictor_risk,
     run_validity_study,
     sample_posterior,
 )

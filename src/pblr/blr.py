@@ -10,7 +10,6 @@ is its trace and quadratic forms, obtained by solving, never by forming an
 explicit inverse.
 """
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -19,8 +18,6 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .tasks import DesignMatrix
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -39,21 +36,16 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class GaussianPosterior:
-    """Gaussian posterior N(mean, A^{-1}) stored as (mean, A, chol(A))."""
+    """Gaussian posterior N(mean, A^{-1}) stored as (mean, L) with A = L L'."""
 
     mean: np.ndarray
-    precision: np.ndarray
-    chol: np.ndarray  # lower triangular, precision = chol @ chol.T
+    chol: np.ndarray  # lower triangular Cholesky factor L of the precision A
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         object.__setattr__(self, "mean", mean)
         if not np.isfinite(mean).all():
             raise ValueError("posterior mean is not finite")
-        rebuilt = self.chol @ self.chol.T
-        scale = max(1.0, float(np.abs(self.precision).max()))
-        if np.abs(rebuilt - self.precision).max() > 1e-10 * scale:
-            raise ValueError("chol does not factor the precision matrix")
 
     @property
     def d(self) -> int:
@@ -71,13 +63,14 @@ class GaussianPosterior:
     def logdet_precision(self) -> float:
         return self._logdet
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """A^{-1} rhs via the stored Cholesky factor."""
-        return cho_solve((self.chol, True), rhs)
-
     def cov_trace(self) -> float:
         """tr(A^{-1}), from triangular solves against the identity columns; computed once."""
         return self._cov_trace
+
+    def predictive_var(self, phi: np.ndarray) -> np.ndarray:
+        """phi_i' A^{-1} phi_i for each row phi_i of phi, as ||L^{-1} phi_i||^2."""
+        z = solve_triangular(self.chol, phi.T, lower=True)
+        return np.einsum("ij,ij->j", z, z)
 
 
 @dataclass(frozen=True)
@@ -103,9 +96,6 @@ class EvidenceReport:
     def as_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
-
 
 def fit_posterior(design: DesignMatrix, cfg: ModelConfig) -> GaussianPosterior:
     """Posterior precision A = phi'phi/noise_var + I/prior_var and mean A^{-1}phi'y/noise_var."""
@@ -119,7 +109,7 @@ def fit_posterior(design: DesignMatrix, cfg: ModelConfig) -> GaussianPosterior:
         mean = cho_solve((low, True), design.phi.T @ design.labels) / cfg.noise_var
     else:
         mean = np.zeros(d)
-    return GaussianPosterior(mean=mean, precision=a, chol=low)
+    return GaussianPosterior(mean=mean, chol=low)
 
 
 def _sum_sq_residual(design: DesignMatrix, mean: np.ndarray) -> float:
@@ -189,13 +179,3 @@ def evidence_decomposition(post: GaussianPosterior, design: DesignMatrix,
         sigma2=cfg.noise_var,
         sigma_pi2=cfg.prior_var,
     )
-
-
-def log_gibbs_posterior_density(post: GaussianPosterior, w: np.ndarray) -> float:
-    """Log density of the posterior N(mean, A^{-1}) at w."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != post.mean.shape:
-        raise ValueError("dimension mismatch")
-    # (w - mean)' A (w - mean) through the factor: ||L'(w - mean)||^2
-    z = post.chol.T @ (w - post.mean)
-    return 0.5 * post.logdet_precision() - 0.5 * post.d * LOG_2PI - 0.5 * float(z @ z)

@@ -7,11 +7,8 @@ evaluated in log space, so they stay finite when the evidence itself
 underflows (n up to 1e6 and beyond).
 """
 
-import json
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
 
 _MAX_EXP = math.log(sys.float_info.max)  # largest x with a finite exp(x)
 
@@ -38,7 +35,7 @@ def catoni_bound(emp: float, kl: float, n: int, delta: float,
     if not a <= emp <= b:
         raise ValueError(f"empirical risk {emp} outside loss range [{a}, {b}]")
     scale = (b - a) / (1.0 - math.exp(a - b))
-    exponent = -emp + a - (kl + math.log(1.0 / delta)) / n
+    exponent = -emp + a - (kl - math.log(delta)) / n
     return a + scale * (1.0 - math.exp(exponent))
 
 
@@ -70,27 +67,21 @@ def alquier_bound(emp: float, kl: float, n: int, delta: float,
         raise ValueError("lambda must be positive")
     if psi_bound < 0:
         raise ValueError("psi_bound must be non-negative")
-    return emp + (kl + math.log(1.0 / delta) + psi_bound) / lam
-
-
-def subgaussian_bound(emp: float, kl: float, n: int, delta: float,
-                      s2: float) -> float:
-    """emp + (kl + ln(1/delta))/n + s^2/2 for losses with sub-Gaussian deviations."""
-    _check_common(kl, n, delta)
-    if s2 < 0:
-        raise ValueError("s2 must be non-negative")
-    return emp + (kl + math.log(1.0 / delta)) / n + 0.5 * s2
+    return emp + (kl - math.log(delta) + psi_bound) / lam
 
 
 def subgamma_bound(emp: float, kl: float, n: int, delta: float,
                    s2: float, c: float) -> float:
-    """emp + (kl + ln(1/delta))/n + s^2/(2(1-c)) for sub-gamma losses, c < 1."""
+    """emp + (kl + ln(1/delta))/n + s^2/(2(1-c)) for sub-gamma losses, c < 1.
+
+    At c = 0 this is the bound for sub-Gaussian losses.
+    """
     _check_common(kl, n, delta)
     if s2 < 0:
         raise ValueError("s2 must be non-negative")
     if not 0 <= c < 1:
         raise ValueError("sub-gamma scale c must lie in [0, 1)")
-    return emp + (kl + math.log(1.0 / delta)) / n + s2 / (2.0 * (1.0 - c))
+    return emp + (kl - math.log(delta)) / n + s2 / (2.0 * (1.0 - c))
 
 
 def subgamma_evidence_bound(neg_log_evidence: float, n: int, delta: float,
@@ -102,52 +93,3 @@ def subgamma_evidence_bound(neg_log_evidence: float, n: int, delta: float,
     if not 0 <= c < 1:
         raise ValueError("sub-gamma scale c must lie in [0, 1)")
     return s2 / (2.0 * (1.0 - c)) + (neg_log_evidence - math.log(delta)) / n
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """A computed bound value plus the inputs it was evaluated from."""
-
-    family: str
-    value: float
-    n: int
-    delta: float
-    emp_gibbs_risk: Optional[float] = None
-    kl: Optional[float] = None
-    neg_log_evidence: Optional[float] = None
-    lam: Optional[float] = None
-    a: Optional[float] = None
-    b: Optional[float] = None
-    s2: Optional[float] = None
-    c: Optional[float] = None
-    extra: dict = field(default_factory=dict)
-
-    FAMILIES = ("catoni", "catoni_evidence", "alquier_hoeffding",
-                "subgaussian", "subgamma", "subgamma_evidence")
-
-    def __post_init__(self):
-        if self.family not in self.FAMILIES:
-            raise ValueError(f"unknown bound family {self.family!r}")
-        if not math.isfinite(self.value):
-            raise ValueError("bound value must be finite")
-
-    def as_dict(self) -> dict:
-        out = {
-            "family": self.family,
-            "value": self.value,
-            "n": self.n,
-            "delta": self.delta,
-            "emp_gibbs_risk": self.emp_gibbs_risk,
-            "kl": self.kl,
-            "neg_log_evidence": self.neg_log_evidence,
-            "lambda": self.lam,
-            "a": self.a,
-            "b": self.b,
-            "s2": self.s2,
-            "c": self.c,
-        }
-        out.update(self.extra)
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())

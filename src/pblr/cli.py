@@ -87,21 +87,30 @@ def _sine_meta(args) -> dict:
             "degrees": " ".join(map(str, args.degrees))}
 
 
+def _require_positive(args, *flags) -> None:
+    """Reject a count flag below 1 with an error naming the flag."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+
+
 def cmd_fig_a(args) -> int:
+    _require_positive(args, "--n", "--grid-size")
     dataset, rows = exp.run_fig_a(seed=args.seed, n=args.n, sigma2=args.sigma2,
                                   sigma_pi2=args.sigma_pi2, degrees=args.degrees,
                                   grid_size=args.grid_size)
     out = args.out
     exp.write_csv(out / "fig_a.csv", ("degree", "x", "mean_prediction"), rows,
                   {**_sine_meta(args), "grid_size": args.grid_size})
-    from .tasks import write_dataset_csv
-    write_dataset_csv(dataset, out / "train.csv",
-                      metadata={"tool_version": __version__, **_sine_meta(args)})
+    exp.write_csv(out / "train.csv", ("x_0", "y"),
+                  zip(dataset.raw_inputs, dataset.labels), _sine_meta(args))
     print(f"wrote {out / 'fig_a.csv'} and {out / 'train.csv'}")
     return 0
 
 
 def cmd_fig_b(args) -> int:
+    _require_positive(args, "--n", "--seeds")
     out = args.out
     if args.seeds > 1:
         wins: dict[int, int] = {}
@@ -146,8 +155,9 @@ def cmd_validate(args) -> int:
     with open(out / "coverage.json", "w", encoding="utf-8") as fh:
         json.dump(coverage.as_dict(), fh, indent=2)
         fh.write("\n")
-    mgf.write_csv(out / "mgf.csv", {"seed": args.seed, "m": mgf.m,
-                                    "loss": mgf.loss_kind})
+    exp.write_csv(out / "mgf.csv", ("lambda", "psi_hat", "envelope", "band"),
+                  [(row.lam, row.psi_hat, row.envelope, row.band) for row in mgf.rows],
+                  {"seed": args.seed, "m": mgf.m, "loss": mgf.loss_kind})
     for fam in coverage.families:
         print(f"coverage {fam.family}: {fam.violations}/{fam.trials} violations")
     for row in mgf.rows:

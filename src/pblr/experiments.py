@@ -52,7 +52,15 @@ MGF_M = 1_000_000
 
 
 def write_csv(path, columns, rows, metadata) -> None:
-    """CSV with '#'-prefixed metadata lines before the header; LF endings."""
+    """CSV with '#'-prefixed metadata lines before the header; LF endings.
+
+    Raises ValueError, before the file is opened, if any float cell is not finite.
+    """
+    rows = list(rows)
+    for row in rows:
+        for col, val in zip(columns, row):
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ValueError(f"{path}: {col} = {val!r} is not finite")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# tool_version = {__version__}\n")
         for key, val in metadata.items():
@@ -109,10 +117,9 @@ def run_fig_b(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
         report = evidence_decomposition(post, design, cfg)  # identity checked inline
         phi_test = test.raw_inputs[:, None] ** np.arange(degree + 1)[None, :]
         resid = test.labels - phi_test @ post.mean
-        quad = np.einsum("ij,ij->i", phi_test, post.solve(phi_test.T).T)
         test_risk = float(np.mean(
             0.5 * math.log(2.0 * math.pi * sigma2)
-            + (resid ** 2 + quad) / (2.0 * sigma2)))
+            + (resid ** 2 + post.predictive_var(phi_test)) / (2.0 * sigma2)))
         rows.append((degree, report.neg_log_evidence, report.gibbs_emp_risk_total,
                      report.kl, test_risk))
     return rows

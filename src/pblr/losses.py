@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .blr import GaussianPosterior
 from .tasks import DesignMatrix
@@ -118,7 +117,5 @@ def empirical_gibbs_risk(post: GaussianPosterior, design: DesignMatrix,
     """
     if design.n == 0:
         raise ValueError("the empirical risk needs at least one example")
-    z = solve_triangular(post.chol, design.phi.T, lower=True)
-    var = np.einsum("ij,ij->j", z, z)
     resid = design.labels - design.phi @ post.mean
-    return float(np.mean(expected_loss(loss, resid, var)))
+    return float(np.mean(expected_loss(loss, resid, post.predictive_var(design.phi))))

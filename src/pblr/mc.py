@@ -11,7 +11,6 @@ study exercises the bounds rather than the estimators.
 """
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -71,51 +70,6 @@ def gibbs_generalization_risk_mc(post: GaussianPosterior, task: LinearTaskSpec,
     return float(per_w.mean()), float(per_w.std(ddof=1) / math.sqrt(m_weights))
 
 
-@dataclass(frozen=True)
-class JensenRisk:
-    """Paired MC risks of the posterior-mean predictor and the Gibbs predictor."""
-
-    mean_pred_risk: float
-    mean_pred_se: float
-    gibbs_risk: float
-    gibbs_se: float
-    diff: float
-    diff_se: float
-
-
-def jensen_mean_predictor_risk(post: GaussianPosterior, task: LinearTaskSpec,
-                               loss: LossSpec, m: int, seed: int) -> JensenRisk:
-    """Compare the averaged regressor's risk with the Gibbs risk.
-
-    Draws m posterior weights and m fresh task examples, pairing them so
-    the difference estimate is low-variance. Only losses convex in the
-    prediction qualify (nll, squared), for which the averaged regressor
-    can never do worse than the Gibbs average.
-    """
-    if loss.kind not in ("squared", "nll"):
-        raise ValueError("Jensen comparison needs a loss convex in the prediction")
-    if m < 2:
-        raise ValueError("need at least 2 samples")
-    weights = sample_posterior(post, m, seed)
-    fresh = gen_linear_task(
-        dataclasses.replace(task, seed=rng.derive_seed(seed, rng.TEST_SET_TAG)),
-        m)
-    x = np.asarray(fresh.raw_inputs)
-    y = fresh.labels
-    loss_gibbs = expected_loss(loss, y - np.einsum("ij,ij->i", weights, x), 0.0)
-    loss_mean = expected_loss(loss, y - x @ post.mean, 0.0)
-    diff = loss_gibbs - loss_mean
-    root_m = math.sqrt(m)
-    return JensenRisk(
-        mean_pred_risk=float(loss_mean.mean()),
-        mean_pred_se=float(loss_mean.std(ddof=1) / root_m),
-        gibbs_risk=float(loss_gibbs.mean()),
-        gibbs_se=float(loss_gibbs.std(ddof=1) / root_m),
-        diff=float(diff.mean()),
-        diff_se=float(diff.std(ddof=1) / root_m),
-    )
-
-
 KNOWN_FAMILIES = ("subgamma", "catoni", "alquier_sqrtn", "alquier_n")
 
 
@@ -164,12 +118,6 @@ class CoverageReport:
     delta: float
     config: dict
 
-    def rate(self, family: str) -> float:
-        for fam in self.families:
-            if fam.family == family:
-                return fam.rate
-        raise KeyError(family)
-
     def as_dict(self) -> dict:
         return {
             "delta": self.delta,
@@ -180,9 +128,6 @@ class CoverageReport:
             ],
             "config": self.config,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
 
 
 def _trial_bounds_and_risks(cfg: ValidityStudyConfig, trial: int) -> dict:
@@ -230,14 +175,18 @@ def _trial_bounds_and_risks(cfg: ValidityStudyConfig, trial: int) -> dict:
 def run_validity_study(cfg: ValidityStudyConfig) -> CoverageReport:
     """Violation counts per bound family over independent training draws.
 
-    A trial violates a family when risk - 3*se > bound. Trials use streams
-    derived from (seed, trial index), so reports are reproducible and
-    order-independent.
+    A trial violates a family when risk - 3*se > bound; a non-finite bound,
+    risk or se raises ValueError instead of counting either way. Trials use
+    streams derived from (seed, trial index), so reports are reproducible
+    and order-independent.
     """
     counts = {family: 0 for family in cfg.families}
     for trial in range(cfg.trials):
         per_family = _trial_bounds_and_risks(cfg, trial)
         for family, (bound, risk, se) in per_family.items():
+            if not all(map(math.isfinite, (bound, risk, se))):
+                raise ValueError(f"trial {trial}, {family}: bound {bound}, risk {risk}, "
+                                 f"se {se} must all be finite")
             if risk - 3.0 * se > bound:
                 counts[family] += 1
     echo = {

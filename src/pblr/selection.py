@@ -6,10 +6,8 @@ bound is the same as selecting the highest evidence. Averaging over the
 uniform hyperprior replaces max_i Z_i with sum_i Z_i and is never looser.
 """
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +28,6 @@ class ModelFamily:
     """Candidate models fitted on the same dataset, under a uniform hyperprior."""
 
     models: tuple
-    hyperprior: Optional[Sequence[float]] = None
 
     def __post_init__(self):
         models = tuple(self.models)
@@ -40,11 +37,6 @@ class ModelFamily:
         ns = {entry.evidence.n for entry in models}
         if len(ns) != 1:
             raise ValueError(f"all models must share the same sample size, got {sorted(ns)}")
-        if self.hyperprior is not None:
-            weights = np.asarray(self.hyperprior, dtype=float)
-            if weights.shape != (len(models),) or \
-                    np.abs(weights - 1.0 / len(models)).max() > 1e-12:
-                raise ValueError("only the uniform hyperprior is supported")
 
     @property
     def size(self) -> int:
@@ -90,9 +82,6 @@ class SelectionReport:
             "c": self.c,
             "n": self.n,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
 
 
 def model_selection_bounds(family: ModelFamily, delta: float, s2: float,

@@ -21,11 +21,10 @@ from .tasks import LinearTaskSpec
 
 @dataclass(frozen=True)
 class SubGammaParams:
-    """Variance factor s^2 and scale c, with the lambda they were derived at."""
+    """Variance factor s^2 and scale c of a sub-gamma loss deviation."""
 
     s2: float
     c: float
-    lambda_used: float = 1.0
 
     def __post_init__(self):
         if not (np.isfinite(self.s2) and self.s2 >= 0):
@@ -53,7 +52,7 @@ def squared_loss_subgamma_params(input_var: float, prior_var: float, dim: int,
     _check_lambda(lam, c)
     s2 = (2.0 / lam) * (input_var * (prior_var * dim + w_star_sq_norm)
                         + noise_var * (1.0 - lam * c))
-    return SubGammaParams(s2=s2, c=c, lambda_used=lam)
+    return SubGammaParams(s2=s2, c=c)
 
 
 def nll_subgamma_params(sigma2: float, input_var: float, prior_var: float,
@@ -73,7 +72,7 @@ def nll_subgamma_params(sigma2: float, input_var: float, prior_var: float,
     _check_lambda(lam, c)
     s2 = (input_var * (prior_var * dim + w_star_sq_norm)
           + noise_var * (1.0 - lam * c)) / (lam * sigma2)
-    return SubGammaParams(s2=s2, c=c, lambda_used=lam)
+    return SubGammaParams(s2=s2, c=c)
 
 
 def subgamma_envelope(lam: float, s2: float, c: float) -> float:
@@ -103,14 +102,6 @@ class MgfReport:
 
     def all_dominated(self) -> bool:
         return all(row.dominated for row in self.rows)
-
-    def write_csv(self, path, metadata: dict | None = None) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for key, val in (metadata or {}).items():
-                fh.write(f"# {key} = {val}\n")
-            fh.write("lambda,psi_hat,envelope,band\n")
-            for row in self.rows:
-                fh.write(f"{row.lam!r},{row.psi_hat!r},{row.envelope!r},{row.band!r}\n")
 
 
 def _deviation_samples(task: LinearTaskSpec, prior_var: float, loss: LossSpec,

@@ -120,23 +120,17 @@ class LinearTaskSpec:
         return self.input_var * np.einsum("...i,...i->...", diff, diff) + self.noise_var
 
 
-def polynomial_features(x: float, degree: int) -> np.ndarray:
-    """Map a scalar to [1, x, x^2, ..., x^degree].
+def polynomial_design(dataset: Dataset, degree: int) -> DesignMatrix:
+    """Build the n x (degree+1) design matrix [1, x, ..., x^degree] for scalar inputs.
 
     Overflow produces non-finite entries; DesignMatrix rejects those on
     construction.
     """
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    with np.errstate(over="ignore"):
-        return np.asarray(float(x), dtype=float) ** np.arange(degree + 1)
-
-
-def polynomial_design(dataset: Dataset, degree: int) -> DesignMatrix:
-    """Build the n x (degree+1) design matrix for a scalar-input dataset."""
     xs = np.asarray(dataset.raw_inputs, dtype=float)
     if xs.ndim != 1:
         raise ValueError("polynomial features need scalar inputs")
+    if degree < 0:
+        raise ValueError("degree must be non-negative")
     with np.errstate(over="ignore"):
         phi = xs[:, None] ** np.arange(degree + 1)[None, :]
     return DesignMatrix(phi=phi, labels=dataset.labels)
@@ -166,22 +160,3 @@ def gen_linear_task(spec: LinearTaskSpec, n: int) -> Dataset:
     xs = gen.normal(0.0, np.sqrt(spec.input_var), size=(n, spec.d))
     eps = gen.normal(0.0, np.sqrt(spec.noise_var), size=n)
     return Dataset(raw_inputs=xs, labels=xs @ spec.w_star + eps)
-
-
-def write_dataset_csv(dataset: Dataset, path, metadata=None) -> None:
-    """Serialize a dataset as CSV: header x_0,...,x_k,y, one row per example.
-
-    `metadata` items, when given, become '#'-prefixed lines above the header.
-    """
-    inputs = np.atleast_2d(dataset.raw_inputs.T).T  # (n, k)
-    if inputs.shape[0] != dataset.n:
-        inputs = inputs.reshape(dataset.n, -1)
-    k = inputs.shape[1] if dataset.n else 1
-    header = ",".join(f"x_{j}" for j in range(k)) + ",y"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, val in (metadata or {}).items():
-            fh.write(f"# {key} = {val}\n")
-        fh.write(header + "\n")
-        for i in range(dataset.n):
-            row = ",".join(repr(float(v)) for v in inputs[i])
-            fh.write(f"{row},{float(dataset.labels[i])!r}\n")

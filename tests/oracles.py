@@ -77,9 +77,14 @@ def loss_of_residual(spec, resid: np.ndarray) -> np.ndarray:
     return 0.5 * math.log(2.0 * math.pi * spec.sigma2) + sq / (2.0 * spec.sigma2)
 
 
+def precision(post) -> np.ndarray:
+    """The posterior precision matrix A = L L', rebuilt from its Cholesky factor."""
+    return post.chol @ post.chol.T
+
+
 def posterior_draws(post, m: int, seed: int) -> np.ndarray:
     """m posterior weight vectors from numpy's sampler and the explicit covariance."""
-    cov = np.linalg.inv(post.precision)
+    cov = np.linalg.inv(precision(post))
     return np.random.default_rng(seed).multivariate_normal(post.mean, cov, size=m)
 
 

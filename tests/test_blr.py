@@ -7,12 +7,12 @@ import pytest
 from pblr import blr
 from pblr.blr import (EvidenceReport, ModelConfig, evidence_decomposition,
                       fit_posterior, gaussian_kl, gibbs_expected_empirical_nll,
-                      log_gibbs_posterior_density, neg_log_evidence)
+                      neg_log_evidence)
 from pblr.mc import sample_posterior
 from pblr.tasks import DesignMatrix
 
 from oracles import (kl_gaussians, nle_full_covariance, nle_sequential_1d,
-                     ridge_minimizer_gd)
+                     precision, ridge_minimizer_gd)
 
 UNIT_CFG = ModelConfig(noise_var=1.0, prior_var=1.0)
 ONE_POINT = DesignMatrix(phi=np.array([[1.0]]), labels=np.array([1.0]))
@@ -38,13 +38,13 @@ def test_model_config_validation():
 def test_empty_sample_recovers_prior():
     design = DesignMatrix(phi=np.zeros((0, 2)), labels=np.zeros(0))
     post = fit_posterior(design, UNIT_CFG)
-    assert np.array_equal(post.precision, np.eye(2))
+    assert np.array_equal(precision(post), np.eye(2))
     assert np.array_equal(post.mean, np.zeros(2))
 
 
 def test_hand_computed_one_point_posterior():
     post = fit_posterior(ONE_POINT, UNIT_CFG)
-    assert post.precision[0, 0] == pytest.approx(2.0, abs=1e-14)
+    assert precision(post)[0, 0] == pytest.approx(2.0, abs=1e-14)
     assert post.mean[0] == pytest.approx(0.5, abs=1e-14)
 
 
@@ -117,7 +117,7 @@ def test_kl_matches_generic_gaussian_oracle():
     for _ in range(15):
         design, cfg = random_instance(rng, n=int(rng.integers(1, 30)))
         post = fit_posterior(design, cfg)
-        cov_post = np.linalg.inv(post.precision)
+        cov_post = np.linalg.inv(precision(post))
         ref = kl_gaussians(post.mean, cov_post, np.zeros(post.d),
                            cfg.prior_var * np.eye(post.d))
         assert gaussian_kl(post, cfg) == pytest.approx(ref, rel=1e-8, abs=1e-8)
@@ -193,22 +193,15 @@ def test_evidence_report_rejects_violated_identity():
 
 def test_evidence_report_json_fields():
     report = evidence_decomposition(fit_posterior(ONE_POINT, UNIT_CFG), ONE_POINT, UNIT_CFG)
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.as_dict()))
     assert set(payload) == {"neg_log_evidence", "gibbs_emp_risk_total", "kl",
                             "n", "d", "sigma2", "sigma_pi2"}
     assert payload["n"] == 1 and payload["d"] == 1
 
 
-def test_log_density_at_mode():
-    post = fit_posterior(ONE_POINT, UNIT_CFG)
-    val = log_gibbs_posterior_density(post, np.array([0.5]))
-    assert val == pytest.approx(0.5 * math.log(2.0) - 0.5 * math.log(2.0 * math.pi),
-                                abs=1e-12)
-    assert val == pytest.approx(-0.5723649429247, abs=1e-10)
-
-
 def test_log_density_ratio_matches_prior_times_likelihood():
-    # log p(w1) - log p(w2) = [log prior - n empirical nll](w1) - same at w2
+    # log p(w1) - log p(w2) = [log prior - n empirical nll](w1) - same at w2,
+    # where log p(w) = const - ||L'(w - mean)||^2 / 2 under the posterior
     rng = np.random.default_rng(7)
     design, cfg = random_instance(rng, n=25, d=3)
     post = fit_posterior(design, cfg)
@@ -221,10 +214,14 @@ def test_log_density_ratio_matches_prior_times_likelihood():
             + float(resid @ resid) / (2.0 * cfg.noise_var)
         return log_prior - total_nll
 
+    def log_density(w):
+        z = post.chol.T @ (w - post.mean)
+        return -0.5 * float(z @ z)
+
     for _ in range(10):
         w1 = rng.standard_normal(post.d)
         w2 = rng.standard_normal(post.d)
-        lhs = log_gibbs_posterior_density(post, w1) - log_gibbs_posterior_density(post, w2)
+        lhs = log_density(w1) - log_density(w2)
         rhs = unnormalized(w1) - unnormalized(w2)
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-8)
 
@@ -237,7 +234,7 @@ def test_precision_trace_never_decreases_with_data():
     prev = -np.inf
     for n in range(31):
         post = fit_posterior(DesignMatrix(phi=phi[:n], labels=labels[:n]), cfg)
-        trace = float(np.trace(post.precision))
+        trace = float(np.trace(precision(post)))
         assert trace >= prev - 1e-12
         prev = trace
 
@@ -264,3 +261,13 @@ def test_evidence_decomposition_rejects_mismatched_posterior():
     design = DesignMatrix(phi=np.ones((1, 2)), labels=np.ones(1))
     with pytest.raises(ValueError, match="weights"):
         evidence_decomposition(post, design, UNIT_CFG)
+
+
+def test_predictive_var_matches_explicit_inverse():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        design, cfg = random_instance(rng)
+        post = fit_posterior(design, cfg)
+        phi = rng.standard_normal((int(rng.integers(1, 40)), post.d))
+        ref = np.einsum("ij,jk,ik->i", phi, np.linalg.inv(precision(post)), phi)
+        assert np.allclose(post.predictive_var(phi), ref, rtol=1e-10, atol=0.0)

@@ -1,14 +1,13 @@
-import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pblr.blr import ModelConfig, evidence_decomposition, fit_posterior
-from pblr.bounds import (BoundReport, alquier_bound, catoni_bound,
-                         catoni_evidence_bound, hoeffding_psi_bound,
-                         subgamma_bound, subgamma_evidence_bound,
-                         subgaussian_bound)
+from pblr.bounds import (alquier_bound, catoni_bound, catoni_evidence_bound,
+                         hoeffding_psi_bound, subgamma_bound,
+                         subgamma_evidence_bound)
 from pblr.tasks import DesignMatrix
 
 LN20 = math.log(20.0)
@@ -117,20 +116,21 @@ def test_alquier_collapses_to_empirical_risk():
 
 
 # ---------------------------------------------------------------- sub-gaussian / sub-gamma
+# A sub-Gaussian loss is the sub-gamma case c = 0.
 
 def test_subgaussian_trivial():
-    assert subgaussian_bound(0.3, 0.0, 10, 1.0, 0.0) == pytest.approx(0.3)
+    assert subgamma_bound(0.3, 0.0, 10, 1.0, 0.0, 0.0) == pytest.approx(0.3)
 
 
 def test_subgaussian_equals_subgamma_at_zero_scale():
     for emp, kl, n, delta, s2 in [(1.0, 2.0, 10, 0.05, 0.28),
                                   (0.1, 0.0, 3, 0.5, 1.7)]:
-        assert subgaussian_bound(emp, kl, n, delta, s2) == pytest.approx(
-            subgamma_bound(emp, kl, n, delta, s2, 0.0), rel=1e-14)
+        assert subgamma_bound(emp, kl, n, delta, s2, 0.0) == pytest.approx(
+            emp + (kl + math.log(1.0 / delta)) / n + 0.5 * s2, rel=1e-14)
 
 
 def test_subgaussian_frozen_value():
-    assert subgaussian_bound(1.0, 2.0, 10, 0.05, 0.28) == pytest.approx(
+    assert subgamma_bound(1.0, 2.0, 10, 0.05, 0.28, 0.0) == pytest.approx(
         1.639573227355399, abs=1e-12)
 
 
@@ -178,7 +178,7 @@ def test_subgamma_evidence_equals_subgamma_under_decomposition():
     lambda emp, kl, n, delta: catoni_bound(emp, kl, n, delta, 0.0, 2.0),
     lambda emp, kl, n, delta: alquier_bound(emp, kl, n, delta, float(n),
                                             hoeffding_psi_bound(float(n), n, 0.0, 2.0)),
-    lambda emp, kl, n, delta: subgaussian_bound(emp, kl, n, delta, 0.4),
+    lambda emp, kl, n, delta: subgamma_bound(emp, kl, n, delta, 0.4, 0.0),
     lambda emp, kl, n, delta: subgamma_bound(emp, kl, n, delta, 0.4, 0.1),
 ])
 def test_bounds_nondecreasing_in_kl_and_confidence(bound_fn):
@@ -215,24 +215,78 @@ def test_fitted_posterior_minimizes_risk_plus_kl():
         assert at_one <= objective(float(t)) + 1e-9
 
 
-def test_bound_report_json_fields():
-    report = BoundReport(family="subgamma", value=1.5, n=10, delta=0.05,
-                         emp_gibbs_risk=1.0, kl=2.0, s2=0.28, c=0.005)
-    payload = json.loads(report.to_json())
-    for key in ("family", "value", "n", "delta", "emp_gibbs_risk", "kl",
-                "neg_log_evidence", "lambda", "a", "b", "s2", "c"):
-        assert key in payload
-    assert payload["family"] == "subgamma"
-
-
-def test_bound_report_validation():
-    with pytest.raises(ValueError):
-        BoundReport(family="mystery", value=1.0, n=1, delta=0.5)
-    with pytest.raises(ValueError):
-        BoundReport(family="catoni", value=math.inf, n=1, delta=0.5)
-
-
 def test_catoni_evidence_overflow_is_a_value_error():
     # a huge evidence makes e^{a - ln(Z delta)/n} overflow: not finite, not OverflowError
     with pytest.raises(ValueError, match="not finite"):
         catoni_evidence_bound(-1e6, 10, 0.05, 1.0, 4.0)
+
+
+# ---------------------------------------------------------------- properties
+
+A, B = 1.0, 4.0  # the cropping interval of fig-c
+S2, C = 0.28, 0.5
+
+DIRECT = {
+    "catoni": lambda emp, kl, n, delta: catoni_bound(emp, kl, n, delta, A, B),
+    "alquier_sqrtn": lambda emp, kl, n, delta: alquier_bound(
+        emp, kl, n, delta, math.sqrt(n), hoeffding_psi_bound(math.sqrt(n), n, A, B)),
+    "alquier_n": lambda emp, kl, n, delta: alquier_bound(
+        emp, kl, n, delta, float(n), hoeffding_psi_bound(float(n), n, A, B)),
+    "subgaussian": lambda emp, kl, n, delta: subgamma_bound(emp, kl, n, delta, S2, 0.0),
+    "subgamma": lambda emp, kl, n, delta: subgamma_bound(emp, kl, n, delta, S2, C),
+}
+
+emps = st.floats(A, B)
+kls = st.floats(0.0, 1e6)
+ns = st.integers(1, 10**7)
+# down to the smallest subnormal, where 1/delta overflows but -ln(delta) is 744.4
+deltas = st.one_of(st.sampled_from([1e-320, 5e-324]),
+                   st.floats(5e-324, 1.0, allow_subnormal=True))
+
+
+def ordered(lo, hi, slack=1e-12):
+    return lo <= hi + slack * max(1.0, abs(lo), abs(hi))
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT))
+@settings(max_examples=100, deadline=None)
+@given(emp=emps, kl1=kls, kl2=kls, n=ns, delta=deltas)
+def test_bound_nondecreasing_in_kl(name, emp, kl1, kl2, n, delta):
+    lo, hi = sorted((kl1, kl2))
+    assert ordered(DIRECT[name](emp, lo, n, delta), DIRECT[name](emp, hi, n, delta))
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT))
+@settings(max_examples=100, deadline=None)
+@given(emp=emps, kl=kls, n=ns, d1=deltas, d2=deltas)
+def test_bound_nonincreasing_in_delta(name, emp, kl, n, d1, d2):
+    lo, hi = sorted((d1, d2))
+    assert ordered(DIRECT[name](emp, kl, n, hi), DIRECT[name](emp, kl, n, lo))
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT))
+@settings(max_examples=100, deadline=None)
+@given(emp=emps, kl=kls, n1=ns, n2=ns, delta=deltas)
+def test_bound_nonincreasing_in_n(name, emp, kl, n1, n2, delta):
+    lo, hi = sorted((n1, n2))
+    assert ordered(DIRECT[name](emp, kl, hi, delta), DIRECT[name](emp, kl, lo, delta))
+
+
+@settings(max_examples=200, deadline=None)
+@given(emp=emps, kl=kls, n=ns, delta=deltas)
+def test_evidence_forms_equal_direct_forms_under_identity(emp, kl, n, delta):
+    nle = n * emp + kl  # -ln Z = n * (Gibbs empirical risk) + KL
+    assert subgamma_evidence_bound(nle, n, delta, S2, C) == pytest.approx(
+        subgamma_bound(emp, kl, n, delta, S2, C), rel=1e-9)
+    assert catoni_evidence_bound(nle, n, delta, A, B) == pytest.approx(
+        catoni_bound(emp, kl, n, delta, A, B), rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(emp=emps, kl=kls, n=ns, delta=deltas)
+def test_bounds_finite_on_valid_inputs(emp, kl, n, delta):
+    nle = n * emp + kl
+    values = [bound(emp, kl, n, delta) for bound in DIRECT.values()]
+    values += [subgamma_evidence_bound(nle, n, delta, S2, C),
+               catoni_evidence_bound(nle, n, delta, A, B)]
+    assert all(map(math.isfinite, values)), values

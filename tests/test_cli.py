@@ -1,5 +1,8 @@
 import json
+import math
 import time
+
+import pytest
 
 from pblr import experiments as exp
 from pblr.cli import build_parser, main
@@ -75,6 +78,28 @@ def test_empty_test_set_exits_nonzero(tmp_path, capsys):
     assert run(["fig-b", "--out", tmp_path, "--test-size", 0]) == 1
     assert "test_size must be at least 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "fig_b.csv").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["fig-b", "--seeds", 0], "--seeds"),
+    (["fig-b", "--seeds", -3], "--seeds"),
+    (["fig-a", "--grid-size", 0], "--grid-size"),
+    (["fig-a", "--n", 0], "--n"),
+    (["fig-b", "--n", 0], "--n"),
+], ids=["fig-b-seeds-0", "fig-b-seeds-neg", "fig-a-grid-size-0", "fig-a-n-0", "fig-b-n-0"])
+def test_meaningless_count_exits_nonzero(tmp_path, capsys, argv, flag):
+    assert run([*argv, "--out", tmp_path]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith(f"error: {flag} must be at least 1")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tiny_delta_gives_finite_bounds(tmp_path):
+    assert run(["fig-c", "--n-grid", 10, "--delta", "1e-320", "--out", tmp_path]) == 0
+    lines = (tmp_path / "fig_c.csv").read_text(encoding="utf-8").strip().split("\n")
+    rows = [l for l in lines if not l.startswith("#")][1:]
+    assert len(rows) == 1
+    assert all(math.isfinite(float(v)) for v in rows[0].split(","))
 
 
 def test_fig_c_quick(tmp_path):

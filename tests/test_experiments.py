@@ -64,6 +64,14 @@ def test_write_csv_metadata_and_values(tmp_path):
     assert lines[3] == "1,0.5"
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_csv_rejects_nonfinite_before_opening(tmp_path, bad):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match="b = "):
+        exp.write_csv(path, ("a", "b"), [(1, 0.5), (2, bad)], {"seed": 7})
+    assert not path.exists()
+
+
 def test_run_validate_quick():
     coverage, mgf, ok = exp.run_validate(seed=0, trials=2, m_weights=400,
                                          mgf_m=10_000)

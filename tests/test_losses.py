@@ -22,8 +22,7 @@ LOSSES = {
 
 def make_posterior(mean, precision_scale):
     d = len(mean)
-    a = precision_scale * np.eye(d)
-    return GaussianPosterior(mean=np.asarray(mean, dtype=float), precision=a,
+    return GaussianPosterior(mean=np.asarray(mean, dtype=float),
                              chol=np.sqrt(precision_scale) * np.eye(d))
 
 

@@ -5,19 +5,18 @@ import pytest
 
 from pblr.blr import GaussianPosterior, ModelConfig, fit_posterior
 from pblr.losses import LossSpec
+from pblr import mc
 from pblr.mc import (ValidityStudyConfig, _trial_bounds_and_risks,
                      gibbs_generalization_risk, gibbs_generalization_risk_mc,
-                     jensen_mean_predictor_risk, run_validity_study,
-                     sample_posterior)
+                     run_validity_study, sample_posterior)
 from pblr.tasks import DesignMatrix, LinearTaskSpec, gen_linear_task
 
-from oracles import generalization_risk_mc, posterior_draws
+from oracles import generalization_risk_mc, posterior_draws, precision
 
 
 def spd_posterior(mean, scale):
     d = len(mean)
     return GaussianPosterior(mean=np.asarray(mean, dtype=float),
-                             precision=scale * np.eye(d),
                              chol=math.sqrt(scale) * np.eye(d))
 
 
@@ -33,7 +32,7 @@ def test_sample_posterior_moments():
     post, _ = fitted_posterior()
     m = 100_000
     weights = sample_posterior(post, m, seed=0)
-    cov = np.linalg.inv(post.precision)
+    cov = np.linalg.inv(precision(post))
     mean_band = 4.0 * np.sqrt(np.diag(cov) / m)
     assert np.all(np.abs(weights.mean(axis=0) - post.mean) < mean_band)
     sample_cov = np.cov(weights.T)
@@ -127,50 +126,6 @@ def test_generalization_risk_agrees_with_monte_carlo(spec):
         assert abs(exact - est) < 4.0 * se
 
 
-def test_jensen_point_mass_estimates_agree():
-    task = LinearTaskSpec(w_star=np.array([0.5, 0.5]), input_var=1.0,
-                          noise_var=0.2, seed=0)
-    post = spd_posterior([0.3, 0.1], 1e16)
-    res = jensen_mean_predictor_risk(post, task, LossSpec.squared(), 20_000,
-                                     seed=7)
-    band = 4.0 * math.sqrt(res.mean_pred_se ** 2 + res.gibbs_se ** 2)
-    assert abs(res.mean_pred_risk - res.gibbs_risk) < max(band, 1e-10)
-
-
-def test_jensen_orders_risks_for_convex_loss():
-    task = LinearTaskSpec(w_star=np.array([0.5, -0.2, 0.3]), input_var=1.0,
-                          noise_var=0.25, seed=0)
-    post, _ = fitted_posterior(seed=8, d=3)
-    res = jensen_mean_predictor_risk(post, task, LossSpec.squared(), 50_000,
-                                     seed=8)
-    assert res.mean_pred_risk <= res.gibbs_risk + 4.0 * math.sqrt(
-        res.mean_pred_se ** 2 + res.gibbs_se ** 2)
-
-
-def test_jensen_gap_matches_posterior_spread_1d():
-    # squared loss: Gibbs risk - mean-predictor risk = input_var tr(A^{-1})
-    task = LinearTaskSpec(w_star=np.array([0.7]), input_var=1.3,
-                          noise_var=0.2, seed=0)
-    rng = np.random.default_rng(9)
-    design = DesignMatrix(phi=rng.standard_normal((12, 1)),
-                          labels=rng.standard_normal(12))
-    cfg = ModelConfig(noise_var=0.5, prior_var=1.0)
-    post = fit_posterior(design, cfg)
-    res = jensen_mean_predictor_risk(post, task, LossSpec.squared(), 200_000,
-                                     seed=10)
-    expected = task.input_var * post.cov_trace()
-    assert abs(res.diff - expected) < 4.0 * res.diff_se
-
-
-def test_jensen_rejects_non_convex_loss():
-    task = LinearTaskSpec(w_star=np.array([0.5]), input_var=1.0,
-                          noise_var=0.2, seed=0)
-    post = spd_posterior([0.1], 1.0)
-    with pytest.raises(ValueError):
-        jensen_mean_predictor_risk(
-            post, task, LossSpec.cropped(LossSpec.squared(), 0.0, 1.0), 100, 0)
-
-
 def study_config(**overrides):
     base = dict(
         task=LinearTaskSpec(w_star=np.full(3, 0.5 / math.sqrt(3)),
@@ -212,6 +167,18 @@ def test_study_config_validation():
         study_config(cropped_loss=None)  # bounded families need a crop
     with pytest.raises(ValueError):
         study_config(trials=0)
+
+
+@pytest.mark.parametrize("position, bad", [(0, math.nan), (0, math.inf),
+                                           (1, math.nan), (2, math.nan)])
+def test_nonfinite_trial_value_raises(monkeypatch, position, bad):
+    # NaN compares False and an infinite bound is never exceeded: neither is coverage
+    values = [1.0, 0.5, 0.0]  # (bound, risk, se)
+    values[position] = bad
+    monkeypatch.setattr(mc, "_trial_bounds_and_risks",
+                        lambda cfg, trial: {"subgamma": tuple(values)})
+    with pytest.raises(ValueError, match="finite"):
+        run_validity_study(study_config(families=("subgamma",)))
 
 
 def test_coverage_trial_factors_once(cholesky_calls):

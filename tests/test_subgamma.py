@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from pblr import __version__
+from pblr.cli import main
+from pblr.experiments import run_validate
 from pblr.losses import LossSpec
 from pblr.subgamma import (SubGammaParams, empirical_mgf_check,
                            nll_subgamma_params, squared_loss_subgamma_params,
@@ -142,14 +145,15 @@ def test_mgf_grid_validation():
 
 
 def test_mgf_report_csv(tmp_path):
-    params = small_variance_params()
-    report = empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
-                                 params, [0.5], 10_000, seed=6)
-    path = tmp_path / "mgf.csv"
-    report.write_csv(path, {"seed": 6})
-    lines = path.read_text(encoding="utf-8").strip().split("\n")
-    assert lines[0] == "# seed = 6"
-    assert lines[1] == "lambda,psi_hat,envelope,band"
-    lam, psi_hat, envelope, band = (float(v) for v in lines[2].split(","))
-    assert lam == 0.5
-    assert psi_hat == report.rows[0].psi_hat
+    # mgf.csv as `pblr validate` writes it, against the report it was written from
+    main(["validate", "--seed", "6", "--trials", "1", "--mc-weights", "200",
+          "--mgf-m", "10000", "--out", str(tmp_path)])
+    _, report, _ = run_validate(seed=6, trials=1, m_weights=200, mgf_m=10_000)
+    lines = (tmp_path / "mgf.csv").read_text(encoding="utf-8").strip().split("\n")
+    assert lines[:4] == [f"# tool_version = {__version__}", "# seed = 6",
+                         "# m = 10000", "# loss = squared"]
+    assert lines[4] == "lambda,psi_hat,envelope,band"
+    assert len(lines) == 5 + len(report.rows)
+    for line, row in zip(lines[5:], report.rows):
+        assert tuple(float(v) for v in line.split(",")) == \
+            (row.lam, row.psi_hat, row.envelope, row.band)

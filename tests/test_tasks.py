@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from pblr.tasks import (DesignMatrix, LinearTaskSpec, SineTaskSpec,
+from pblr import __version__
+from pblr.cli import main
+from pblr.tasks import (Dataset, DesignMatrix, LinearTaskSpec, SineTaskSpec,
                         gen_linear_task, gen_sine_task, identity_design,
-                        polynomial_design, polynomial_features,
-                        write_dataset_csv)
+                        polynomial_design)
+
+
+def polynomial_features(x, degree):
+    """The polynomial_design row of a single scalar input."""
+    return polynomial_design(Dataset(raw_inputs=[x], labels=[0.0]), degree).phi[0]
 
 
 def test_polynomial_features_powers_of_two():
@@ -20,15 +26,13 @@ def test_polynomial_features_direct():
 
 
 def test_polynomial_features_rejects_negative_degree():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degree"):
         polynomial_features(1.0, -1)
 
 
 def test_polynomial_overflow_is_caught_by_design_matrix():
-    feats = polynomial_features(1e300, 3)
-    assert not np.isfinite(feats).all()
     with pytest.raises(ValueError, match="non-finite"):
-        DesignMatrix(phi=feats[None, :], labels=np.array([0.0]))
+        polynomial_features(1e300, 3)
 
 
 def test_design_matrix_shape_mismatch():
@@ -115,7 +119,7 @@ def test_polynomial_design_rows_match_feature_map():
     design = polynomial_design(ds, 3)
     assert design.d == 4
     for i in range(6):
-        assert np.allclose(design.phi[i], polynomial_features(ds.raw_inputs[i], 3))
+        assert np.allclose(design.phi[i], ds.raw_inputs[i] ** np.arange(4))
 
 
 def test_identity_design_vector_inputs():
@@ -126,25 +130,29 @@ def test_identity_design_vector_inputs():
     assert np.array_equal(design.phi, ds.raw_inputs)
 
 
+def write_train_csv(tmp_path, seed, n):
+    """train.csv as `pblr fig-a` writes it."""
+    assert main(["fig-a", "--seed", str(seed), "--n", str(n), "--degrees", "1",
+                 "--grid-size", "2", "--out", str(tmp_path)]) == 0
+    return tmp_path / "train.csv"
+
+
 def test_dataset_csv_roundtrip(tmp_path):
-    spec = LinearTaskSpec(w_star=np.array([1.0, 2.0]), seed=4)
-    ds = gen_linear_task(spec, 7)
-    path = tmp_path / "data.csv"
-    write_dataset_csv(ds, path)
-    raw = path.read_bytes().decode("utf-8")
+    raw = write_train_csv(tmp_path, seed=4, n=7).read_bytes().decode("utf-8")
     assert "\r" not in raw
-    lines = raw.strip().split("\n")
-    assert lines[0] == "x_0,x_1,y"
+    lines = [line for line in raw.strip().split("\n") if not line.startswith("#")]
+    assert lines[0] == "x_0,y"
     assert len(lines) == 8
     parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    assert np.array_equal(parsed[:, :2], ds.raw_inputs)
-    assert np.array_equal(parsed[:, 2], ds.labels)
+    ds = gen_sine_task(SineTaskSpec(n=7, noise_var=0.25, seed=4))
+    assert np.array_equal(parsed[:, 0], ds.raw_inputs)
+    assert np.array_equal(parsed[:, 1], ds.labels)
 
 
 def test_dataset_csv_scalar_inputs(tmp_path):
-    ds = gen_sine_task(SineTaskSpec(n=3, noise_var=0.25, seed=0))
-    path = tmp_path / "sine.csv"
-    write_dataset_csv(ds, path)
-    lines = path.read_text(encoding="utf-8").strip().split("\n")
-    assert lines[0] == "x_0,y"
-    assert len(lines) == 4
+    lines = write_train_csv(tmp_path, seed=0, n=3).read_text(encoding="utf-8").split("\n")
+    assert lines[0] == f"# tool_version = {__version__}"
+    assert "# seed = 0" in lines and "# n = 3" in lines
+    body = [line for line in lines if line and not line.startswith("#")]
+    assert body[0] == "x_0,y"
+    assert len(body) == 4
