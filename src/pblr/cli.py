@@ -87,12 +87,12 @@ def _sine_meta(args) -> dict:
             "degrees": " ".join(map(str, args.degrees))}
 
 
-def _require_positive(args, *flags) -> None:
-    """Reject a count flag below 1 with an error naming the flag."""
+def _require_positive(args, *flags, low=1) -> None:
+    """Reject a count flag below `low` with an error naming the flag."""
     for flag in flags:
         value = getattr(args, flag[2:].replace("-", "_"))
-        if value < 1:
-            raise ValueError(f"{flag} must be at least 1, got {value}")
+        if value < low:
+            raise ValueError(f"{flag} must be at least {low}, got {value}")
 
 
 def cmd_fig_a(args) -> int:
@@ -110,7 +110,7 @@ def cmd_fig_a(args) -> int:
 
 
 def cmd_fig_b(args) -> int:
-    _require_positive(args, "--n", "--seeds")
+    _require_positive(args, "--n", "--seeds", "--test-size")
     out = args.out
     if args.seeds > 1:
         wins: dict[int, int] = {}
@@ -147,6 +147,9 @@ def cmd_fig_c(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    _require_positive(args, "--trials")
+    _require_positive(args, "--mc-weights", low=2)
+    _require_positive(args, "--mgf-m", low=10_000)
     coverage, mgf, ok = exp.run_validate(seed=args.seed, trials=args.trials,
                                          delta=args.delta,
                                          m_weights=args.mc_weights,

@@ -122,37 +122,33 @@ def _deviation_samples(task: LinearTaskSpec, prior_var: float, loss: LossSpec,
     raise ValueError("MGF check supports the squared and nll losses")
 
 
-def _log_mean_exp(values: np.ndarray) -> float:
-    top = float(values.max())
-    return top + math.log(float(np.mean(np.exp(values - top))))
-
-
 def empirical_mgf_check(task: LinearTaskSpec, prior_var: float, loss: LossSpec,
                         params: SubGammaParams, lambda_grid: Sequence[float],
-                        m: int, seed: int, bootstrap: int = 100) -> MgfReport:
+                        m: int, seed: int) -> MgfReport:
     """Estimate the log-MGF of the loss deviation and compare to its envelope.
 
-    For each lambda in the grid, psi_hat = log mean exp(lambda * V) over m
-    draws, with a bootstrap standard error; every lambda must lie below
-    1/c. A non-finite estimate means m is too small for that lambda.
+    For each lambda in the grid, psi_hat = log mean exp(lambda V) over m draws;
+    its band, the delta-method SE sd(e) / (sqrt(m) mean(e)) of e = exp(lambda V),
+    is finite only for lambda < 1/(2c). A non-finite psi_hat means m is too small.
     """
     if m < 10_000:
         raise ValueError("MGF estimation needs at least 1e4 samples")
     for lam in lambda_grid:
         _check_lambda(lam, params.c)
+        if 2.0 * lam * params.c >= 1.0:  # E exp(2 lambda V) is infinite
+            raise ValueError(f"lambda {lam} >= 1/(2c) = {0.5 / params.c}: no finite band")
     gen = rng.stream(seed, rng.MGF_TAG)
     v = _deviation_samples(task, prior_var, loss, m, gen)
     rows = []
     for lam in lambda_grid:
         lv = lam * v
-        psi_hat = _log_mean_exp(lv)
+        top = float(lv.max())
+        e = np.exp(lv - top)
+        e_mean = float(np.mean(e))
+        psi_hat = top + math.log(e_mean)
         if not math.isfinite(psi_hat):
             raise ValueError(f"MGF estimate not finite at lambda={lam}; increase m")
-        reps = np.empty(bootstrap)
-        for b in range(bootstrap):
-            idx = gen.integers(0, m, m)
-            reps[b] = _log_mean_exp(lv[idx])
         rows.append(MgfRow(lam=float(lam), psi_hat=psi_hat,
                            envelope=subgamma_envelope(lam, params.s2, params.c),
-                           band=float(reps.std(ddof=1))))
+                           band=float(e.std(ddof=1)) / (math.sqrt(m) * e_mean)))
     return MgfReport(rows=tuple(rows), m=m, seed=seed, loss_kind=loss.kind)

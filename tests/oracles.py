@@ -5,7 +5,8 @@ code under test: full-covariance marginal likelihood instead of the
 Cholesky decomposition route, plain gradient descent instead of a linear
 solve, sequential 1-D Bayesian updating instead of batch formulas, plain
 Monte Carlo over sampled weights and data instead of closed-form Gaussian
-expectations.
+expectations, a bootstrap instead of the delta method, and Gauss-Hermite
+quadrature of a closed-form conditional MGF instead of sampling.
 """
 
 import math
@@ -100,3 +101,43 @@ def generalization_risk_mc(spec, weights: np.ndarray, x: np.ndarray,
     """(estimate, se) of E_w E_{x,y} loss from paired draws (w_j, x_j, y_j)."""
     per_pair = loss_of_residual(spec, y - np.einsum("ij,ij->i", weights, x))
     return float(per_pair.mean()), float(per_pair.std(ddof=1) / math.sqrt(len(per_pair)))
+
+
+def bootstrap_log_mgf_se(v: np.ndarray, lams, reps: int, seed: int) -> np.ndarray:
+    """Bootstrap standard error of log mean exp(lam * v), one per lam.
+
+    Each of the `reps` resamples draws len(v) indices with replacement and is
+    shared by every lam.
+    """
+    gen = np.random.default_rng(seed)
+    lams = np.asarray(lams, dtype=float)
+    estimates = np.empty((reps, lams.size))
+    for b in range(reps):
+        resample = v[gen.integers(0, v.size, v.size)]
+        for j, lam in enumerate(lams):
+            lv = lam * resample
+            top = lv.max()
+            estimates[b, j] = top + math.log(np.mean(np.exp(lv - top)))
+    return estimates.std(axis=0, ddof=1)
+
+
+def squared_log_mgf_quadrature(lam: float, w_star: np.ndarray, input_var: float,
+                               noise_var: float, prior_var: float) -> float:
+    """log E exp(lam V) for V = risk(w) - (y - w.x)^2 with w from the prior.
+
+    Given w the residual is sqrt(s(w)) Z with s(w) = input_var ||w* - w||^2 +
+    noise_var, so V = s(w) (1 - Z^2). Given Z, w* - w ~ N(w*, prior_var I)
+    and E exp(t ||w* - w||^2) = (1 - 2 t prior_var)^(-d/2)
+    exp(t ||w*||^2 / (1 - 2 t prior_var)) at t = lam input_var (1 - Z^2);
+    the outer expectation over Z ~ N(0, 1) is a 200-node Gauss-Hermite rule
+    (numpy's weights overflow at 400 nodes).
+    """
+    z, weights = np.polynomial.hermite_e.hermegauss(200)
+    u = 1.0 - z * z
+    t = lam * input_var * u
+    shrink = 1.0 - 2.0 * t * prior_var
+    if np.any(shrink <= 0):
+        raise ValueError("lam must be below 1/c = 1 / (2 input_var prior_var)")
+    log_f = (lam * noise_var * u + t * float(w_star @ w_star) / shrink
+             - 0.5 * w_star.size * np.log(shrink))
+    return math.log(float(weights @ np.exp(log_f)) / math.sqrt(2.0 * math.pi))

@@ -76,7 +76,7 @@ def test_invalid_seed_env_exits_nonzero(tmp_path, monkeypatch, capsys):
 
 def test_empty_test_set_exits_nonzero(tmp_path, capsys):
     assert run(["fig-b", "--out", tmp_path, "--test-size", 0]) == 1
-    assert "test_size must be at least 1, got 0" in capsys.readouterr().err
+    assert capsys.readouterr().err.strip() == "error: --test-size must be at least 1, got 0"
     assert not (tmp_path / "fig_b.csv").exists()
 
 
@@ -86,11 +86,25 @@ def test_empty_test_set_exits_nonzero(tmp_path, capsys):
     (["fig-a", "--grid-size", 0], "--grid-size"),
     (["fig-a", "--n", 0], "--n"),
     (["fig-b", "--n", 0], "--n"),
-], ids=["fig-b-seeds-0", "fig-b-seeds-neg", "fig-a-grid-size-0", "fig-a-n-0", "fig-b-n-0"])
+    (["fig-b", "--seeds", 3, "--test-size", -5], "--test-size"),
+], ids=["fig-b-seeds-0", "fig-b-seeds-neg", "fig-a-grid-size-0", "fig-a-n-0", "fig-b-n-0",
+        "fig-b-seeds-test-size-neg"])
 def test_meaningless_count_exits_nonzero(tmp_path, capsys, argv, flag):
     assert run([*argv, "--out", tmp_path]) == 1
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith(f"error: {flag} must be at least 1")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, value, low", [
+    ("--trials", 0, 1),
+    ("--mc-weights", 1, 2),
+    ("--mgf-m", 100, 10_000),
+])
+def test_validate_count_names_the_flag(tmp_path, capsys, flag, value, low):
+    assert run(["validate", flag, value, "--out", tmp_path]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err == [f"error: {flag} must be at least {low}, got {value}"]
     assert list(tmp_path.iterdir()) == []
 
 

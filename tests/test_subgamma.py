@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from pblr import __version__
+from oracles import bootstrap_log_mgf_se, squared_log_mgf_quadrature
+from pblr import __version__, rng
 from pblr.cli import main
 from pblr.experiments import run_validate
 from pblr.losses import LossSpec
-from pblr.subgamma import (SubGammaParams, empirical_mgf_check,
+from pblr.subgamma import (SubGammaParams, _deviation_samples, empirical_mgf_check,
                            nll_subgamma_params, squared_loss_subgamma_params,
                            subgamma_envelope)
 from pblr.tasks import LinearTaskSpec
@@ -142,6 +143,42 @@ def test_mgf_grid_validation():
     with pytest.raises(ValueError):
         empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
                             params, [inv_c * 1.01], 20_000, seed=0)
+    # inside (0, 1/c) but E exp(2 lambda V) is infinite: no finite band
+    lam = 0.75 * inv_c
+    with pytest.raises(ValueError, match=f"lambda {lam} .* 1/\\(2c\\) = {0.5 * inv_c}"):
+        empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
+                            params, [0.25, lam], 20_000, seed=0)
+
+
+MGF_CHECK_LAMBDAS = (0.25, 0.5, 1.0)
+MGF_CHECK_SEEDS = range(5)
+MGF_CHECK_M = 20_000
+
+
+def mgf_check_reports():
+    params = small_variance_params()
+    for seed in MGF_CHECK_SEEDS:
+        yield seed, empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
+                                        params, MGF_CHECK_LAMBDAS, MGF_CHECK_M, seed)
+
+
+def test_mgf_band_matches_bootstrap_on_same_draws():
+    for seed, report in mgf_check_reports():
+        v = _deviation_samples(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
+                               MGF_CHECK_M, rng.stream(seed, rng.MGF_TAG))
+        boot = bootstrap_log_mgf_se(v, MGF_CHECK_LAMBDAS, reps=400, seed=seed)
+        for row, se in zip(report.rows, boot):
+            assert abs(row.band / se - 1.0) <= 0.2, (seed, row.lam, row.band, se)
+
+
+def test_mgf_psi_hat_within_four_bands_of_quadrature():
+    exact = [squared_log_mgf_quadrature(lam, SMALL_TASK.w_star, SMALL_TASK.input_var,
+                                        SMALL_TASK.noise_var, SMALL_PRIOR_VAR)
+             for lam in MGF_CHECK_LAMBDAS]
+    for seed, report in mgf_check_reports():
+        for row, psi in zip(report.rows, exact):
+            assert row.band > 0
+            assert abs(row.psi_hat - psi) <= 4.0 * row.band, (seed, row.lam)
 
 
 def test_mgf_report_csv(tmp_path):
