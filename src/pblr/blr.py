@@ -100,7 +100,11 @@ class EvidenceReport:
 def fit_posterior(design: DesignMatrix, cfg: ModelConfig) -> GaussianPosterior:
     """Posterior precision A = phi'phi/noise_var + I/prior_var and mean A^{-1}phi'y/noise_var."""
     d = design.d
-    a = design.phi.T @ design.phi / cfg.noise_var + np.eye(d) / cfg.prior_var
+    with np.errstate(over="ignore", divide="ignore"):
+        a = design.phi.T @ design.phi / cfg.noise_var + np.eye(d) / cfg.prior_var
+    if not np.isfinite(a).all():
+        raise ValueError(f"posterior precision is not finite at noise_var = "
+                         f"{cfg.noise_var!r}, prior_var = {cfg.prior_var!r}")
     try:
         low = cholesky(a, lower=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - A is SPD for valid inputs

@@ -75,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_v)
     p_v.add_argument("--delta", type=float, default=exp.DEFAULT_DELTA)
     p_v.add_argument("--trials", type=int, default=100)
-    p_v.add_argument("--mc-weights", type=int, default=exp.DEFAULT_MC_WEIGHTS,
-                     help="posterior samples for the cropped generalization oracle")
+    # Ignored: perfbench/workloads.py COVERAGE_TINY still passes it (ROADMAP item 3).
+    p_v.add_argument("--mc-weights", type=int, help=argparse.SUPPRESS)
     p_v.add_argument("--mgf-m", type=int, default=exp.MGF_M)
     return parser
 
@@ -148,12 +148,9 @@ def cmd_fig_c(args) -> int:
 
 def cmd_validate(args) -> int:
     _require_positive(args, "--trials")
-    _require_positive(args, "--mc-weights", low=2)
     _require_positive(args, "--mgf-m", low=10_000)
     coverage, mgf, ok = exp.run_validate(seed=args.seed, trials=args.trials,
-                                         delta=args.delta,
-                                         m_weights=args.mc_weights,
-                                         mgf_m=args.mgf_m)
+                                         delta=args.delta, mgf_m=args.mgf_m)
     out = args.out
     with open(out / "coverage.json", "w", encoding="utf-8") as fh:
         json.dump(coverage.as_dict(), fh, indent=2)
@@ -176,6 +173,7 @@ def main(argv=None) -> int:
                 "validate": cmd_validate}
     try:
         args = build_parser().parse_args(argv)  # reads PBL_SEED
+        _require_positive(args, "--seed", low=0)
         args.out.mkdir(parents=True, exist_ok=True)
         return handlers[args.command](args)
     except ValueError as exc:

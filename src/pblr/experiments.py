@@ -40,8 +40,6 @@ LINREG_SIGMA_PI2 = 0.01
 DEFAULT_DELTA = 0.05
 DEFAULT_CROP = (1.0, 4.0)
 DEFAULT_N_GRID = (10, 100, 1_000, 10_000, 100_000, 1_000_000)
-# posterior draws of the coverage study's cropped generalization oracle
-DEFAULT_MC_WEIGHTS = 10_000
 
 # MGF study defaults: a small-variance squared-loss configuration
 MGF_TASK = LinearTaskSpec(w_star=np.array([0.3, -0.2]), input_var=0.5,
@@ -200,8 +198,7 @@ FIG_C_COLUMNS = ("n", "emp_gibbs_nll", "gen_gibbs_nll", "bound_subgamma",
                  "bound_alquier_n_cropped")
 
 
-def default_validity_config(seed=DEFAULT_SEED, trials=100, n=20, d=3,
-                            delta=DEFAULT_DELTA, m_weights=DEFAULT_MC_WEIGHTS,
+def default_validity_config(seed=DEFAULT_SEED, trials=100, n=20, d=3, delta=DEFAULT_DELTA,
                             crop_interval=DEFAULT_CROP) -> ValidityStudyConfig:
     """Coverage-study configuration: a low-dimensional copy of the fig_c task."""
     task = LinearTaskSpec(w_star=fig_c_w_star(d, LINREG_W_NORM),
@@ -216,16 +213,14 @@ def default_validity_config(seed=DEFAULT_SEED, trials=100, n=20, d=3,
         delta=delta,
         families=("subgamma", "catoni", "alquier_sqrtn"),
         cropped_loss=LossSpec.cropped(LossSpec.nll(LINREG_SIGMA2), a, b),
-        m_weights=m_weights,
         seed=seed,
     )
 
 
-def run_validate(seed=DEFAULT_SEED, trials=100, delta=DEFAULT_DELTA,
-                 m_weights=DEFAULT_MC_WEIGHTS, mgf_m=MGF_M):
+def run_validate(seed=DEFAULT_SEED, trials=100, delta=DEFAULT_DELTA, mgf_m=MGF_M):
     """Coverage study plus MGF envelope check; returns (coverage, mgf, ok)."""
     coverage = run_validity_study(default_validity_config(
-        seed=seed, trials=trials, delta=delta, m_weights=m_weights))
+        seed=seed, trials=trials, delta=delta))
     slack = delta + 2.0 * math.sqrt(delta * (1.0 - delta) / trials)
     coverage_ok = all(fam.rate <= slack for fam in coverage.families)
     params = squared_loss_subgamma_params(

@@ -162,7 +162,7 @@ def test_criterion_7_bound_coverage():
     start = time.monotonic()
     trials, delta = 500, 0.05
     report = run_validity_study(exp.default_validity_config(
-        seed=7, trials=trials, n=20, d=3, delta=delta, m_weights=10_000))
+        seed=7, trials=trials, n=20, d=3, delta=delta))
     ceiling = delta + 2.0 * math.sqrt(delta * (1.0 - delta) / trials)
     clauses = [
         (fam.rate <= ceiling,

@@ -98,14 +98,46 @@ def test_meaningless_count_exits_nonzero(tmp_path, capsys, argv, flag):
 
 @pytest.mark.parametrize("flag, value, low", [
     ("--trials", 0, 1),
-    ("--mc-weights", 1, 2),
     ("--mgf-m", 100, 10_000),
+    ("--seed", -1, 0),
 ])
 def test_validate_count_names_the_flag(tmp_path, capsys, flag, value, low):
     assert run(["validate", flag, value, "--out", tmp_path]) == 1
     err = capsys.readouterr().err.strip().split("\n")
     assert err == [f"error: {flag} must be at least {low}, got {value}"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["fig-a", "fig-b", "fig-c", "validate"])
+def test_negative_seed_from_env_names_the_flag(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("PBL_SEED", "-1")
+    assert run([command, "--out", tmp_path]) == 1
+    assert capsys.readouterr().err.strip().split("\n") == [
+        "error: --seed must be at least 0, got -1"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, csv", [
+    (["fig-b", "--sigma2", "1e-300"], "fig_b.csv"),
+    (["fig-c", "--sigma-pi2", "1e-320", "--n-grid", 10], "fig_c.csv"),
+], ids=["fig-b-sigma2", "fig-c-sigma-pi2"])
+def test_nonfinite_precision_fails_closed(tmp_path, capsys, argv, csv):
+    assert run([*argv, "--out", tmp_path]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and "noise_var" in err[0] and "prior_var" in err[0]
+    assert not (tmp_path / csv).exists()
+
+
+def test_hidden_mc_weights_flag_is_ignored(tmp_path, capsys):
+    # perfbench's coverage workload still passes --mc-weights
+    with pytest.raises(SystemExit):
+        run(["validate", "--help"])
+    assert "--mc-weights" not in capsys.readouterr().out
+    common = ["validate", "--seed", 5, "--trials", 2, "--mgf-m", 10_000]
+    assert run([*common, "--out", tmp_path / "plain"]) == 0
+    assert run([*common, "--mc-weights", 200, "--out", tmp_path / "flag"]) == 0
+    assert (tmp_path / "flag" / "coverage.json").read_bytes() == \
+        (tmp_path / "plain" / "coverage.json").read_bytes()
 
 
 def test_tiny_delta_gives_finite_bounds(tmp_path):
@@ -134,7 +166,7 @@ def test_fig_c_quick(tmp_path):
 def test_validate_smoke_run_is_fast(tmp_path):
     start = time.monotonic()
     code = run(["validate", "--seed", 4, "--out", tmp_path, "--trials", 1,
-                "--mc-weights", 400, "--mgf-m", 10000])
+                "--mgf-m", 10000])
     elapsed = time.monotonic() - start
     assert code == 0
     assert elapsed < 5.0

@@ -73,8 +73,7 @@ def test_write_csv_rejects_nonfinite_before_opening(tmp_path, bad):
 
 
 def test_run_validate_quick():
-    coverage, mgf, ok = exp.run_validate(seed=0, trials=2, m_weights=400,
-                                         mgf_m=10_000)
+    coverage, mgf, ok = exp.run_validate(seed=0, trials=2, mgf_m=10_000)
     assert ok
     assert {f.family for f in coverage.families} == \
         {"subgamma", "catoni", "alquier_sqrtn"}

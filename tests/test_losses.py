@@ -7,8 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from pblr.blr import GaussianPosterior, ModelConfig, fit_posterior, \
     gibbs_expected_empirical_nll
 from pblr.losses import LossSpec, empirical_gibbs_risk, expected_loss
-from pblr.mc import gibbs_generalization_risk_mc
-from pblr.tasks import DesignMatrix, LinearTaskSpec
+from pblr.tasks import DesignMatrix
 
 from oracles import empirical_risk_mc, loss_of_residual, posterior_draws
 
@@ -133,13 +132,6 @@ def test_mc_gibbs_risk_constant_cropped_loss():
     # every squared value below 1e6 is cropped up to the lower end
     spec = LossSpec.cropped(LossSpec.squared(), 1e6, 2e6)
     assert empirical_gibbs_risk(post, design, spec) == 1e6
-
-
-def test_mc_gibbs_risk_needs_two_samples():
-    task = LinearTaskSpec(w_star=np.array([0.5]), input_var=1.0, noise_var=0.2)
-    with pytest.raises(ValueError):
-        gibbs_generalization_risk_mc(make_posterior([0.0], 1.0), task,
-                                     LOSSES["cropped-nll"], 1, seed=0)
 
 
 def test_empirical_risk_needs_an_example():

@@ -7,9 +7,8 @@ from pblr.blr import GaussianPosterior, ModelConfig, fit_posterior
 from pblr.losses import LossSpec
 from pblr import mc
 from pblr.mc import (ValidityStudyConfig, _trial_bounds_and_risks,
-                     gibbs_generalization_risk, gibbs_generalization_risk_mc,
-                     run_validity_study, sample_posterior)
-from pblr.tasks import DesignMatrix, LinearTaskSpec, gen_linear_task
+                     gibbs_generalization_risk, run_validity_study, sample_posterior)
+from pblr.tasks import DesignMatrix, LinearTaskSpec, gen_linear_task, identity_design
 
 from oracles import generalization_risk_mc, posterior_draws, precision
 
@@ -93,15 +92,23 @@ def test_generalization_risk_cropped_agrees_when_crop_inactive():
     post, cfg = fitted_posterior(seed=5, d=3)
     exact = gibbs_generalization_risk(post, task, LossSpec.nll(cfg.noise_var))
     wide = LossSpec.cropped(LossSpec.nll(cfg.noise_var), -1e9, 1e9)
-    est, se = gibbs_generalization_risk_mc(post, task, wide, 4_000, seed=6)
-    assert abs(est - exact) < 4.0 * se + 1e-9
+    assert gibbs_generalization_risk(post, task, wide) == pytest.approx(exact, rel=1e-12)
 
 
-def test_generalization_risk_rejects_cropped_loss():
-    task = LinearTaskSpec(w_star=np.array([0.5]), input_var=1.0, noise_var=0.2)
-    with pytest.raises(ValueError):
-        gibbs_generalization_risk(spd_posterior([0.1], 1.0), task,
-                                  LossSpec.cropped(LossSpec.squared(), 0.0, 1.0))
+def test_generalization_risk_rejects_cropped_loss(monkeypatch):
+    # the cropped oracle raises rather than return an unconverged value
+    task = LinearTaskSpec(w_star=np.full(3, 0.5 / math.sqrt(3)), input_var=1.0,
+                          noise_var=1.0 / 9.0, seed=0)
+    cropped = LossSpec.cropped(LossSpec.nll(2.0), 1.0, 4.0)
+    wide = fit_posterior(identity_design(gen_linear_task(task, 1)),
+                         ModelConfig(noise_var=2.0, prior_var=100.0))
+    with pytest.raises(ValueError, match="did not converge"):
+        gibbs_generalization_risk(wide, task, cropped)
+    # in d = 20 not even the first two rules fit the point budget: no rule is built
+    monkeypatch.setattr(np.polynomial.hermite_e, "hermegauss", None)
+    task20 = LinearTaskSpec(w_star=np.full(20, 0.1), input_var=1.0, noise_var=0.1)
+    with pytest.raises(ValueError, match="d = 20"):
+        gibbs_generalization_risk(spd_posterior(np.zeros(20), 1.0), task20, cropped)
 
 
 @pytest.mark.parametrize("spec", [
@@ -118,12 +125,8 @@ def test_generalization_risk_agrees_with_monte_carlo(spec):
     fresh = gen_linear_task(task, m)
     ref, ref_se = generalization_risk_mc(spec, posterior_draws(post, m, 14),
                                          fresh.raw_inputs, fresh.labels)
-    est, se = gibbs_generalization_risk_mc(post, task, spec, 20_000, seed=15)
-    assert abs(est - ref) < 4.0 * math.hypot(se, ref_se)
-    if spec.kind != "cropped":
-        exact = gibbs_generalization_risk(post, task, spec)
-        assert abs(exact - ref) < 4.0 * ref_se
-        assert abs(exact - est) < 4.0 * se
+    exact = gibbs_generalization_risk(post, task, spec)
+    assert abs(exact - ref) < 4.0 * ref_se
 
 
 def study_config(**overrides):
@@ -136,7 +139,6 @@ def study_config(**overrides):
         delta=0.05,
         families=("subgamma", "catoni", "alquier_sqrtn"),
         cropped_loss=LossSpec.cropped(LossSpec.nll(2.0), 1.0, 4.0),
-        m_weights=1_000,
         seed=3,
     )
     base.update(overrides)
@@ -154,9 +156,9 @@ def test_coverage_report_deterministic_and_echoes_config():
     b = run_validity_study(study_config())
     assert a.as_dict() == b.as_dict()
     echo = a.as_dict()["config"]
-    for key in ("n", "trials", "delta", "seed", "d", "sigma2", "sigma_pi2",
-                "m_weights", "crop"):
+    for key in ("n", "trials", "delta", "seed", "d", "sigma2", "sigma_pi2", "crop"):
         assert key in echo
+    assert "m_weights" not in echo  # the risk is exact: nothing is sampled
     assert echo["crop"] == [1.0, 4.0]
 
 
@@ -170,15 +172,23 @@ def test_study_config_validation():
 
 
 @pytest.mark.parametrize("position, bad", [(0, math.nan), (0, math.inf),
-                                           (1, math.nan), (2, math.nan)])
+                                           (1, math.nan)])
 def test_nonfinite_trial_value_raises(monkeypatch, position, bad):
     # NaN compares False and an infinite bound is never exceeded: neither is coverage
-    values = [1.0, 0.5, 0.0]  # (bound, risk, se)
+    values = [1.0, 0.5]  # (bound, risk)
     values[position] = bad
     monkeypatch.setattr(mc, "_trial_bounds_and_risks",
                         lambda cfg, trial: {"subgamma": tuple(values)})
     with pytest.raises(ValueError, match="finite"):
         run_validity_study(study_config(families=("subgamma",)))
+
+
+@pytest.mark.parametrize("risk, violations", [(1.0, 0), (1.0 + 1e-15, 1)])
+def test_violation_is_risk_above_bound(monkeypatch, risk, violations):
+    monkeypatch.setattr(mc, "_trial_bounds_and_risks",
+                        lambda cfg, trial: {"subgamma": (1.0, risk)})
+    report = run_validity_study(study_config(families=("subgamma",), trials=1))
+    assert report.families[0].violations == violations
 
 
 def test_coverage_trial_factors_once(cholesky_calls):

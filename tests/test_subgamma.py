@@ -183,9 +183,9 @@ def test_mgf_psi_hat_within_four_bands_of_quadrature():
 
 def test_mgf_report_csv(tmp_path):
     # mgf.csv as `pblr validate` writes it, against the report it was written from
-    main(["validate", "--seed", "6", "--trials", "1", "--mc-weights", "200",
-          "--mgf-m", "10000", "--out", str(tmp_path)])
-    _, report, _ = run_validate(seed=6, trials=1, m_weights=200, mgf_m=10_000)
+    main(["validate", "--seed", "6", "--trials", "1", "--mgf-m", "10000",
+          "--out", str(tmp_path)])
+    _, report, _ = run_validate(seed=6, trials=1, mgf_m=10_000)
     lines = (tmp_path / "mgf.csv").read_text(encoding="utf-8").strip().split("\n")
     assert lines[:4] == [f"# tool_version = {__version__}", "# seed = 6",
                          "# m = 10000", "# loss = squared"]
