@@ -25,6 +25,13 @@ def _seed_default() -> int:
         raise ValueError(f"PBL_SEED must be an integer, got {env!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on a malformed command line: main prints one line, exits 1."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=_seed_default(),
                         help="master seed (falls back to PBL_SEED, then %(default)s)")
@@ -41,7 +48,7 @@ def _sine_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pblr",
         description="PAC-Bayes bounds and exact evidence for Bayesian linear regression")
     parser.add_argument("--version", action="version", version=__version__)

@@ -11,15 +11,15 @@ import math
 import numpy as np
 
 from . import __version__, rng
-from . import bounds as bnd
 from .blr import ModelConfig, evidence_decomposition, fit_posterior
 from .losses import LossSpec, empirical_gibbs_risk
-from .mc import ValidityStudyConfig, gibbs_generalization_risk, run_validity_study
+from .mc import (ValidityStudyConfig, gibbs_generalization_risk, run_validity_study,
+                 sample_bounds)
 from .selection import ModelEntry, ModelFamily
 from .subgamma import (empirical_mgf_check, nll_subgamma_params,
                        squared_loss_subgamma_params)
-from .tasks import (TWO_PI, LinearTaskSpec, SineTaskSpec, gen_linear_task,
-                    gen_sine_task, identity_design, polynomial_design)
+from .tasks import (TWO_PI, LinearTaskSpec, SineTaskSpec, gen_sine_task,
+                    polynomial_design)
 
 DEFAULT_SEED = 1
 
@@ -113,11 +113,8 @@ def run_fig_b(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
         design = polynomial_design(dataset, degree)
         post = fit_posterior(design, cfg)
         report = evidence_decomposition(post, design, cfg)  # identity checked inline
-        phi_test = test.raw_inputs[:, None] ** np.arange(degree + 1)[None, :]
-        resid = test.labels - phi_test @ post.mean
-        test_risk = float(np.mean(
-            0.5 * math.log(2.0 * math.pi * sigma2)
-            + (resid ** 2 + post.predictive_var(phi_test)) / (2.0 * sigma2)))
+        test_risk = empirical_gibbs_risk(post, polynomial_design(test, degree),
+                                         LossSpec.nll(sigma2))
         rows.append((degree, report.neg_log_evidence, report.gibbs_emp_risk_total,
                      report.kl, test_risk))
     return rows
@@ -138,14 +135,18 @@ def polynomial_family(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
     return ModelFamily(models=tuple(entries))
 
 
-def fig_c_w_star(d=LINREG_D, norm=LINREG_W_NORM) -> np.ndarray:
-    return np.full(d, norm / math.sqrt(d))
+def _linear_setup(seed, d, sigma2, sigma_pi2, crop):
+    """Task, model and cropped NLL loss of the Gaussian linear study."""
+    task = LinearTaskSpec(w_star=np.full(d, LINREG_W_NORM / math.sqrt(d)),
+                          input_var=LINREG_INPUT_VAR, noise_var=LINREG_NOISE_VAR,
+                          seed=seed)
+    model = ModelConfig(noise_var=sigma2, prior_var=sigma_pi2)
+    return task, model, LossSpec.cropped(LossSpec.nll(sigma2), *crop)
 
 
 def run_fig_c(seed=DEFAULT_SEED, n_grid=DEFAULT_N_GRID, delta=DEFAULT_DELTA,
-              sigma2=LINREG_SIGMA2, sigma_pi2=LINREG_SIGMA_PI2, d=LINREG_D,
-              w_norm=LINREG_W_NORM, input_var=LINREG_INPUT_VAR,
-              noise_var=LINREG_NOISE_VAR, crop_interval=DEFAULT_CROP):
+              sigma2=LINREG_SIGMA2, sigma_pi2=LINREG_SIGMA_PI2,
+              crop_interval=DEFAULT_CROP):
     """Bound values against training-set size on the Gaussian linear task.
 
     Every column is exact: the Gibbs risks are closed-form Gaussian
@@ -154,40 +155,21 @@ def run_fig_c(seed=DEFAULT_SEED, n_grid=DEFAULT_N_GRID, delta=DEFAULT_DELTA,
     """
     if any(n < 1 for n in n_grid):
         raise ValueError("sample sizes must be at least 1")
-    task = LinearTaskSpec(w_star=fig_c_w_star(d, w_norm), input_var=input_var,
-                          noise_var=noise_var, seed=seed)
-    model = ModelConfig(noise_var=sigma2, prior_var=sigma_pi2)
-    params = nll_subgamma_params(sigma2, input_var, sigma_pi2, d,
-                                 task.w_star_sq_norm, noise_var)
-    a, b = crop_interval
-    cropped = LossSpec.cropped(LossSpec.nll(sigma2), a, b)
+    task, model, cropped = _linear_setup(seed, LINREG_D, sigma2, sigma_pi2, crop_interval)
+    params = nll_subgamma_params(sigma2, task.input_var, sigma_pi2, task.d,
+                                 task.w_star_sq_norm, task.noise_var)
     rows = []
     for n in n_grid:
-        dataset = gen_linear_task(task, n)
-        design = identity_design(dataset)
-        post = fit_posterior(design, model)
-        report = evidence_decomposition(post, design, model)  # identity checked inline
-        emp_nll = report.gibbs_emp_risk_total / n
-        gen_nll = gibbs_generalization_risk(post, task, LossSpec.nll(sigma2))
-        emp_crop = empirical_gibbs_risk(post, design, cropped)
-        sqrt_n = math.sqrt(n)
-        rows.append((
-            n,
-            emp_nll,
-            gen_nll,
-            bnd.subgamma_evidence_bound(report.neg_log_evidence, n, delta,
-                                        params.s2, params.c),
-            bnd.catoni_bound(emp_crop, report.kl, n, delta, a, b),
-            bnd.alquier_bound(emp_crop, report.kl, n, delta, sqrt_n,
-                              bnd.hoeffding_psi_bound(sqrt_n, n, a, b)),
-            bnd.alquier_bound(emp_crop, report.kl, n, delta, float(n),
-                              bnd.hoeffding_psi_bound(float(n), n, a, b)),
-        ))
+        post, report, bounds = sample_bounds(task, model, n, cropped, delta)
+        rows.append((n, report.gibbs_emp_risk_total / n,
+                     gibbs_generalization_risk(post, task, LossSpec.nll(sigma2)),
+                     *(bounds[family] for family in
+                       ("subgamma", "catoni", "alquier_sqrtn", "alquier_n"))))
     metadata = {
-        "seed": seed, "delta": delta, "d": d, "w_norm": w_norm,
-        "input_var": input_var, "noise_var": noise_var,
+        "seed": seed, "delta": delta, "d": task.d, "w_norm": LINREG_W_NORM,
+        "input_var": task.input_var, "noise_var": task.noise_var,
         "sigma2": sigma2, "sigma_pi2": sigma_pi2,
-        "crop_a": a, "crop_b": b,
+        "crop_a": cropped.a, "crop_b": cropped.b,
         "s2": params.s2, "c": params.c,
     }
     return rows, metadata
@@ -198,23 +180,13 @@ FIG_C_COLUMNS = ("n", "emp_gibbs_nll", "gen_gibbs_nll", "bound_subgamma",
                  "bound_alquier_n_cropped")
 
 
-def default_validity_config(seed=DEFAULT_SEED, trials=100, n=20, d=3, delta=DEFAULT_DELTA,
-                            crop_interval=DEFAULT_CROP) -> ValidityStudyConfig:
+def default_validity_config(seed=DEFAULT_SEED, trials=100, n=20, d=3,
+                            delta=DEFAULT_DELTA) -> ValidityStudyConfig:
     """Coverage-study configuration: a low-dimensional copy of the fig_c task."""
-    task = LinearTaskSpec(w_star=fig_c_w_star(d, LINREG_W_NORM),
-                          input_var=LINREG_INPUT_VAR,
-                          noise_var=LINREG_NOISE_VAR, seed=seed)
-    a, b = crop_interval
-    return ValidityStudyConfig(
-        task=task,
-        model=ModelConfig(noise_var=LINREG_SIGMA2, prior_var=LINREG_SIGMA_PI2),
-        n=n,
-        trials=trials,
-        delta=delta,
-        families=("subgamma", "catoni", "alquier_sqrtn"),
-        cropped_loss=LossSpec.cropped(LossSpec.nll(LINREG_SIGMA2), a, b),
-        seed=seed,
-    )
+    task, model, cropped = _linear_setup(seed, d, LINREG_SIGMA2, LINREG_SIGMA_PI2,
+                                         DEFAULT_CROP)
+    return ValidityStudyConfig(task=task, model=model, n=n, trials=trials,
+                               cropped_loss=cropped, delta=delta)
 
 
 def run_validate(seed=DEFAULT_SEED, trials=100, delta=DEFAULT_DELTA, mgf_m=MGF_M):

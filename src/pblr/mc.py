@@ -2,16 +2,17 @@
 
 The generalization risk is exact for every loss: closed form for the
 squared and NLL losses, a self-checking tensor Gauss-Hermite rule over the
-posterior for the cropped one. The coverage study plays the frequentist
-game the bounds are stated for: draw many independent training samples,
-fit the optimal posterior on each, and count how often the true Gibbs risk
-exceeds each bound.
+posterior for the cropped one. `sample_bounds` turns one linear-task
+sample into its posterior, evidence report and bounds; fig-c calls it once
+per sample size. The coverage study plays the frequentist game the bounds
+are stated for: draw many independent training samples, call
+`sample_bounds` on each, and count how often the true Gibbs risk exceeds
+each bound.
 """
 
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -80,35 +81,27 @@ def gibbs_generalization_risk(post: GaussianPosterior, task: LinearTaskSpec,
                      f"and no finer rule in d = {d} fits {_MAX_POINTS} points")
 
 
-KNOWN_FAMILIES = ("subgamma", "catoni", "alquier_sqrtn", "alquier_n")
-CROPPED_FAMILIES = {"catoni", "alquier_sqrtn", "alquier_n"}
+FAMILIES = ("subgamma", "catoni", "alquier_sqrtn")  # checked by the coverage study
 
 
 @dataclass(frozen=True)
 class ValidityStudyConfig:
-    """Everything one coverage run needs, including a master seed."""
+    """Everything one coverage run needs; task.seed is the master seed."""
 
     task: LinearTaskSpec
     model: ModelConfig
     n: int
     trials: int
+    cropped_loss: LossSpec
     delta: float = 0.05
-    families: tuple = ("subgamma", "catoni", "alquier_sqrtn")
-    cropped_loss: Optional[LossSpec] = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not 0 < self.delta <= 1:
             raise ValueError("delta must lie in (0, 1]")
-        unknown = set(self.families) - set(KNOWN_FAMILIES)
-        if unknown:
-            raise ValueError(f"unknown bound families: {sorted(unknown)}")
-        needs_crop = set(self.families) & CROPPED_FAMILIES
-        if needs_crop and (self.cropped_loss is None
-                           or self.cropped_loss.kind != "cropped"):
-            raise ValueError(f"families {sorted(needs_crop)} need a cropped loss")
+        if getattr(self.cropped_loss, "kind", None) != "cropped":
+            raise ValueError("the catoni and alquier families need a cropped loss")
 
 
 @dataclass(frozen=True)
@@ -140,38 +133,41 @@ class CoverageReport:
         }
 
 
+def sample_bounds(task: LinearTaskSpec, model: ModelConfig, n: int,
+                  cropped: LossSpec, delta: float) -> tuple:
+    """Fit the posterior to n draws of the task and bound its risk.
+
+    Returns (post, report, bounds), where bounds maps subgamma (the evidence
+    form, on the NLL loss), catoni, alquier_sqrtn and alquier_n (on the
+    cropped loss) to their values at confidence 1 - delta.
+    """
+    params = nll_subgamma_params(model.noise_var, task.input_var, model.prior_var,
+                                 task.d, task.w_star_sq_norm, task.noise_var)
+    design = identity_design(gen_linear_task(task, n))
+    post = fit_posterior(design, model)
+    report = evidence_decomposition(post, design, model)  # identity checked inline
+    emp_crop = empirical_gibbs_risk(post, design, cropped)
+    a, b = cropped.a, cropped.b
+    bounds = {
+        "subgamma": bnd.subgamma_evidence_bound(report.neg_log_evidence, n, delta,
+                                                params.s2, params.c),
+        "catoni": bnd.catoni_bound(emp_crop, report.kl, n, delta, a, b),
+    }
+    for family, lam in (("alquier_sqrtn", math.sqrt(n)), ("alquier_n", float(n))):
+        bounds[family] = bnd.alquier_bound(emp_crop, report.kl, n, delta, lam,
+                                           bnd.hoeffding_psi_bound(lam, n, a, b))
+    return post, report, bounds
+
+
 def _trial_bounds_and_risks(cfg: ValidityStudyConfig, trial: int) -> dict:
     """Fit one fresh dataset and return {family: (bound, risk)}."""
-    data_seed = rng.derive_seed(cfg.seed, rng.TRIAL_TAG, trial, 0)
-    dataset = gen_linear_task(dataclasses.replace(cfg.task, seed=data_seed), cfg.n)
-    design = identity_design(dataset)
-    post = fit_posterior(design, cfg.model)
-    report = evidence_decomposition(post, design, cfg.model)
-    kl = report.kl
-    emp_nll = report.gibbs_emp_risk_total / cfg.n
-
-    out = {}
-    cropped = cfg.cropped_loss
-    if set(cfg.families) & CROPPED_FAMILIES:
-        emp_crop = empirical_gibbs_risk(post, design, cropped)
-        risk_crop = gibbs_generalization_risk(post, cfg.task, cropped)
-    for family in cfg.families:
-        if family == "subgamma":
-            params = nll_subgamma_params(
-                cfg.model.noise_var, cfg.task.input_var, cfg.model.prior_var,
-                cfg.task.d, cfg.task.w_star_sq_norm, cfg.task.noise_var)
-            out[family] = (
-                bnd.subgamma_bound(emp_nll, kl, cfg.n, cfg.delta, params.s2, params.c),
-                gibbs_generalization_risk(post, cfg.task, LossSpec.nll(cfg.model.noise_var)))
-        elif family == "catoni":
-            out[family] = (bnd.catoni_bound(emp_crop, kl, cfg.n, cfg.delta,
-                                            cropped.a, cropped.b), risk_crop)
-        else:  # alquier_sqrtn, alquier_n
-            lam = math.sqrt(cfg.n) if family == "alquier_sqrtn" else float(cfg.n)
-            psi = bnd.hoeffding_psi_bound(lam, cfg.n, cropped.a, cropped.b)
-            out[family] = (bnd.alquier_bound(emp_crop, kl, cfg.n, cfg.delta, lam, psi),
-                           risk_crop)
-    return out
+    task = dataclasses.replace(
+        cfg.task, seed=rng.derive_seed(cfg.task.seed, rng.TRIAL_TAG, trial, 0))
+    post, _, bounds = sample_bounds(task, cfg.model, cfg.n, cfg.cropped_loss, cfg.delta)
+    risk_nll = gibbs_generalization_risk(post, cfg.task, LossSpec.nll(cfg.model.noise_var))
+    risk_crop = gibbs_generalization_risk(post, cfg.task, cfg.cropped_loss)
+    return {family: (bounds[family], risk_nll if family == "subgamma" else risk_crop)
+            for family in FAMILIES}
 
 
 def run_validity_study(cfg: ValidityStudyConfig) -> CoverageReport:
@@ -179,10 +175,10 @@ def run_validity_study(cfg: ValidityStudyConfig) -> CoverageReport:
 
     A trial violates a family when its exact risk exceeds the bound; a
     non-finite bound or risk raises ValueError instead of counting either way.
-    Trials use streams derived from (seed, trial index), so reports are
+    Trials use streams derived from (task.seed, trial index), so reports are
     reproducible and order-independent.
     """
-    counts = {family: 0 for family in cfg.families}
+    counts = {family: 0 for family in FAMILIES}
     for trial in range(cfg.trials):
         per_family = _trial_bounds_and_risks(cfg, trial)
         for family, (bound, risk) in per_family.items():
@@ -195,16 +191,15 @@ def run_validity_study(cfg: ValidityStudyConfig) -> CoverageReport:
         "n": cfg.n,
         "trials": cfg.trials,
         "delta": cfg.delta,
-        "seed": cfg.seed,
+        "seed": cfg.task.seed,
         "d": cfg.task.d,
         "input_var": cfg.task.input_var,
         "task_noise_var": cfg.task.noise_var,
         "w_star_sq_norm": cfg.task.w_star_sq_norm,
         "sigma2": cfg.model.noise_var,
         "sigma_pi2": cfg.model.prior_var,
-        "crop": None if cfg.cropped_loss is None
-                else [cfg.cropped_loss.a, cfg.cropped_loss.b],
+        "crop": [cfg.cropped_loss.a, cfg.cropped_loss.b],
     }
     fams = tuple(FamilyCoverage(family=f, trials=cfg.trials, violations=counts[f])
-                 for f in cfg.families)
+                 for f in FAMILIES)
     return CoverageReport(families=fams, delta=cfg.delta, config=echo)

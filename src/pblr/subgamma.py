@@ -66,9 +66,10 @@ def nll_subgamma_params(sigma2: float, input_var: float, prior_var: float,
     if min(input_var, prior_var, noise_var) <= 0:
         raise ValueError("variances must be positive")
     c = input_var * prior_var / sigma2
-    if not math.isfinite(c):
-        raise ValueError(f"sigma2 = {sigma2!r} is too small: the sub-gamma scale "
-                         f"input_var*prior_var/sigma2 is not finite")
+    if lam > 0 and c >= 1.0 / lam:  # also an infinite c, from a tiny sigma2
+        raise ValueError(f"sub-gamma scale c = input_var*prior_var/sigma2 = {c!r} "
+                         f"(sigma2 = {sigma2!r}, prior_var = {prior_var!r}) "
+                         f"must be below 1/lambda = {1.0 / lam!r}")
     _check_lambda(lam, c)
     s2 = (input_var * (prior_var * dim + w_star_sq_norm)
           + noise_var * (1.0 - lam * c)) / (lam * sigma2)

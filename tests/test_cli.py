@@ -108,6 +108,35 @@ def test_validate_count_names_the_flag(tmp_path, capsys, flag, value, low):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "--trials", "abc"], "error: argument --trials: invalid int value: 'abc'"),
+    (["fig-c", "--delta", "x"], "error: argument --delta: invalid float value: 'x'"),
+    (["fig-a", "--bogus"], "error: unrecognized arguments: --bogus"),
+], ids=["validate-trials-abc", "fig-c-delta-x", "fig-a-bogus"])
+def test_malformed_argument_gives_one_line(tmp_path, capsys, argv, message):
+    assert run([*argv, "--out", tmp_path / "out"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().split("\n") == [message]
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_and_version_still_exit_zero():
+    for argv in (["--help"], ["--version"], ["fig-c", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+
+
+def test_subgamma_scale_error_names_c_and_variances(tmp_path, capsys):
+    assert run(["fig-c", "--n-grid", 10, "--sigma-pi2", 100, "--out", tmp_path]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1
+    assert "c = input_var*prior_var/sigma2 = 50.0" in err[0]
+    assert "sigma2 = 2.0" in err[0] and "prior_var = 100.0" in err[0]
+    assert not (tmp_path / "fig_c.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["fig-a", "fig-b", "fig-c", "validate"])
 def test_negative_seed_from_env_names_the_flag(tmp_path, capsys, monkeypatch, command):
     monkeypatch.setenv("PBL_SEED", "-1")

@@ -3,6 +3,9 @@ import math
 import pytest
 
 from pblr import experiments as exp
+from pblr.bounds import subgamma_bound
+from pblr.mc import sample_bounds
+from pblr.subgamma import nll_subgamma_params
 
 
 def test_fig_a_row_count_and_grid():
@@ -46,6 +49,28 @@ def test_fig_c_small_grid_structure():
         assert sg < al_sqrt
         assert 5.3 <= al_n <= 6.9
         assert abs(emp - gen) < 0.5
+
+
+def test_fig_c_bound_columns_are_sample_bounds():
+    rows, _ = exp.run_fig_c(seed=1, n_grid=(10, 100))
+    task, model, cropped = exp._linear_setup(1, exp.LINREG_D, exp.LINREG_SIGMA2,
+                                             exp.LINREG_SIGMA_PI2, exp.DEFAULT_CROP)
+    columns = {"bound_subgamma": "subgamma", "bound_catoni_cropped": "catoni",
+               "bound_alquier_sqrtn_cropped": "alquier_sqrtn",
+               "bound_alquier_n_cropped": "alquier_n"}
+    assert [c for c in exp.FIG_C_COLUMNS if c.startswith("bound_")] == list(columns)
+    for row in rows:
+        n = row[0]
+        _, report, bounds = sample_bounds(task, model, n, cropped, exp.DEFAULT_DELTA)
+        assert set(bounds) == set(columns.values())
+        for column, family in columns.items():
+            assert row[exp.FIG_C_COLUMNS.index(column)] == bounds[family], column
+        # the evidence form equals the direct form emp + (kl + ln(1/delta))/n + gap
+        params = nll_subgamma_params(model.noise_var, task.input_var, model.prior_var,
+                                     task.d, task.w_star_sq_norm, task.noise_var)
+        direct = subgamma_bound(report.gibbs_emp_risk_total / n, report.kl, n,
+                                exp.DEFAULT_DELTA, params.s2, params.c)
+        assert bounds["subgamma"] == pytest.approx(direct, rel=1e-12)
 
 
 def test_fig_c_deterministic():

@@ -132,14 +132,12 @@ def test_generalization_risk_agrees_with_monte_carlo(spec):
 def study_config(**overrides):
     base = dict(
         task=LinearTaskSpec(w_star=np.full(3, 0.5 / math.sqrt(3)),
-                            input_var=1.0, noise_var=1.0 / 9.0, seed=0),
+                            input_var=1.0, noise_var=1.0 / 9.0, seed=3),
         model=ModelConfig(noise_var=2.0, prior_var=0.01),
         n=20,
         trials=5,
         delta=0.05,
-        families=("subgamma", "catoni", "alquier_sqrtn"),
         cropped_loss=LossSpec.cropped(LossSpec.nll(2.0), 1.0, 4.0),
-        seed=3,
     )
     base.update(overrides)
     return ValidityStudyConfig(**base)
@@ -164,8 +162,6 @@ def test_coverage_report_deterministic_and_echoes_config():
 
 def test_study_config_validation():
     with pytest.raises(ValueError):
-        study_config(families=("nonsense",))
-    with pytest.raises(ValueError):
         study_config(cropped_loss=None)  # bounded families need a crop
     with pytest.raises(ValueError):
         study_config(trials=0)
@@ -180,14 +176,14 @@ def test_nonfinite_trial_value_raises(monkeypatch, position, bad):
     monkeypatch.setattr(mc, "_trial_bounds_and_risks",
                         lambda cfg, trial: {"subgamma": tuple(values)})
     with pytest.raises(ValueError, match="finite"):
-        run_validity_study(study_config(families=("subgamma",)))
+        run_validity_study(study_config())
 
 
 @pytest.mark.parametrize("risk, violations", [(1.0, 0), (1.0 + 1e-15, 1)])
 def test_violation_is_risk_above_bound(monkeypatch, risk, violations):
     monkeypatch.setattr(mc, "_trial_bounds_and_risks",
                         lambda cfg, trial: {"subgamma": (1.0, risk)})
-    report = run_validity_study(study_config(families=("subgamma",), trials=1))
+    report = run_validity_study(study_config(trials=1))
     assert report.families[0].violations == violations
 
 
