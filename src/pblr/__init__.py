@@ -28,13 +28,7 @@ from .subgamma import (
     squared_loss_subgamma_params,
     subgamma_envelope,
 )
-from .selection import (
-    ModelEntry,
-    ModelFamily,
-    hierarchical_bound,
-    model_selection_bounds,
-    selection_vs_averaging_report,
-)
+from .selection import hierarchical_bound, model_selection_bounds
 from .tasks import (
     Dataset,
     DesignMatrix,

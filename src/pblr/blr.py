@@ -11,7 +11,7 @@ explicit inverse.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -80,10 +80,6 @@ class EvidenceReport:
     neg_log_evidence: float
     gibbs_emp_risk_total: float
     kl: float
-    n: int
-    d: int
-    sigma2: float
-    sigma_pi2: float
 
     def __post_init__(self):
         if self.kl < -1e-10:
@@ -92,9 +88,6 @@ class EvidenceReport:
         if gap > 1e-8 * max(1.0, abs(self.neg_log_evidence)):
             raise ValueError("evidence identity violated: "
                              f"{self.neg_log_evidence} vs {self.gibbs_emp_risk_total} + {self.kl}")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def fit_posterior(design: DesignMatrix, cfg: ModelConfig) -> GaussianPosterior:
@@ -107,8 +100,9 @@ def fit_posterior(design: DesignMatrix, cfg: ModelConfig) -> GaussianPosterior:
                          f"{cfg.noise_var!r}, prior_var = {cfg.prior_var!r}")
     try:
         low = cholesky(a, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - A is SPD for valid inputs
-        raise ValueError("posterior precision is not positive definite") from exc
+    except np.linalg.LinAlgError as exc:  # rounding: A is indefinite at degree 40
+        raise ValueError(f"posterior precision is not positive definite at d = {d}, "
+                         f"noise_var = {cfg.noise_var!r}, prior_var = {cfg.prior_var!r}") from exc
     if design.n:
         mean = cho_solve((low, True), design.phi.T @ design.labels) / cfg.noise_var
     else:
@@ -178,8 +172,4 @@ def evidence_decomposition(post: GaussianPosterior, design: DesignMatrix,
         neg_log_evidence=_neg_log_evidence_from(post, design, cfg),
         gibbs_emp_risk_total=gibbs_expected_empirical_nll(post, design, cfg),
         kl=gaussian_kl(post, cfg),
-        n=design.n,
-        d=design.d,
-        sigma2=cfg.noise_var,
-        sigma_pi2=cfg.prior_var,
     )

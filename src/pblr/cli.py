@@ -8,6 +8,7 @@ whenever an inline invariant check fails.
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -95,15 +96,21 @@ def _sine_meta(args) -> dict:
 
 
 def _require_positive(args, *flags, low=1) -> None:
-    """Reject a count flag below `low` with an error naming the flag."""
+    """Reject a count flag, or any value of a list flag, below `low`, naming the flag."""
     for flag in flags:
         value = getattr(args, flag[2:].replace("-", "_"))
-        if value < low:
-            raise ValueError(f"{flag} must be at least {low}, got {value}")
+        for v in value if isinstance(value, list) else [value]:
+            if v < low:
+                raise ValueError(f"{flag} must be at least {low}, got {v}")
+
+
+def _require_delta(args) -> None:
+    if not 0 < args.delta <= 1:
+        raise ValueError(f"--delta must lie in (0, 1], got {args.delta}")
 
 
 def cmd_fig_a(args) -> int:
-    _require_positive(args, "--n", "--grid-size")
+    _require_positive(args, "--n", "--grid-size", "--degrees")
     dataset, rows = exp.run_fig_a(seed=args.seed, n=args.n, sigma2=args.sigma2,
                                   sigma_pi2=args.sigma_pi2, degrees=args.degrees,
                                   grid_size=args.grid_size)
@@ -117,7 +124,7 @@ def cmd_fig_a(args) -> int:
 
 
 def cmd_fig_b(args) -> int:
-    _require_positive(args, "--n", "--seeds", "--test-size")
+    _require_positive(args, "--n", "--seeds", "--test-size", "--degrees")
     out = args.out
     if args.seeds > 1:
         wins: dict[int, int] = {}
@@ -125,7 +132,7 @@ def cmd_fig_b(args) -> int:
             family = exp.polynomial_family(seed=args.seed + k, n=args.n,
                                            sigma2=args.sigma2, sigma_pi2=args.sigma_pi2,
                                            degrees=args.degrees)
-            best = min(family.models, key=lambda m: m.evidence.neg_log_evidence).degree
+            best = min(family, key=lambda pair: pair[1].neg_log_evidence)[0]
             wins[best] = wins.get(best, 0) + 1
         table = sorted(wins.items())
         exp.write_csv(out / "fig_b_selection.csv", ("degree", "wins"), table,
@@ -144,6 +151,11 @@ def cmd_fig_b(args) -> int:
 
 
 def cmd_fig_c(args) -> int:
+    _require_positive(args, "--n-grid")
+    _require_delta(args)
+    a, b = args.crop
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"--crop needs finite A < B, got {a} {b}")
     rows, meta = exp.run_fig_c(seed=args.seed, n_grid=args.n_grid,
                                delta=args.delta, sigma2=args.sigma2,
                                sigma_pi2=args.sigma_pi2,
@@ -156,6 +168,7 @@ def cmd_fig_c(args) -> int:
 def cmd_validate(args) -> int:
     _require_positive(args, "--trials")
     _require_positive(args, "--mgf-m", low=10_000)
+    _require_delta(args)
     coverage, mgf, ok = exp.run_validate(seed=args.seed, trials=args.trials,
                                          delta=args.delta, mgf_m=args.mgf_m)
     out = args.out

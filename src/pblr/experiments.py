@@ -15,7 +15,6 @@ from .blr import ModelConfig, evidence_decomposition, fit_posterior
 from .losses import LossSpec, empirical_gibbs_risk
 from .mc import (ValidityStudyConfig, gibbs_generalization_risk, run_validity_study,
                  sample_bounds)
-from .selection import ModelEntry, ModelFamily
 from .subgamma import (empirical_mgf_check, nll_subgamma_params,
                        squared_loss_subgamma_params)
 from .tasks import (TWO_PI, LinearTaskSpec, SineTaskSpec, gen_sine_task,
@@ -122,17 +121,16 @@ def run_fig_b(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
 
 def polynomial_family(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
                       sigma2=SINE_SIGMA2, sigma_pi2=SINE_SIGMA_PI2,
-                      degrees=DEFAULT_DEGREES) -> ModelFamily:
-    """Polynomial models of the given degrees fitted on one sine sample."""
+                      degrees=DEFAULT_DEGREES) -> tuple:
+    """(degree, EvidenceReport) pairs in the order of `degrees`, fitted on one sine sample."""
     degrees = check_degrees(degrees)
     dataset, cfg = _sine_setup(seed, n, noise_var, sigma2, sigma_pi2)
-    entries = []
-    for idx, degree in enumerate(degrees):
+    pairs = []
+    for degree in degrees:
         design = polynomial_design(dataset, degree)
-        report = evidence_decomposition(fit_posterior(design, cfg), design, cfg)
-        entries.append(ModelEntry(model_id=idx, degree=degree, config=cfg,
-                                  evidence=report))
-    return ModelFamily(models=tuple(entries))
+        pairs.append((degree, evidence_decomposition(fit_posterior(design, cfg),
+                                                     design, cfg)))
+    return tuple(pairs)
 
 
 def _linear_setup(seed, d, sigma2, sigma_pi2, crop):

@@ -67,8 +67,8 @@ def test_catoni_evidence_trivial_case():
 
 
 def test_catoni_evidence_equals_catoni_under_decomposition():
-    report = decomposition_instance()
-    n = report.n
+    n = 25
+    report = decomposition_instance(n=n)
     emp = report.gibbs_emp_risk_total / n
     a, b = math.floor(emp) - 1.0, math.ceil(emp) + 1.0
     via_emp = catoni_bound(emp, report.kl, n, 0.05, a, b)
@@ -163,8 +163,8 @@ def test_subgamma_evidence_direct_substitution():
 
 
 def test_subgamma_evidence_equals_subgamma_under_decomposition():
-    report = decomposition_instance(seed=5)
-    n = report.n
+    n = 25
+    report = decomposition_instance(seed=5, n=n)
     via_emp = subgamma_bound(report.gibbs_emp_risk_total / n, report.kl, n,
                              0.05, 0.3, 0.01)
     via_evidence = subgamma_evidence_bound(report.neg_log_evidence, n, 0.05,

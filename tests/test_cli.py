@@ -87,12 +87,27 @@ def test_empty_test_set_exits_nonzero(tmp_path, capsys):
     (["fig-a", "--n", 0], "--n"),
     (["fig-b", "--n", 0], "--n"),
     (["fig-b", "--seeds", 3, "--test-size", -5], "--test-size"),
+    (["fig-c", "--n-grid", 10, 0], "--n-grid"),
+    (["fig-a", "--degrees", 0], "--degrees"),
 ], ids=["fig-b-seeds-0", "fig-b-seeds-neg", "fig-a-grid-size-0", "fig-a-n-0", "fig-b-n-0",
-        "fig-b-seeds-test-size-neg"])
+        "fig-b-seeds-test-size-neg", "fig-c-n-grid-0", "fig-a-degrees-0"])
 def test_meaningless_count_exits_nonzero(tmp_path, capsys, argv, flag):
     assert run([*argv, "--out", tmp_path]) == 1
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith(f"error: {flag} must be at least 1")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["fig-c", "--crop", 4, 1], "--crop"),
+    (["fig-c", "--crop", 1, "inf"], "--crop"),
+    (["fig-c", "--delta", 2], "--delta"),
+    (["validate", "--delta", 0], "--delta"),
+], ids=["fig-c-crop-reversed", "fig-c-crop-inf", "fig-c-delta-2", "validate-delta-0"])
+def test_out_of_range_value_names_the_flag(tmp_path, capsys, argv, flag):
+    assert run([*argv, "--out", tmp_path]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith(f"error: {flag} ")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -149,7 +164,8 @@ def test_negative_seed_from_env_names_the_flag(tmp_path, capsys, monkeypatch, co
 @pytest.mark.parametrize("argv, csv", [
     (["fig-b", "--sigma2", "1e-300"], "fig_b.csv"),
     (["fig-c", "--sigma-pi2", "1e-320", "--n-grid", 10], "fig_c.csv"),
-], ids=["fig-b-sigma2", "fig-c-sigma-pi2"])
+    (["fig-b", "--degrees", 40], "fig_b.csv"),
+], ids=["fig-b-sigma2", "fig-c-sigma-pi2", "fig-b-degree-40"])
 def test_nonfinite_precision_fails_closed(tmp_path, capsys, argv, csv):
     assert run([*argv, "--out", tmp_path]) == 1
     err = capsys.readouterr().err.strip().split("\n")
@@ -236,7 +252,7 @@ def test_seed_scan_selects_fig_b_evidence_argmin(tmp_path):
         rows = exp.run_fig_b(seed=seed)
         nles = [row[1] for row in rows]
         family = exp.polynomial_family(seed=seed)
-        assert [m.evidence.neg_log_evidence for m in family.models] == nles  # bitwise
+        assert [report.neg_log_evidence for _, report in family] == nles  # bitwise
         best = rows[nles.index(min(nles))][0]
         expected[best] = expected.get(best, 0) + 1
     assert run(["fig-b", "--seed", 0, "--seeds", 20, "--out", tmp_path]) == 0
