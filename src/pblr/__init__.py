@@ -43,5 +43,4 @@ from .mc import (
     ValidityStudyConfig,
     gibbs_generalization_risk,
     run_validity_study,
-    sample_posterior,
 )

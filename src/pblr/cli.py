@@ -7,6 +7,7 @@ whenever an inline invariant check fails.
 """
 
 import argparse
+import collections
 import json
 import math
 import os
@@ -109,8 +110,15 @@ def _require_delta(args) -> None:
         raise ValueError(f"--delta must lie in (0, 1], got {args.delta}")
 
 
+def _require_variances(args) -> None:
+    for flag, value in (("--sigma2", args.sigma2), ("--sigma-pi2", args.sigma_pi2)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{flag} must be positive and finite, got {value}")
+
+
 def cmd_fig_a(args) -> int:
     _require_positive(args, "--n", "--grid-size", "--degrees")
+    _require_variances(args)
     dataset, rows = exp.run_fig_a(seed=args.seed, n=args.n, sigma2=args.sigma2,
                                   sigma_pi2=args.sigma_pi2, degrees=args.degrees,
                                   grid_size=args.grid_size)
@@ -125,17 +133,17 @@ def cmd_fig_a(args) -> int:
 
 def cmd_fig_b(args) -> int:
     _require_positive(args, "--n", "--seeds", "--test-size", "--degrees")
+    _require_variances(args)
     out = args.out
-    if args.seeds > 1:
-        wins: dict[int, int] = {}
-        for k in range(args.seeds):  # selection needs only the evidence: no test set
+    if args.seeds > 1:  # selection needs only the evidence: no test set
+        wins = collections.Counter()
+        for k in range(args.seeds):
             family = exp.polynomial_family(seed=args.seed + k, n=args.n,
                                            sigma2=args.sigma2, sigma_pi2=args.sigma_pi2,
                                            degrees=args.degrees)
-            best = min(family, key=lambda pair: pair[1].neg_log_evidence)[0]
-            wins[best] = wins.get(best, 0) + 1
-        table = sorted(wins.items())
-        exp.write_csv(out / "fig_b_selection.csv", ("degree", "wins"), table,
+            # min keeps the first of tied evidences: the degree listed first wins
+            wins[min(family, key=lambda pair: pair[1].neg_log_evidence)[0]] += 1
+        exp.write_csv(out / "fig_b_selection.csv", ("degree", "wins"), sorted(wins.items()),
                       {**_sine_meta(args), "seeds": args.seeds})
         print(f"wrote {out / 'fig_b_selection.csv'}")
         return 0
@@ -153,6 +161,7 @@ def cmd_fig_b(args) -> int:
 def cmd_fig_c(args) -> int:
     _require_positive(args, "--n-grid")
     _require_delta(args)
+    _require_variances(args)
     a, b = args.crop
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"--crop needs finite A < B, got {a} {b}")

@@ -68,28 +68,30 @@ def write_csv(path, columns, rows, metadata) -> None:
                               for v in row) + "\n")
 
 
-def _sine_setup(seed, n, noise_var, sigma2, sigma_pi2):
-    spec = SineTaskSpec(n=n, noise_var=noise_var, seed=seed)
-    return gen_sine_task(spec), ModelConfig(noise_var=sigma2, prior_var=sigma_pi2)
-
-
-def check_degrees(degrees) -> tuple:
+def _polynomial_fits(seed, n, noise_var, sigma2, sigma_pi2, degrees) -> tuple:
+    """The sine sample and one (degree, posterior, EvidenceReport) per degree, in order."""
     degrees = tuple(int(d) for d in degrees)
     if not degrees or any(d < 1 for d in degrees):
         raise ValueError("polynomial degrees must be >= 1")
-    return degrees
+    dataset = gen_sine_task(SineTaskSpec(n=n, noise_var=noise_var, seed=seed))
+    cfg = ModelConfig(noise_var=sigma2, prior_var=sigma_pi2)
+    fits = []
+    for degree in degrees:
+        design = polynomial_design(dataset, degree)
+        post = fit_posterior(design, cfg)
+        # the report checks the evidence identity on construction
+        fits.append((degree, post, evidence_decomposition(post, design, cfg)))
+    return dataset, fits
 
 
 def run_fig_a(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
               sigma2=SINE_SIGMA2, sigma_pi2=SINE_SIGMA_PI2,
               degrees=DEFAULT_DEGREES, grid_size=200):
     """Posterior-mean predictions per degree on a dense input grid."""
-    degrees = check_degrees(degrees)
-    dataset, cfg = _sine_setup(seed, n, noise_var, sigma2, sigma_pi2)
+    dataset, fits = _polynomial_fits(seed, n, noise_var, sigma2, sigma_pi2, degrees)
     grid = np.linspace(0.0, TWO_PI, grid_size)
     rows = []
-    for degree in degrees:
-        post = fit_posterior(polynomial_design(dataset, degree), cfg)
+    for degree, post, _ in fits:
         phi = grid[:, None] ** np.arange(degree + 1)[None, :]
         preds = phi @ post.mean
         rows.extend((degree, float(x), float(p)) for x, p in zip(grid, preds))
@@ -100,37 +102,23 @@ def run_fig_b(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
               sigma2=SINE_SIGMA2, sigma_pi2=SINE_SIGMA_PI2,
               degrees=DEFAULT_DEGREES, test_size=1000):
     """Evidence decomposition per degree plus the Gibbs NLL risk on fresh data."""
-    degrees = check_degrees(degrees)
     if test_size < 1:
         raise ValueError(f"test_size must be at least 1, got {test_size}")
-    dataset, cfg = _sine_setup(seed, n, noise_var, sigma2, sigma_pi2)
-    test_spec = SineTaskSpec(n=test_size, noise_var=noise_var,
-                             seed=rng.derive_seed(seed, rng.TEST_SET_TAG))
-    test = gen_sine_task(test_spec)
-    rows = []
-    for degree in degrees:
-        design = polynomial_design(dataset, degree)
-        post = fit_posterior(design, cfg)
-        report = evidence_decomposition(post, design, cfg)  # identity checked inline
-        test_risk = empirical_gibbs_risk(post, polynomial_design(test, degree),
-                                         LossSpec.nll(sigma2))
-        rows.append((degree, report.neg_log_evidence, report.gibbs_emp_risk_total,
-                     report.kl, test_risk))
-    return rows
+    _, fits = _polynomial_fits(seed, n, noise_var, sigma2, sigma_pi2, degrees)
+    test = gen_sine_task(SineTaskSpec(n=test_size, noise_var=noise_var,
+                                      seed=rng.derive_seed(seed, rng.TEST_SET_TAG)))
+    nll = LossSpec.nll(sigma2)
+    return [(degree, report.neg_log_evidence, report.gibbs_emp_risk_total, report.kl,
+             empirical_gibbs_risk(post, polynomial_design(test, degree), nll))
+            for degree, post, report in fits]
 
 
 def polynomial_family(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
                       sigma2=SINE_SIGMA2, sigma_pi2=SINE_SIGMA_PI2,
                       degrees=DEFAULT_DEGREES) -> tuple:
     """(degree, EvidenceReport) pairs in the order of `degrees`, fitted on one sine sample."""
-    degrees = check_degrees(degrees)
-    dataset, cfg = _sine_setup(seed, n, noise_var, sigma2, sigma_pi2)
-    pairs = []
-    for degree in degrees:
-        design = polynomial_design(dataset, degree)
-        pairs.append((degree, evidence_decomposition(fit_posterior(design, cfg),
-                                                     design, cfg)))
-    return tuple(pairs)
+    _, fits = _polynomial_fits(seed, n, noise_var, sigma2, sigma_pi2, degrees)
+    return tuple((degree, report) for degree, _, report in fits)
 
 
 def _linear_setup(seed, d, sigma2, sigma_pi2, crop):

@@ -1,4 +1,4 @@
-"""Oracles: posterior sampling, generalization risk, coverage study.
+"""Oracles: exact generalization risk, the per-sample bounds, coverage study.
 
 The generalization risk is exact for every loss: closed form for the
 squared and NLL losses, a self-checking tensor Gauss-Hermite rule over the
@@ -24,18 +24,6 @@ from .blr import (GaussianPosterior, ModelConfig, evidence_decomposition,
 from .losses import LossSpec, empirical_gibbs_risk, expected_loss
 from .subgamma import nll_subgamma_params
 from .tasks import LinearTaskSpec, gen_linear_task, identity_design
-
-
-def sample_posterior(post: GaussianPosterior, m: int, seed: int) -> np.ndarray:
-    """Draw m exact posterior weight vectors, shape (m, d).
-
-    Uses mean + L^{-T} z with z standard normal, where the precision is
-    L L'; a triangular solve, never an explicit covariance.
-    """
-    if m < 1:
-        raise ValueError("need at least one sample")
-    gen = rng.stream(seed, rng.POSTERIOR_TAG)
-    return _weights(post, gen.standard_normal((post.d, m)))
 
 
 def _weights(post: GaussianPosterior, z: np.ndarray) -> np.ndarray:

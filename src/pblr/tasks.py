@@ -70,19 +70,15 @@ class DesignMatrix:
 
 @dataclass(frozen=True)
 class SineTaskSpec:
-    """y = sin(x) + eps with x uniform on [lo, hi] and eps ~ N(0, noise_var)."""
+    """y = sin(x) + eps with x uniform on [0, 2 pi] and eps ~ N(0, noise_var)."""
 
     n: int
     noise_var: float
-    lo: float = 0.0
-    hi: float = TWO_PI
     seed: int = 0
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("n must be non-negative")
-        if not self.lo < self.hi:
-            raise ValueError("need lo < hi")
         if not self.noise_var > 0:
             raise ValueError("noise_var must be positive")
 
@@ -145,9 +141,9 @@ def identity_design(dataset: Dataset) -> DesignMatrix:
 
 
 def gen_sine_task(spec: SineTaskSpec) -> Dataset:
-    """Draw a sine-task sample; bit-identical for equal (spec, seed)."""
+    """Draw a sine-task sample with x on [0, TWO_PI]; bit-identical for equal specs."""
     gen = rng.stream(spec.seed, rng.SINE_TAG, spec.n)
-    xs = gen.uniform(spec.lo, spec.hi, size=spec.n)
+    xs = gen.uniform(0.0, TWO_PI, size=spec.n)
     eps = gen.normal(0.0, np.sqrt(spec.noise_var), size=spec.n)
     return Dataset(raw_inputs=xs, labels=np.sin(xs) + eps)
 

@@ -6,12 +6,17 @@ Cholesky decomposition route, plain gradient descent instead of a linear
 solve, sequential 1-D Bayesian updating instead of batch formulas, plain
 Monte Carlo over sampled weights and data instead of closed-form Gaussian
 expectations, a bootstrap instead of the delta method, and Gauss-Hermite
-quadrature of a closed-form conditional MGF instead of sampling.
+quadrature of a closed-form conditional MGF instead of sampling. The
+exception is `sample_posterior`: not an independent path but seeded exact
+posterior draws, for the tests that need them.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import solve_triangular
+
+from pblr import rng
 
 
 def nle_full_covariance(phi: np.ndarray, y: np.ndarray, sigma2: float,
@@ -81,6 +86,19 @@ def loss_of_residual(spec, resid: np.ndarray) -> np.ndarray:
 def precision(post) -> np.ndarray:
     """The posterior precision matrix A = L L', rebuilt from its Cholesky factor."""
     return post.chol @ post.chol.T
+
+
+def sample_posterior(post, m: int, seed: int) -> np.ndarray:
+    """Draw m exact posterior weight vectors, shape (m, d).
+
+    Uses mean + L^{-T} z with z standard normal, where the precision is
+    L L'; a triangular solve, never an explicit covariance.
+    """
+    if m < 1:
+        raise ValueError("need at least one sample")
+    gen = rng.stream(seed, rng.POSTERIOR_TAG)
+    z = gen.standard_normal((post.d, m))
+    return post.mean[None, :] + solve_triangular(post.chol, z, lower=True, trans="T").T
 
 
 def posterior_draws(post, m: int, seed: int) -> np.ndarray:

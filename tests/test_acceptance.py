@@ -15,13 +15,13 @@ from pblr import experiments as exp
 from pblr.blr import ModelConfig, evidence_decomposition, fit_posterior, \
     gibbs_expected_empirical_nll, neg_log_evidence
 from pblr.losses import LossSpec
-from pblr.mc import run_validity_study, sample_posterior
+from pblr.mc import run_validity_study
 from pblr.selection import hierarchical_bound, model_selection_bounds
 from pblr.subgamma import empirical_mgf_check, nll_subgamma_params, \
     squared_loss_subgamma_params
 from pblr.tasks import DesignMatrix
 
-from oracles import nle_sequential_1d
+from oracles import nle_sequential_1d, sample_posterior
 
 
 def verdict(number, name, clauses, elapsed, budget):

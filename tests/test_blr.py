@@ -7,11 +7,10 @@ from pblr import blr
 from pblr.blr import (EvidenceReport, ModelConfig, evidence_decomposition,
                       fit_posterior, gaussian_kl, gibbs_expected_empirical_nll,
                       neg_log_evidence)
-from pblr.mc import sample_posterior
 from pblr.tasks import DesignMatrix
 
 from oracles import (kl_gaussians, nle_full_covariance, nle_sequential_1d,
-                     precision, ridge_minimizer_gd)
+                     precision, ridge_minimizer_gd, sample_posterior)
 
 UNIT_CFG = ModelConfig(noise_var=1.0, prior_var=1.0)
 ONE_POINT = DesignMatrix(phi=np.array([[1.0]]), labels=np.array([1.0]))

@@ -103,7 +103,12 @@ def test_meaningless_count_exits_nonzero(tmp_path, capsys, argv, flag):
     (["fig-c", "--crop", 1, "inf"], "--crop"),
     (["fig-c", "--delta", 2], "--delta"),
     (["validate", "--delta", 0], "--delta"),
-], ids=["fig-c-crop-reversed", "fig-c-crop-inf", "fig-c-delta-2", "validate-delta-0"])
+    (["fig-a", "--sigma2", -1], "--sigma2"),
+    (["fig-b", "--sigma-pi2", 0], "--sigma-pi2"),
+    (["fig-c", "--sigma-pi2", "nan"], "--sigma-pi2"),
+    (["fig-c", "--sigma2", "inf"], "--sigma2"),
+], ids=["fig-c-crop-reversed", "fig-c-crop-inf", "fig-c-delta-2", "validate-delta-0",
+        "fig-a-sigma2-neg", "fig-b-sigma-pi2-0", "fig-c-sigma-pi2-nan", "fig-c-sigma2-inf"])
 def test_out_of_range_value_names_the_flag(tmp_path, capsys, argv, flag):
     assert run([*argv, "--out", tmp_path]) == 1
     err = capsys.readouterr().err.strip().split("\n")

@@ -111,6 +111,16 @@ def test_fig_b_factors_each_degree_once(cholesky_calls):
     assert len(cholesky_calls) == 7
 
 
+@pytest.mark.parametrize("run_sine", [
+    lambda degrees: exp.run_fig_a(degrees=degrees, grid_size=10),
+    lambda degrees: exp.run_fig_b(degrees=degrees, test_size=10),
+    lambda degrees: exp.polynomial_family(degrees=degrees),
+], ids=["run_fig_a", "run_fig_b", "polynomial_family"])
+def test_sine_study_fits_each_degree_once(cholesky_calls, run_sine):
+    run_sine((1, 2, 3))
+    assert len(cholesky_calls) == 3
+
+
 def test_fig_c_factors_each_sample_size_once(cholesky_calls):
     exp.run_fig_c(n_grid=(10, 100, 1000))
     assert len(cholesky_calls) == 3

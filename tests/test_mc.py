@@ -7,10 +7,10 @@ from pblr.blr import GaussianPosterior, ModelConfig, fit_posterior
 from pblr.losses import LossSpec
 from pblr import mc
 from pblr.mc import (ValidityStudyConfig, _trial_bounds_and_risks,
-                     gibbs_generalization_risk, run_validity_study, sample_posterior)
+                     gibbs_generalization_risk, run_validity_study)
 from pblr.tasks import DesignMatrix, LinearTaskSpec, gen_linear_task, identity_design
 
-from oracles import generalization_risk_mc, posterior_draws, precision
+from oracles import generalization_risk_mc, posterior_draws, precision, sample_posterior
 
 
 def spd_posterior(mean, scale):
