@@ -52,20 +52,14 @@ class GaussianPosterior:
         return self.mean.shape[0]
 
     @cached_property  # computed on first use: evidence, KL and Gibbs NLL share it
-    def _logdet(self) -> float:
+    def logdet_precision(self) -> float:
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
     @cached_property
-    def _cov_trace(self) -> float:
-        inv_l = solve_triangular(self.chol, np.eye(self.d), lower=True)
-        return float(np.sum(inv_l * inv_l))
-
-    def logdet_precision(self) -> float:
-        return self._logdet
-
     def cov_trace(self) -> float:
         """tr(A^{-1}), from triangular solves against the identity columns; computed once."""
-        return self._cov_trace
+        inv_l = solve_triangular(self.chol, np.eye(self.d), lower=True)
+        return float(np.sum(inv_l * inv_l))
 
     def predictive_var(self, phi: np.ndarray) -> np.ndarray:
         """phi_i' A^{-1} phi_i for each row phi_i of phi, as ||L^{-1} phi_i||^2."""
@@ -110,43 +104,26 @@ def fit_posterior(design: DesignMatrix, cfg: ModelConfig) -> GaussianPosterior:
     return GaussianPosterior(mean=mean, chol=low)
 
 
-def _sum_sq_residual(design: DesignMatrix, mean: np.ndarray) -> float:
-    if design.n == 0:
-        return 0.0
-    r = design.labels - design.phi @ mean
-    return float(r @ r)
-
-
 def _nll_at_mean_total(design: DesignMatrix, cfg: ModelConfig, mean: np.ndarray) -> float:
     """n * empirical NLL of the posterior mean predictor."""
+    r = design.labels - design.phi @ mean  # empty when n = 0, so r @ r = 0.0
     return 0.5 * design.n * math.log(2.0 * math.pi * cfg.noise_var) \
-        + _sum_sq_residual(design, mean) / (2.0 * cfg.noise_var)
+        + float(r @ r) / (2.0 * cfg.noise_var)
 
 
 def neg_log_evidence(design: DesignMatrix, cfg: ModelConfig) -> float:
     """Negative log marginal likelihood of the labels given the inputs."""
-    post = fit_posterior(design, cfg)
-    return _neg_log_evidence_from(post, design, cfg)
-
-
-def _neg_log_evidence_from(post: GaussianPosterior, design: DesignMatrix,
-                           cfg: ModelConfig) -> float:
-    return (
-        _nll_at_mean_total(design, cfg, post.mean)
-        + float(post.mean @ post.mean) / (2.0 * cfg.prior_var)
-        + 0.5 * post.logdet_precision()
-        + 0.5 * design.d * math.log(cfg.prior_var)
-    )
+    return evidence_decomposition(fit_posterior(design, cfg), design, cfg).neg_log_evidence
 
 
 def gaussian_kl(post: GaussianPosterior, cfg: ModelConfig) -> float:
     """KL( N(mean, A^{-1}) || N(0, prior_var I) ), always >= 0."""
     d = post.d
     return 0.5 * (
-        post.cov_trace() / cfg.prior_var
+        post.cov_trace / cfg.prior_var
         + float(post.mean @ post.mean) / cfg.prior_var
         - d
-        + post.logdet_precision()
+        + post.logdet_precision
         + d * math.log(cfg.prior_var)
     )
 
@@ -159,7 +136,7 @@ def gibbs_expected_empirical_nll(post: GaussianPosterior, design: DesignMatrix,
     evaluated as d/2 - tr(A^{-1})/(2 prior_var), which is the same quantity
     by the definition of A and stays accurate for ill-conditioned designs.
     """
-    trace_term = 0.5 * design.d - post.cov_trace() / (2.0 * cfg.prior_var)
+    trace_term = 0.5 * design.d - post.cov_trace / (2.0 * cfg.prior_var)
     return _nll_at_mean_total(design, cfg, post.mean) + trace_term
 
 
@@ -169,7 +146,10 @@ def evidence_decomposition(post: GaussianPosterior, design: DesignMatrix,
     if post.d != design.d:
         raise ValueError(f"posterior has {post.d} weights, design {design.d} features")
     return EvidenceReport(
-        neg_log_evidence=_neg_log_evidence_from(post, design, cfg),
+        neg_log_evidence=(_nll_at_mean_total(design, cfg, post.mean)
+                          + float(post.mean @ post.mean) / (2.0 * cfg.prior_var)
+                          + 0.5 * post.logdet_precision
+                          + 0.5 * design.d * math.log(cfg.prior_var)),
         gibbs_emp_risk_total=gibbs_expected_empirical_nll(post, design, cfg),
         kl=gaussian_kl(post, cfg),
     )

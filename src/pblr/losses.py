@@ -92,6 +92,9 @@ def _expected_cropped(spec: LossSpec, mu, var):
     c0, denom = _affine_in_squared(spec.inner)
     t_a = math.sqrt(max(a - c0, 0.0) * denom)
     t_b = math.sqrt(max(b - c0, 0.0) * denom)
+    if not math.isfinite(t_b):  # else inf * phi(inf) turns the expectation into NaN
+        raise ValueError(f"cropped loss upper end b = {b!r} is too large: "
+                         f"the residual where the loss reaches it overflows")
     var = np.maximum(var, _MIN_VAR)
     sd = np.sqrt(var)
     edges = (-t_b, -t_a, t_a, t_b)

@@ -48,7 +48,7 @@ def gibbs_generalization_risk(post: GaussianPosterior, task: LinearTaskSpec,
     no such pair fits _MAX_POINTS points it raises ValueError.
     """
     if loss.kind != "cropped":
-        s = task.squared_risk(post.mean) + task.input_var * post.cov_trace()
+        s = task.squared_risk(post.mean) + task.input_var * post.cov_trace
         return float(expected_loss(loss, 0.0, s))
     d = post.d
     ladder = [k for k in _HERMITE_NODES if k ** d <= _MAX_POINTS]

@@ -43,16 +43,9 @@ def _check_lambda(lam: float, c: float) -> None:
 def squared_loss_subgamma_params(input_var: float, prior_var: float, dim: int,
                                  w_star_sq_norm: float, noise_var: float,
                                  lam: float = 1.0) -> SubGammaParams:
-    """Sub-gamma (s^2, c) for the squared loss: c = 2*input_var*prior_var."""
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    if min(input_var, prior_var, noise_var) <= 0:
-        raise ValueError("variances must be positive")
-    c = 2.0 * input_var * prior_var
-    _check_lambda(lam, c)
-    s2 = (2.0 / lam) * (input_var * (prior_var * dim + w_star_sq_norm)
-                        + noise_var * (1.0 - lam * c))
-    return SubGammaParams(s2=s2, c=c)
+    """Sub-gamma (s^2, c) for the squared loss, the NLL at sigma2 = 1/2 less a constant."""
+    return nll_subgamma_params(0.5, input_var, prior_var, dim, w_star_sq_norm,
+                               noise_var, lam)
 
 
 def nll_subgamma_params(sigma2: float, input_var: float, prior_var: float,

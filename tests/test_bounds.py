@@ -203,10 +203,10 @@ def test_fitted_posterior_minimizes_risk_plus_kl():
         resid = design.labels - design.phi @ mean
         nll = 0.5 * design.n * math.log(2.0 * math.pi * cfg.noise_var) \
             + float(resid @ resid) / (2.0 * cfg.noise_var)
-        trace_term = 0.5 * design.d - post.cov_trace() / (2.0 * cfg.prior_var)
-        kl = 0.5 * (post.cov_trace() / cfg.prior_var
+        trace_term = 0.5 * design.d - post.cov_trace / (2.0 * cfg.prior_var)
+        kl = 0.5 * (post.cov_trace / cfg.prior_var
                     + float(mean @ mean) / cfg.prior_var - design.d
-                    + post.logdet_precision()
+                    + post.logdet_precision
                     + design.d * math.log(cfg.prior_var))
         return nll + trace_term + kl
 

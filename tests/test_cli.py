@@ -178,6 +178,19 @@ def test_nonfinite_precision_fails_closed(tmp_path, capsys, argv, csv):
     assert not (tmp_path / csv).exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--crop", 1, "1e160", "--n-grid", 10],            # (b - a) ** 2 overflows
+    ["--crop", 0, "1e308", "--n-grid", 10],            # the residual threshold overflows
+    ["--crop", 1, "1e150", "--n-grid", 10, 1000000],   # lambda = n makes the Hoeffding term inf
+], ids=["b-1e160", "b-1e308", "b-1e150-n-1e6"])
+def test_huge_crop_fails_closed(tmp_path, capsys, argv):
+    # pytest turns a RuntimeWarning into an error, so none is raised on the way
+    assert run(["fig-c", *argv, "--out", tmp_path]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_hidden_mc_weights_flag_is_ignored(tmp_path, capsys):
     # perfbench's coverage workload still passes --mc-weights
     with pytest.raises(SystemExit):

@@ -5,7 +5,7 @@ import pytest
 
 from pblr.bounds import subgamma_evidence_bound
 from pblr.experiments import SINE_N, polynomial_family
-from pblr.selection import hierarchical_bound, model_selection_bounds
+from pblr.bounds import hierarchical_bound, model_selection_bounds
 
 
 def test_single_model_reduces_to_evidence_bound():
