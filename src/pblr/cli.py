@@ -11,6 +11,7 @@ import collections
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -29,6 +30,11 @@ def _seed_default() -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Raises ValueError on a malformed command line: main prints one line, exits 1."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern misses exponent notation, so -1e3 read as an option
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise ValueError(message)
@@ -210,6 +216,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
 
 

@@ -1,4 +1,4 @@
-"""Closed-form sub-gamma parameters and an empirical MGF verifier.
+"""Closed-form sub-gamma parameters and a Monte-Carlo check of their MGF envelope.
 
 Under the Gaussian generative model (inputs N(0, input_var I), labels
 w_star . x + noise, prior N(0, prior_var I)), the centered loss deviation
@@ -41,17 +41,14 @@ def _check_lambda(lam: float, c: float) -> None:
 
 
 def squared_loss_subgamma_params(input_var: float, prior_var: float, dim: int,
-                                 w_star_sq_norm: float, noise_var: float,
-                                 lam: float = 1.0) -> SubGammaParams:
+                                 w_star_sq_norm: float, noise_var: float) -> SubGammaParams:
     """Sub-gamma (s^2, c) for the squared loss, the NLL at sigma2 = 1/2 less a constant."""
-    return nll_subgamma_params(0.5, input_var, prior_var, dim, w_star_sq_norm,
-                               noise_var, lam)
+    return nll_subgamma_params(0.5, input_var, prior_var, dim, w_star_sq_norm, noise_var)
 
 
 def nll_subgamma_params(sigma2: float, input_var: float, prior_var: float,
-                        dim: int, w_star_sq_norm: float, noise_var: float,
-                        lam: float = 1.0) -> SubGammaParams:
-    """Sub-gamma (s^2, c) for the Gaussian NLL loss: c = input_var*prior_var/sigma2."""
+                        dim: int, w_star_sq_norm: float, noise_var: float) -> SubGammaParams:
+    """Sub-gamma (s^2, c) at lambda = 1 for the Gaussian NLL: c = input_var*prior_var/sigma2."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
     if dim < 1:
@@ -59,13 +56,10 @@ def nll_subgamma_params(sigma2: float, input_var: float, prior_var: float,
     if min(input_var, prior_var, noise_var) <= 0:
         raise ValueError("variances must be positive")
     c = input_var * prior_var / sigma2
-    if lam > 0 and c >= 1.0 / lam:  # also an infinite c, from a tiny sigma2
+    if not c < 1.0:  # also an infinite c, from a tiny sigma2
         raise ValueError(f"sub-gamma scale c = input_var*prior_var/sigma2 = {c!r} "
-                         f"(sigma2 = {sigma2!r}, prior_var = {prior_var!r}) "
-                         f"must be below 1/lambda = {1.0 / lam!r}")
-    _check_lambda(lam, c)
-    s2 = (input_var * (prior_var * dim + w_star_sq_norm)
-          + noise_var * (1.0 - lam * c)) / (lam * sigma2)
+                         f"(sigma2 = {sigma2!r}, prior_var = {prior_var!r}) must be below 1")
+    s2 = (input_var * (prior_var * dim + w_star_sq_norm) + noise_var * (1.0 - c)) / sigma2
     return SubGammaParams(s2=s2, c=c)
 
 
@@ -98,51 +92,38 @@ class MgfReport:
         return all(row.dominated for row in self.rows)
 
 
-def _deviation_samples(task: LinearTaskSpec, prior_var: float, loss: LossSpec,
-                       m: int, gen: np.random.Generator) -> np.ndarray:
-    """Draw m realizations of V = risk(w) - loss(w, x, y) under prior and task."""
-    d = task.d
-    w = gen.normal(0.0, math.sqrt(prior_var), size=(m, d))
-    x = gen.normal(0.0, math.sqrt(task.input_var), size=(m, d))
-    eps = gen.normal(0.0, math.sqrt(task.noise_var), size=m)
-    y = x @ task.w_star + eps
-    risk_sq = task.squared_risk(w)
-    loss_sq = (y - np.einsum("ij,ij->i", w, x)) ** 2
-    v = risk_sq - loss_sq
-    if loss.kind == "squared":
-        return v
-    if loss.kind == "nll":
-        return v / (2.0 * loss.sigma2)  # affine map; the constant cancels
-    raise ValueError("MGF check supports the squared and nll losses")
-
-
 def empirical_mgf_check(task: LinearTaskSpec, prior_var: float, loss: LossSpec,
                         params: SubGammaParams, lambda_grid: Sequence[float],
                         m: int, seed: int) -> MgfReport:
     """Estimate the log-MGF of the loss deviation and compare to its envelope.
 
-    For each lambda in the grid, psi_hat = log mean exp(lambda V) over m draws;
-    its band, the delta-method SE sd(e) / (sqrt(m) mean(e)) of e = exp(lambda V),
-    is finite only for lambda < 1/(2c). A non-finite psi_hat means m is too small.
+    Given w the residual y - w.x is sqrt(s(w)) Z with s(w) = risk(w) and Z
+    standard normal, so the squared-loss V = s(w) (1 - Z^2). Given Z, the
+    prior expectation e = E_w exp(lambda V) is a noncentral chi-square MGF in
+    closed form; psi_hat = log mean e over m draws of Z, and its band is the
+    delta-method SE sd(e) / (sqrt(m) mean(e)). As 1 - Z^2 <= 1, e is bounded
+    for every lambda < 1/c.
     """
+    if loss.kind not in ("squared", "nll"):
+        raise ValueError("MGF check supports the squared and nll losses")
     if m < 10_000:
         raise ValueError("MGF estimation needs at least 1e4 samples")
     for lam in lambda_grid:
         _check_lambda(lam, params.c)
-        if 2.0 * lam * params.c >= 1.0:  # E exp(2 lambda V) is infinite
-            raise ValueError(f"lambda {lam} >= 1/(2c) = {0.5 / params.c}: no finite band")
-    gen = rng.stream(seed, rng.MGF_TAG)
-    v = _deviation_samples(task, prior_var, loss, m, gen)
+    u = 1.0 - rng.stream(seed, rng.MGF_TAG).standard_normal(m) ** 2
+    scale = 1.0 if loss.kind == "squared" else 0.5 / loss.sigma2  # V_nll = V_sq / (2 sigma2)
     rows = []
     for lam in lambda_grid:
-        lv = lam * v
-        top = float(lv.max())
-        e = np.exp(lv - top)
+        t = lam * scale * task.input_var * u
+        r = 1.0 - 2.0 * prior_var * t
+        if not r.min() > 0:  # params.c is below the scale of this task and prior
+            raise ValueError(f"lambda {lam} is not below 1/c for this task and prior")
+        log_e = (lam * scale * task.noise_var * u + t * task.w_star_sq_norm / r
+                 - 0.5 * task.d * np.log(r))
+        top = float(log_e.max())
+        e = np.exp(log_e - top)
         e_mean = float(np.mean(e))
-        psi_hat = top + math.log(e_mean)
-        if not math.isfinite(psi_hat):
-            raise ValueError(f"MGF estimate not finite at lambda={lam}; increase m")
-        rows.append(MgfRow(lam=float(lam), psi_hat=psi_hat,
+        rows.append(MgfRow(lam=float(lam), psi_hat=top + math.log(e_mean),
                            envelope=subgamma_envelope(lam, params.s2, params.c),
                            band=float(e.std(ddof=1)) / (math.sqrt(m) * e_mean)))
     return MgfReport(rows=tuple(rows), m=m, seed=seed, loss_kind=loss.kind)

@@ -7,8 +7,10 @@ solve, sequential 1-D Bayesian updating instead of batch formulas, plain
 Monte Carlo over sampled weights and data instead of closed-form Gaussian
 expectations, a bootstrap instead of the delta method, and Gauss-Hermite
 quadrature of a closed-form conditional MGF instead of sampling. The
-exception is `sample_posterior`: not an independent path but seeded exact
-posterior draws, for the tests that need them.
+exceptions are `sample_posterior`, seeded exact posterior draws, and
+`squared_log_mgf_given_z`, the conditional MGF the package's MGF check
+also averages. Neither is an independent path; `plain_log_mgf_mc` is the
+independent check of the latter.
 """
 
 import math
@@ -139,23 +141,56 @@ def bootstrap_log_mgf_se(v: np.ndarray, lams, reps: int, seed: int) -> np.ndarra
     return estimates.std(axis=0, ddof=1)
 
 
-def squared_log_mgf_quadrature(lam: float, w_star: np.ndarray, input_var: float,
-                               noise_var: float, prior_var: float) -> float:
-    """log E exp(lam V) for V = risk(w) - (y - w.x)^2 with w from the prior.
+def plain_log_mgf_mc(lams, w_star: np.ndarray, input_var: float, noise_var: float,
+                     prior_var: float, m: int, seed: int) -> list:
+    """(estimate, se) of log E exp(lam V) per lam, from m plain draws of (w, x, y).
+
+    w from the prior N(0, prior_var I), then x and noise from the task, and
+    V = risk(w) - (y - w.x)^2 with risk(w) = input_var ||w* - w||^2 + noise_var;
+    se is the delta-method sd(e) / (sqrt(m) mean(e)) of e = exp(lam V).
+    """
+    gen = np.random.default_rng(seed)
+    d = w_star.size
+    w = gen.normal(0.0, math.sqrt(prior_var), size=(m, d))
+    x = gen.normal(0.0, math.sqrt(input_var), size=(m, d))
+    y = x @ w_star + gen.normal(0.0, math.sqrt(noise_var), size=m)
+    diff = w_star[None, :] - w
+    v = (input_var * np.sum(diff * diff, axis=1) + noise_var
+         - (y - np.sum(w * x, axis=1)) ** 2)
+    out = []
+    for lam in lams:
+        e = np.exp(lam * v)
+        out.append((math.log(float(e.mean())),
+                    float(e.std(ddof=1)) / (math.sqrt(m) * float(e.mean()))))
+    return out
+
+
+def squared_log_mgf_given_z(lam: float, z: np.ndarray, w_star: np.ndarray,
+                            input_var: float, noise_var: float,
+                            prior_var: float) -> np.ndarray:
+    """log E_w exp(lam V | Z = z) for V = risk(w) - (y - w.x)^2, w from the prior.
 
     Given w the residual is sqrt(s(w)) Z with s(w) = input_var ||w* - w||^2 +
     noise_var, so V = s(w) (1 - Z^2). Given Z, w* - w ~ N(w*, prior_var I)
     and E exp(t ||w* - w||^2) = (1 - 2 t prior_var)^(-d/2)
-    exp(t ||w*||^2 / (1 - 2 t prior_var)) at t = lam input_var (1 - Z^2);
-    the outer expectation over Z ~ N(0, 1) is a 200-node Gauss-Hermite rule
-    (numpy's weights overflow at 400 nodes).
+    exp(t ||w*||^2 / (1 - 2 t prior_var)) at t = lam input_var (1 - Z^2).
     """
-    z, weights = np.polynomial.hermite_e.hermegauss(200)
     u = 1.0 - z * z
     t = lam * input_var * u
     shrink = 1.0 - 2.0 * t * prior_var
     if np.any(shrink <= 0):
         raise ValueError("lam must be below 1/c = 1 / (2 input_var prior_var)")
-    log_f = (lam * noise_var * u + t * float(w_star @ w_star) / shrink
-             - 0.5 * w_star.size * np.log(shrink))
+    return (lam * noise_var * u + t * float(w_star @ w_star) / shrink
+            - 0.5 * w_star.size * np.log(shrink))
+
+
+def squared_log_mgf_quadrature(lam: float, w_star: np.ndarray, input_var: float,
+                               noise_var: float, prior_var: float) -> float:
+    """log E exp(lam V): `squared_log_mgf_given_z` integrated over Z ~ N(0, 1).
+
+    The outer expectation is a 200-node Gauss-Hermite rule (numpy's weights
+    overflow at 400 nodes).
+    """
+    z, weights = np.polynomial.hermite_e.hermegauss(200)
+    log_f = squared_log_mgf_given_z(lam, z, w_star, input_var, noise_var, prior_var)
     return math.log(float(weights @ np.exp(log_f)) / math.sqrt(2.0 * math.pi))

@@ -107,12 +107,34 @@ def test_meaningless_count_exits_nonzero(tmp_path, capsys, argv, flag):
     (["fig-b", "--sigma-pi2", 0], "--sigma-pi2"),
     (["fig-c", "--sigma-pi2", "nan"], "--sigma-pi2"),
     (["fig-c", "--sigma2", "inf"], "--sigma2"),
+    (["fig-c", "--sigma2", "-1e-3"], "--sigma2"),
+    (["validate", "--delta", "-1E-2"], "--delta"),
 ], ids=["fig-c-crop-reversed", "fig-c-crop-inf", "fig-c-delta-2", "validate-delta-0",
-        "fig-a-sigma2-neg", "fig-b-sigma-pi2-0", "fig-c-sigma-pi2-nan", "fig-c-sigma2-inf"])
+        "fig-a-sigma2-neg", "fig-b-sigma-pi2-0", "fig-c-sigma-pi2-nan", "fig-c-sigma2-inf",
+        "fig-c-sigma2-neg-exp", "validate-delta-neg-exp"])
 def test_out_of_range_value_names_the_flag(tmp_path, capsys, argv, flag):
     assert run([*argv, "--out", tmp_path]) == 1
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith(f"error: {flag} ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_exponent_value_parses(tmp_path):
+    # argparse alone reads -1e3 as an option: "expected 2 arguments"
+    assert run(["fig-c", "--crop", "-1e3", "1e3", "--n-grid", 10, "--out", tmp_path]) == 0
+    assert (tmp_path / "fig_c.csv").exists()
+
+
+@pytest.mark.parametrize("command, study", [
+    ("fig-a", "run_fig_a"), ("fig-c", "run_fig_c"), ("validate", "run_validate"),
+])
+def test_out_of_memory_gives_one_line(tmp_path, capsys, monkeypatch, command, study):
+    def allocate(**_):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+    monkeypatch.setattr(exp, study, allocate)
+    assert run([command, "--out", tmp_path]) == 1
+    assert capsys.readouterr().err.strip().split("\n") == [
+        "error: out of memory: Unable to allocate 745. GiB for an array"]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import bootstrap_log_mgf_se, squared_log_mgf_quadrature
+from oracles import (bootstrap_log_mgf_se, plain_log_mgf_mc, squared_log_mgf_given_z,
+                     squared_log_mgf_quadrature)
 from pblr import __version__, rng
 from pblr.cli import main
 from pblr.experiments import run_validate
 from pblr.losses import LossSpec
-from pblr.subgamma import (SubGammaParams, _deviation_samples, empirical_mgf_check,
+from pblr.subgamma import (SubGammaParams, empirical_mgf_check,
                            nll_subgamma_params, squared_loss_subgamma_params,
                            subgamma_envelope)
 from pblr.tasks import LinearTaskSpec
@@ -23,9 +24,9 @@ def test_squared_params_direct_substitution():
 
 
 def test_squared_params_noiseless_zero_target():
-    for d, lam in [(1, 1.0), (7, 0.5), (30, 2.0)]:
-        p = squared_loss_subgamma_params(0.4, 0.3, d, 0.0, 1e-300, lam=lam)
-        assert p.s2 == pytest.approx(2.0 * 0.4 * 0.3 * d / lam, rel=1e-9)
+    for d in (1, 7, 30):
+        p = squared_loss_subgamma_params(0.4, 0.3, d, 0.0, 1e-300)
+        assert p.s2 == pytest.approx(2.0 * 0.4 * 0.3 * d, rel=1e-9)
 
 
 def test_squared_params_scale_linear_in_prior_var():
@@ -49,21 +50,16 @@ def test_nll_params_are_rescaled_squared_params():
     for _ in range(30):
         sigma2 = float(rng.uniform(0.3, 4.0))
         input_var = float(rng.uniform(0.05, 2.0))
-        prior_var = float(rng.uniform(0.01, 1.0))
+        # both scales below 1: c_sqr = 2 input_var prior_var, c_nll = c_sqr / (2 sigma2)
+        prior_var = float(rng.uniform(0.01, 0.9 * min(0.5, sigma2) / input_var))
         d = int(rng.integers(1, 40))
         wsq = float(rng.uniform(0.0, 2.0))
         noise = float(rng.uniform(0.01, 1.0))
-        c_nll = input_var * prior_var / sigma2
-        lam = float(rng.uniform(0.05, min(4.0, 0.9 / c_nll)))
-        nll = nll_subgamma_params(sigma2, input_var, prior_var, d, wsq, noise,
-                                  lam=lam)
-        # c does not depend on lambda; evaluate the squared family in range
-        c_sqr = 2.0 * input_var * prior_var
-        sqr = squared_loss_subgamma_params(input_var, prior_var, d, wsq,
-                                           noise, lam=0.5 / c_sqr)
+        nll = nll_subgamma_params(sigma2, input_var, prior_var, d, wsq, noise)
+        sqr = squared_loss_subgamma_params(input_var, prior_var, d, wsq, noise)
         assert nll.c == pytest.approx(sqr.c / (2.0 * sigma2), rel=1e-14)
-        rescaled = (2.0 / lam) * (input_var * (prior_var * d + wsq)
-                                  + noise * (1.0 - lam * nll.c)) / (2.0 * sigma2)
+        rescaled = 2.0 * (input_var * (prior_var * d + wsq)
+                          + noise * (1.0 - nll.c)) / (2.0 * sigma2)
         assert nll.s2 == pytest.approx(rescaled, rel=1e-14)
 
 
@@ -74,10 +70,10 @@ def test_params_flatten_as_noise_model_widens():
 
 
 def test_lambda_outside_subgamma_range_rejected():
-    with pytest.raises(ValueError):
-        squared_loss_subgamma_params(1.0, 1.0, 2, 0.0, 0.1, lam=0.5)  # 1/c = 0.5
-    with pytest.raises(ValueError):
-        nll_subgamma_params(1.0, 2.0, 1.0, 2, 0.0, 0.1, lam=0.5)  # 1/c = 0.5
+    with pytest.raises(ValueError, match="must be below 1"):
+        squared_loss_subgamma_params(1.0, 0.5, 2, 0.0, 0.1)  # c = 1
+    with pytest.raises(ValueError, match="must be below 1"):
+        nll_subgamma_params(1.0, 2.0, 1.0, 2, 0.0, 0.1)  # c = 2
     with pytest.raises(ValueError):
         subgamma_envelope(10.0, 1.0, 0.1)
 
@@ -143,11 +139,17 @@ def test_mgf_grid_validation():
     with pytest.raises(ValueError):
         empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
                             params, [inv_c * 1.01], 20_000, seed=0)
-    # inside (0, 1/c) but E exp(2 lambda V) is infinite: no finite band
-    lam = 0.75 * inv_c
-    with pytest.raises(ValueError, match=f"lambda {lam} .* 1/\\(2c\\) = {0.5 * inv_c}"):
+    # a c below the task's own scale admits a lambda past the task's 1/c
+    with pytest.raises(ValueError, match="not below 1/c for this task"):
         empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
-                            params, [0.25, lam], 20_000, seed=0)
+                            SubGammaParams(s2=params.s2, c=0.1 * params.c),
+                            [1.5 * inv_c], 20_000, seed=0)
+    # the conditional MGF is bounded on all of (0, 1/c): a finite band up to 1/c
+    report = empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
+                                 params, [0.6 * inv_c, 0.9 * inv_c, 0.99 * inv_c],
+                                 20_000, seed=0)
+    for row in report.rows:
+        assert np.isfinite(row.psi_hat) and 0.0 < row.band < np.inf
 
 
 MGF_CHECK_LAMBDAS = (0.25, 0.5, 1.0)
@@ -164,11 +166,23 @@ def mgf_check_reports():
 
 def test_mgf_band_matches_bootstrap_on_same_draws():
     for seed, report in mgf_check_reports():
-        v = _deviation_samples(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
-                               MGF_CHECK_M, rng.stream(seed, rng.MGF_TAG))
-        boot = bootstrap_log_mgf_se(v, MGF_CHECK_LAMBDAS, reps=400, seed=seed)
-        for row, se in zip(report.rows, boot):
+        z = rng.stream(seed, rng.MGF_TAG).standard_normal(MGF_CHECK_M)
+        for row in report.rows:
+            log_e = squared_log_mgf_given_z(row.lam, z, SMALL_TASK.w_star,
+                                            SMALL_TASK.input_var, SMALL_TASK.noise_var,
+                                            SMALL_PRIOR_VAR)
+            (se,) = bootstrap_log_mgf_se(log_e, [1.0], reps=400, seed=seed)
             assert abs(row.band / se - 1.0) <= 0.2, (seed, row.lam, row.band, se)
+
+
+def test_mgf_psi_hat_within_four_se_of_plain_sampling():
+    # plain draws of (w, x, y), not the conditional MGF the check averages
+    for seed, report in mgf_check_reports():
+        plain = plain_log_mgf_mc(MGF_CHECK_LAMBDAS, SMALL_TASK.w_star, SMALL_TASK.input_var,
+                                 SMALL_TASK.noise_var, SMALL_PRIOR_VAR, 200_000, seed + 100)
+        for row, (psi, se) in zip(report.rows, plain):
+            combined = np.hypot(row.band, se)
+            assert abs(row.psi_hat - psi) <= 4.0 * combined, (seed, row.lam)
 
 
 def test_mgf_psi_hat_within_four_bands_of_quadrature():
