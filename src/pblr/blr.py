@@ -76,10 +76,10 @@ class EvidenceReport:
     kl: float
 
     def __post_init__(self):
-        if self.kl < -1e-10:
+        if not self.kl >= -1e-10:  # NaN fails both checks
             raise ValueError(f"KL must be non-negative, got {self.kl}")
         gap = abs(self.neg_log_evidence - (self.gibbs_emp_risk_total + self.kl))
-        if gap > 1e-8 * max(1.0, abs(self.neg_log_evidence)):
+        if not gap <= 1e-8 * max(1.0, abs(self.neg_log_evidence)):  # inf - inf is NaN
             raise ValueError("evidence identity violated: "
                              f"{self.neg_log_evidence} vs {self.gibbs_emp_risk_total} + {self.kl}")
 

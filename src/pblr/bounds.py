@@ -25,7 +25,7 @@ _MAX_EXP = math.log(sys.float_info.max)  # largest x with a finite exp(x)
 
 
 def _check_common(kl: float, n: int, delta: float) -> None:
-    if kl < 0:
+    if not kl >= 0:  # NaN fails every range check in this module
         raise ValueError("kl must be non-negative")
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -64,7 +64,7 @@ def catoni_evidence_bound(neg_log_evidence: float, n: int, delta: float,
 
 def hoeffding_psi_bound(lam: float, n: int, a: float, b: float) -> float:
     """Hoeffding upper bound on the moment term for an [a, b]-valued loss."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lambda must be positive")
     return lam * lam * ((b - a) * (b - a)) / (2.0 * n)  # ** 2 raises OverflowError, * gives inf
 
@@ -73,9 +73,11 @@ def alquier_bound(emp: float, kl: float, n: int, delta: float,
                   lam: float, psi_bound: float) -> float:
     """emp + (kl + ln(1/delta) + psi) / lambda, for any moment bound psi."""
     _check_common(kl, n, delta)
-    if lam <= 0:
+    if math.isnan(emp):
+        raise ValueError("empirical risk must not be NaN")
+    if not lam > 0:
         raise ValueError("lambda must be positive")
-    if psi_bound < 0:
+    if not psi_bound >= 0:
         raise ValueError("psi_bound must be non-negative")
     return emp + (kl - math.log(delta) + psi_bound) / lam
 
@@ -94,7 +96,9 @@ def subgamma_evidence_bound(neg_log_evidence: float, n: int, delta: float,
                             s2: float, c: float) -> float:
     """s^2/(2(1-c)) - (1/n) ln(Z delta), with Z = exp(-neg_log_evidence)."""
     _check_common(0.0, n, delta)
-    if s2 < 0:
+    if math.isnan(neg_log_evidence):
+        raise ValueError("neg_log_evidence must not be NaN")
+    if not s2 >= 0:
         raise ValueError("s2 must be non-negative")
     if not 0 <= c < 1:
         raise ValueError("sub-gamma scale c must lie in [0, 1)")

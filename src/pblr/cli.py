@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, experiments as exp
+from .subgamma import dominated
 
 
 def _seed_default() -> int:
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_v)
     p_v.add_argument("--delta", type=float, default=exp.DEFAULT_DELTA)
     p_v.add_argument("--trials", type=int, default=100)
-    # Ignored: perfbench/workloads.py COVERAGE_TINY still passes it (ROADMAP item 3).
+    # Ignored: perfbench/workloads.py COVERAGE_TINY still passes it (ROADMAP item 1).
     p_v.add_argument("--mc-weights", type=int, help=argparse.SUPPRESS)
     p_v.add_argument("--mgf-m", type=int, default=exp.MGF_M)
     return parser
@@ -188,17 +189,16 @@ def cmd_validate(args) -> int:
                                          delta=args.delta, mgf_m=args.mgf_m)
     out = args.out
     with open(out / "coverage.json", "w", encoding="utf-8") as fh:
-        json.dump(coverage.as_dict(), fh, indent=2)
+        json.dump(coverage, fh, indent=2)
         fh.write("\n")
-    exp.write_csv(out / "mgf.csv", ("lambda", "psi_hat", "envelope", "band"),
-                  [(row.lam, row.psi_hat, row.envelope, row.band) for row in mgf.rows],
-                  {"seed": args.seed, "m": mgf.m, "loss": mgf.loss_kind})
-    for fam in coverage.families:
-        print(f"coverage {fam.family}: {fam.violations}/{fam.trials} violations")
-    for row in mgf.rows:
-        status = "ok" if row.dominated else "EXCEEDED"
-        print(f"mgf lambda={row.lam}: psi_hat={row.psi_hat:.5f} "
-              f"envelope={row.envelope:.5f} [{status}]")
+    exp.write_csv(out / "mgf.csv", ("lambda", "psi_hat", "envelope", "band"), mgf,
+                  {"seed": args.seed, "m": args.mgf_m, "loss": "squared"})
+    for fam in coverage["families"]:
+        print(f"coverage {fam['family']}: {fam['violations']}/{fam['trials']} violations")
+    for row in mgf:
+        lam, psi_hat, envelope, _ = row
+        status = "ok" if dominated(row) else "EXCEEDED"
+        print(f"mgf lambda={lam}: psi_hat={psi_hat:.5f} envelope={envelope:.5f} [{status}]")
     print(f"wrote {out / 'coverage.json'} and {out / 'mgf.csv'}")
     return 0 if ok else 1
 

@@ -13,9 +13,8 @@ import numpy as np
 from . import __version__, rng
 from .blr import ModelConfig, evidence_decomposition, fit_posterior
 from .losses import LossSpec, empirical_gibbs_risk
-from .mc import (ValidityStudyConfig, gibbs_generalization_risk, run_validity_study,
-                 sample_bounds)
-from .subgamma import (empirical_mgf_check, nll_subgamma_params,
+from .mc import gibbs_generalization_risk, run_validity_study, sample_bounds
+from .subgamma import (dominated, empirical_mgf_check, nll_subgamma_params,
                        squared_loss_subgamma_params)
 from .tasks import (TWO_PI, LinearTaskSpec, SineTaskSpec, gen_sine_task,
                     polynomial_design)
@@ -166,25 +165,22 @@ FIG_C_COLUMNS = ("n", "emp_gibbs_nll", "gen_gibbs_nll", "bound_subgamma",
                  "bound_alquier_n_cropped")
 
 
-def default_validity_config(seed=DEFAULT_SEED, trials=100, n=20, d=3,
-                            delta=DEFAULT_DELTA) -> ValidityStudyConfig:
-    """Coverage-study configuration: a low-dimensional copy of the fig_c task."""
+def run_coverage(seed=DEFAULT_SEED, trials=100, n=20, d=3, delta=DEFAULT_DELTA) -> dict:
+    """Coverage study (the coverage.json dict) on a low-dimensional copy of the fig_c task."""
     task, model, cropped = _linear_setup(seed, d, LINREG_SIGMA2, LINREG_SIGMA_PI2,
                                          DEFAULT_CROP)
-    return ValidityStudyConfig(task=task, model=model, n=n, trials=trials,
-                               cropped_loss=cropped, delta=delta)
+    return run_validity_study(task, model, n, cropped, delta, trials)
 
 
 def run_validate(seed=DEFAULT_SEED, trials=100, delta=DEFAULT_DELTA, mgf_m=MGF_M):
-    """Coverage study plus MGF envelope check; returns (coverage, mgf, ok)."""
-    coverage = run_validity_study(default_validity_config(
-        seed=seed, trials=trials, delta=delta))
+    """Coverage study plus MGF envelope check; returns (coverage, mgf rows, ok)."""
+    coverage = run_coverage(seed=seed, trials=trials, delta=delta)
     slack = delta + 2.0 * math.sqrt(delta * (1.0 - delta) / trials)
-    coverage_ok = all(fam.rate <= slack for fam in coverage.families)
+    coverage_ok = all(fam["rate"] <= slack for fam in coverage["families"])
     params = squared_loss_subgamma_params(
         MGF_TASK.input_var, MGF_PRIOR_VAR, MGF_TASK.d,
         MGF_TASK.w_star_sq_norm, MGF_TASK.noise_var)
     mgf = empirical_mgf_check(MGF_TASK, MGF_PRIOR_VAR, LossSpec.squared(),
                               params, MGF_LAMBDAS, mgf_m,
                               rng.derive_seed(seed, rng.MGF_TAG))
-    return coverage, mgf, coverage_ok and mgf.all_dominated()
+    return coverage, mgf, coverage_ok and all(map(dominated, mgf))

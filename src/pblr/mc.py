@@ -12,7 +12,6 @@ each bound.
 
 import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -72,55 +71,6 @@ def gibbs_generalization_risk(post: GaussianPosterior, task: LinearTaskSpec,
 FAMILIES = ("subgamma", "catoni", "alquier_sqrtn")  # checked by the coverage study
 
 
-@dataclass(frozen=True)
-class ValidityStudyConfig:
-    """Everything one coverage run needs; task.seed is the master seed."""
-
-    task: LinearTaskSpec
-    model: ModelConfig
-    n: int
-    trials: int
-    cropped_loss: LossSpec
-    delta: float = 0.05
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if not 0 < self.delta <= 1:
-            raise ValueError("delta must lie in (0, 1]")
-        if getattr(self.cropped_loss, "kind", None) != "cropped":
-            raise ValueError("the catoni and alquier families need a cropped loss")
-
-
-@dataclass(frozen=True)
-class FamilyCoverage:
-    family: str
-    trials: int
-    violations: int
-
-    @property
-    def rate(self) -> float:
-        return self.violations / self.trials
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    families: tuple
-    delta: float
-    config: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "families": [
-                {"family": fam.family, "trials": fam.trials,
-                 "violations": fam.violations, "rate": fam.rate}
-                for fam in self.families
-            ],
-            "config": self.config,
-        }
-
-
 def sample_bounds(task: LinearTaskSpec, model: ModelConfig, n: int,
                   cropped: LossSpec, delta: float) -> tuple:
     """Fit the posterior to n draws of the task and bound its risk.
@@ -129,6 +79,8 @@ def sample_bounds(task: LinearTaskSpec, model: ModelConfig, n: int,
     form, on the NLL loss), catoni, alquier_sqrtn and alquier_n (on the
     cropped loss) to their values at confidence 1 - delta.
     """
+    if getattr(cropped, "kind", None) != "cropped":
+        raise ValueError("the catoni and alquier families need a cropped loss")
     params = nll_subgamma_params(model.noise_var, task.input_var, model.prior_var,
                                  task.d, task.w_star_sq_norm, task.noise_var)
     design = identity_design(gen_linear_task(task, n))
@@ -147,47 +99,47 @@ def sample_bounds(task: LinearTaskSpec, model: ModelConfig, n: int,
     return post, report, bounds
 
 
-def _trial_bounds_and_risks(cfg: ValidityStudyConfig, trial: int) -> dict:
+def _trial_bounds_and_risks(task: LinearTaskSpec, model: ModelConfig, n: int,
+                            cropped: LossSpec, delta: float, trial: int) -> dict:
     """Fit one fresh dataset and return {family: (bound, risk)}."""
-    task = dataclasses.replace(
-        cfg.task, seed=rng.derive_seed(cfg.task.seed, rng.TRIAL_TAG, trial, 0))
-    post, _, bounds = sample_bounds(task, cfg.model, cfg.n, cfg.cropped_loss, cfg.delta)
-    risk_nll = gibbs_generalization_risk(post, cfg.task, LossSpec.nll(cfg.model.noise_var))
-    risk_crop = gibbs_generalization_risk(post, cfg.task, cfg.cropped_loss)
+    sample = dataclasses.replace(
+        task, seed=rng.derive_seed(task.seed, rng.TRIAL_TAG, trial, 0))
+    post, _, bounds = sample_bounds(sample, model, n, cropped, delta)
+    risk_nll = gibbs_generalization_risk(post, task, LossSpec.nll(model.noise_var))
+    risk_crop = gibbs_generalization_risk(post, task, cropped)
     return {family: (bounds[family], risk_nll if family == "subgamma" else risk_crop)
             for family in FAMILIES}
 
 
-def run_validity_study(cfg: ValidityStudyConfig) -> CoverageReport:
+def run_validity_study(task: LinearTaskSpec, model: ModelConfig, n: int,
+                       cropped: LossSpec, delta: float, trials: int) -> dict:
     """Violation counts per bound family over independent training draws.
 
     A trial violates a family when its exact risk exceeds the bound; a
     non-finite bound or risk raises ValueError instead of counting either way.
-    Trials use streams derived from (task.seed, trial index), so reports are
-    reproducible and order-independent.
+    Trials use streams derived from (task.seed, trial index), so the result is
+    reproducible and order-independent. Returns the coverage.json dict: delta,
+    one {family, trials, violations, rate} per family, and the config echo.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     counts = {family: 0 for family in FAMILIES}
-    for trial in range(cfg.trials):
-        per_family = _trial_bounds_and_risks(cfg, trial)
+    for trial in range(trials):
+        per_family = _trial_bounds_and_risks(task, model, n, cropped, delta, trial)
         for family, (bound, risk) in per_family.items():
             if not (math.isfinite(bound) and math.isfinite(risk)):
                 raise ValueError(f"trial {trial}, {family}: bound {bound} and risk "
                                  f"{risk} must both be finite")
             if risk > bound:
                 counts[family] += 1
-    echo = {
-        "n": cfg.n,
-        "trials": cfg.trials,
-        "delta": cfg.delta,
-        "seed": cfg.task.seed,
-        "d": cfg.task.d,
-        "input_var": cfg.task.input_var,
-        "task_noise_var": cfg.task.noise_var,
-        "w_star_sq_norm": cfg.task.w_star_sq_norm,
-        "sigma2": cfg.model.noise_var,
-        "sigma_pi2": cfg.model.prior_var,
-        "crop": [cfg.cropped_loss.a, cfg.cropped_loss.b],
+    return {
+        "delta": delta,
+        "families": [{"family": family, "trials": trials, "violations": counts[family],
+                      "rate": counts[family] / trials} for family in FAMILIES],
+        "config": {
+            "n": n, "trials": trials, "delta": delta, "seed": task.seed, "d": task.d,
+            "input_var": task.input_var, "task_noise_var": task.noise_var,
+            "w_star_sq_norm": task.w_star_sq_norm, "sigma2": model.noise_var,
+            "sigma_pi2": model.prior_var, "crop": [cropped.a, cropped.b],
+        },
     }
-    fams = tuple(FamilyCoverage(family=f, trials=cfg.trials, violations=counts[f])
-                 for f in FAMILIES)
-    return CoverageReport(families=fams, delta=cfg.delta, config=echo)

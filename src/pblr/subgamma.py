@@ -69,33 +69,16 @@ def subgamma_envelope(lam: float, s2: float, c: float) -> float:
     return lam * lam * s2 / (2.0 * (1.0 - c * lam))
 
 
-@dataclass(frozen=True)
-class MgfRow:
-    lam: float
-    psi_hat: float
-    envelope: float
-    band: float
-
-    @property
-    def dominated(self) -> bool:
-        return self.psi_hat <= self.envelope + 3.0 * self.band
-
-
-@dataclass(frozen=True)
-class MgfReport:
-    rows: tuple
-    m: int
-    seed: int
-    loss_kind: str
-
-    def all_dominated(self) -> bool:
-        return all(row.dominated for row in self.rows)
+def dominated(row) -> bool:
+    """Whether an MGF row (lambda, psi_hat, envelope, band) lies within 3 bands of its envelope."""
+    _, psi_hat, envelope, band = row
+    return psi_hat <= envelope + 3.0 * band
 
 
 def empirical_mgf_check(task: LinearTaskSpec, prior_var: float, loss: LossSpec,
                         params: SubGammaParams, lambda_grid: Sequence[float],
-                        m: int, seed: int) -> MgfReport:
-    """Estimate the log-MGF of the loss deviation and compare to its envelope.
+                        m: int, seed: int) -> list:
+    """The rows (lambda, psi_hat, envelope, band) of the log-MGF check, one per lambda.
 
     Given w the residual y - w.x is sqrt(s(w)) Z with s(w) = risk(w) and Z
     standard normal, so the squared-loss V = s(w) (1 - Z^2). Given Z, the
@@ -123,7 +106,7 @@ def empirical_mgf_check(task: LinearTaskSpec, prior_var: float, loss: LossSpec,
         top = float(log_e.max())
         e = np.exp(log_e - top)
         e_mean = float(np.mean(e))
-        rows.append(MgfRow(lam=float(lam), psi_hat=top + math.log(e_mean),
-                           envelope=subgamma_envelope(lam, params.s2, params.c),
-                           band=float(e.std(ddof=1)) / (math.sqrt(m) * e_mean)))
-    return MgfReport(rows=tuple(rows), m=m, seed=seed, loss_kind=loss.kind)
+        rows.append((float(lam), top + math.log(e_mean),
+                     subgamma_envelope(lam, params.s2, params.c),
+                     float(e.std(ddof=1)) / (math.sqrt(m) * e_mean)))
+    return rows

@@ -15,7 +15,6 @@ from pblr import experiments as exp
 from pblr.blr import ModelConfig, evidence_decomposition, fit_posterior, \
     gibbs_expected_empirical_nll, neg_log_evidence
 from pblr.losses import LossSpec
-from pblr.mc import run_validity_study
 from pblr.bounds import hierarchical_bound, model_selection_bounds
 from pblr.subgamma import empirical_mgf_check, nll_subgamma_params, \
     squared_loss_subgamma_params
@@ -160,14 +159,13 @@ def test_criterion_6_bound_comparison_curves():
 def test_criterion_7_bound_coverage():
     start = time.monotonic()
     trials, delta = 500, 0.05
-    report = run_validity_study(exp.default_validity_config(
-        seed=7, trials=trials, n=20, d=3, delta=delta))
+    report = exp.run_coverage(seed=7, trials=trials, n=20, d=3, delta=delta)
     ceiling = delta + 2.0 * math.sqrt(delta * (1.0 - delta) / trials)
     clauses = [
-        (fam.rate <= ceiling,
-         f"{fam.family}: violation rate {fam.rate:.4f} > {ceiling:.4f} "
-         f"({fam.violations}/{fam.trials})")
-        for fam in report.families
+        (fam["rate"] <= ceiling,
+         f"{fam['family']}: violation rate {fam['rate']:.4f} > {ceiling:.4f} "
+         f"({fam['violations']}/{fam['trials']})")
+        for fam in report["families"]
     ]
     elapsed = time.monotonic() - start
     verdict(7, "bound coverage over 500 training draws", clauses, elapsed, 300.0)
@@ -178,14 +176,14 @@ def test_criterion_8_mgf_envelope_domination():
     params = squared_loss_subgamma_params(
         exp.MGF_TASK.input_var, exp.MGF_PRIOR_VAR, exp.MGF_TASK.d,
         exp.MGF_TASK.w_star_sq_norm, exp.MGF_TASK.noise_var)
-    report = empirical_mgf_check(exp.MGF_TASK, exp.MGF_PRIOR_VAR,
-                                 LossSpec.squared(), params, exp.MGF_LAMBDAS,
-                                 1_000_000, seed=8)
+    rows = empirical_mgf_check(exp.MGF_TASK, exp.MGF_PRIOR_VAR,
+                               LossSpec.squared(), params, exp.MGF_LAMBDAS,
+                               1_000_000, seed=8)
     clauses = [
-        (row.psi_hat <= row.envelope + 3.0 * row.band,
-         f"lambda={row.lam}: psi_hat {row.psi_hat:.5f} > envelope "
-         f"{row.envelope:.5f} + 3 band {3 * row.band:.5f}")
-        for row in report.rows
+        (psi_hat <= envelope + 3.0 * band,
+         f"lambda={lam}: psi_hat {psi_hat:.5f} > envelope "
+         f"{envelope:.5f} + 3 band {3 * band:.5f}")
+        for lam, psi_hat, envelope, band in rows
     ]
     elapsed = time.monotonic() - start
     verdict(8, "sub-gamma MGF envelope domination", clauses, elapsed, 120.0)

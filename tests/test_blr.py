@@ -184,8 +184,17 @@ def test_evidence_decomposition_one_point_sums():
 
 
 def test_evidence_report_rejects_violated_identity():
-    with pytest.raises(ValueError):
-        EvidenceReport(neg_log_evidence=1.0, gibbs_emp_risk_total=0.3, kl=0.3)
+    # inf - inf and NaN make the gap NaN, which must fail the check, not pass it
+    for numbers in ((1.0, 0.3, 0.3), (math.inf,) * 3, (math.nan,) * 3):
+        with pytest.raises(ValueError):
+            EvidenceReport(*numbers)
+
+
+def test_overflowing_evidence_fails_closed():
+    # outside pytest the overflow is only a warning, and every term becomes inf
+    design = DesignMatrix(phi=np.array([[1.0]]), labels=np.array([1e200]))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="evidence identity"):
+        evidence_decomposition(fit_posterior(design, UNIT_CFG), design, UNIT_CFG)
 
 
 def test_log_density_ratio_matches_prior_times_likelihood():

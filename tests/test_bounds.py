@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from pblr.blr import ModelConfig, evidence_decomposition, fit_posterior
 from pblr.bounds import (alquier_bound, catoni_bound, catoni_evidence_bound,
-                         hoeffding_psi_bound, subgamma_bound,
-                         subgamma_evidence_bound)
+                         hierarchical_bound, hoeffding_psi_bound, model_selection_bounds,
+                         subgamma_bound, subgamma_evidence_bound)
 from pblr.tasks import DesignMatrix
 
 LN20 = math.log(20.0)
@@ -219,6 +219,33 @@ def test_catoni_evidence_overflow_is_a_value_error():
     # a huge evidence makes e^{a - ln(Z delta)/n} overflow: not finite, not OverflowError
     with pytest.raises(ValueError, match="not finite"):
         catoni_evidence_bound(-1e6, 10, 0.05, 1.0, 4.0)
+
+
+NAN = math.nan
+NAN_CASES = {  # (function, argument) -> a call with that one argument NaN
+    ("alquier_bound", "emp"): lambda: alquier_bound(NAN, 1.0, 10, 0.05, 3.0, 0.5),
+    ("alquier_bound", "kl"): lambda: alquier_bound(0.5, NAN, 10, 0.05, 3.0, 0.5),
+    ("alquier_bound", "lam"): lambda: alquier_bound(0.5, 1.0, 10, 0.05, NAN, 0.5),
+    ("alquier_bound", "psi_bound"): lambda: alquier_bound(0.5, 1.0, 10, 0.05, 3.0, NAN),
+    ("hoeffding_psi_bound", "lam"): lambda: hoeffding_psi_bound(NAN, 10, 1.0, 4.0),
+    ("subgamma_bound", "emp"): lambda: subgamma_bound(NAN, 1.0, 10, 0.05, 0.3, 0.1),
+    ("subgamma_bound", "kl"): lambda: subgamma_bound(0.5, NAN, 10, 0.05, 0.3, 0.1),
+    ("subgamma_evidence_bound", "s2"): lambda: subgamma_evidence_bound(
+        5.0, 10, 0.05, NAN, 0.1),
+    ("subgamma_evidence_bound", "neg_log_evidence"): lambda: subgamma_evidence_bound(
+        NAN, 10, 0.05, 0.3, 0.1),
+    ("model_selection_bounds", "neg_log_evidences"): lambda: model_selection_bounds(
+        [NAN, 1.0], 10, 0.05, 0.3, 0.1),
+    ("hierarchical_bound", "neg_log_evidences"): lambda: hierarchical_bound(
+        [NAN, 1.0], 10, 0.05, 0.3, 0.1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_CASES), ids="-".join)
+def test_nan_argument_is_refused(case):
+    # a NaN bound would otherwise pass every comparison and win np.argmin
+    with pytest.raises(ValueError):
+        NAN_CASES[case]()
 
 
 # ---------------------------------------------------------------- properties

@@ -32,10 +32,15 @@ def test_fig_a_writes_files(tmp_path):
 
 
 def test_rerun_reproduces_identical_bytes(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        assert run(["fig-b", "--seed", 5, "--out", out]) == 0
-    assert (a / "fig_b.csv").read_bytes() == (b / "fig_b.csv").read_bytes()
+    for argv, files in ((["fig-b", "--seed", 5], ["fig_b.csv"]),
+                        (["validate", "--trials", 2, "--mgf-m", 10000],
+                         ["coverage.json", "mgf.csv"]),
+                        (["fig-c", "--n-grid", 10, 100], ["fig_c.csv"])):
+        a, b = tmp_path / argv[0] / "a", tmp_path / argv[0] / "b"
+        for out in (a, b):
+            assert run([*argv, "--out", out]) == 0
+        for name in files:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_fig_b_columns(tmp_path):

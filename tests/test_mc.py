@@ -6,8 +6,8 @@ import pytest
 from pblr.blr import GaussianPosterior, ModelConfig, fit_posterior
 from pblr.losses import LossSpec
 from pblr import mc
-from pblr.mc import (ValidityStudyConfig, _trial_bounds_and_risks,
-                     gibbs_generalization_risk, run_validity_study)
+from pblr.mc import (_trial_bounds_and_risks, gibbs_generalization_risk,
+                     run_validity_study)
 from pblr.tasks import DesignMatrix, LinearTaskSpec, gen_linear_task, identity_design
 
 from oracles import generalization_risk_mc, posterior_draws, precision, sample_posterior
@@ -129,31 +129,36 @@ def test_generalization_risk_agrees_with_monte_carlo(spec):
     assert abs(exact - ref) < 4.0 * ref_se
 
 
-def study_config(**overrides):
+def study_args(**overrides):
+    """run_validity_study's keyword arguments: sample_bounds' own plus trials."""
     base = dict(
         task=LinearTaskSpec(w_star=np.full(3, 0.5 / math.sqrt(3)),
                             input_var=1.0, noise_var=1.0 / 9.0, seed=3),
         model=ModelConfig(noise_var=2.0, prior_var=0.01),
         n=20,
-        trials=5,
+        cropped=LossSpec.cropped(LossSpec.nll(2.0), 1.0, 4.0),
         delta=0.05,
-        cropped_loss=LossSpec.cropped(LossSpec.nll(2.0), 1.0, 4.0),
+        trials=5,
     )
     base.update(overrides)
-    return ValidityStudyConfig(**base)
+    return base
 
 
 def test_small_coverage_study_has_no_violations():
-    report = run_validity_study(study_config(trials=20))
-    for fam in report.families:
-        assert fam.violations == 0, f"{fam.family} violated"
+    report = run_validity_study(**study_args(trials=20))
+    for fam in report["families"]:
+        assert fam["violations"] == 0, f"{fam['family']} violated"
 
 
 def test_coverage_report_deterministic_and_echoes_config():
-    a = run_validity_study(study_config())
-    b = run_validity_study(study_config())
-    assert a.as_dict() == b.as_dict()
-    echo = a.as_dict()["config"]
+    a = run_validity_study(**study_args())
+    b = run_validity_study(**study_args())
+    assert a == b
+    # coverage.json keeps the order the dict is built in
+    assert list(a) == ["delta", "families", "config"]
+    for fam in a["families"]:
+        assert list(fam) == ["family", "trials", "violations", "rate"]
+    echo = a["config"]
     for key in ("n", "trials", "delta", "seed", "d", "sigma2", "sigma_pi2", "crop"):
         assert key in echo
     assert "m_weights" not in echo  # the risk is exact: nothing is sampled
@@ -161,10 +166,10 @@ def test_coverage_report_deterministic_and_echoes_config():
 
 
 def test_study_config_validation():
-    with pytest.raises(ValueError):
-        study_config(cropped_loss=None)  # bounded families need a crop
-    with pytest.raises(ValueError):
-        study_config(trials=0)
+    with pytest.raises(ValueError, match="cropped loss"):
+        run_validity_study(**study_args(cropped=None))  # bounded families need a crop
+    with pytest.raises(ValueError, match="trials"):
+        run_validity_study(**study_args(trials=0))
 
 
 @pytest.mark.parametrize("position, bad", [(0, math.nan), (0, math.inf),
@@ -174,19 +179,21 @@ def test_nonfinite_trial_value_raises(monkeypatch, position, bad):
     values = [1.0, 0.5]  # (bound, risk)
     values[position] = bad
     monkeypatch.setattr(mc, "_trial_bounds_and_risks",
-                        lambda cfg, trial: {"subgamma": tuple(values)})
+                        lambda *args: {"subgamma": tuple(values)})
     with pytest.raises(ValueError, match="finite"):
-        run_validity_study(study_config())
+        run_validity_study(**study_args())
 
 
 @pytest.mark.parametrize("risk, violations", [(1.0, 0), (1.0 + 1e-15, 1)])
 def test_violation_is_risk_above_bound(monkeypatch, risk, violations):
     monkeypatch.setattr(mc, "_trial_bounds_and_risks",
-                        lambda cfg, trial: {"subgamma": (1.0, risk)})
-    report = run_validity_study(study_config(trials=1))
-    assert report.families[0].violations == violations
+                        lambda *args: {"subgamma": (1.0, risk)})
+    report = run_validity_study(**study_args(trials=1))
+    assert report["families"][0]["violations"] == violations
 
 
 def test_coverage_trial_factors_once(cholesky_calls):
-    _trial_bounds_and_risks(study_config(), 0)
+    args = study_args()
+    del args["trials"]  # one trial: its index replaces the count
+    _trial_bounds_and_risks(**args, trial=0)
     assert len(cholesky_calls) == 1

@@ -7,7 +7,7 @@ from pblr import __version__, rng
 from pblr.cli import main
 from pblr.experiments import run_validate
 from pblr.losses import LossSpec
-from pblr.subgamma import (SubGammaParams, empirical_mgf_check,
+from pblr.subgamma import (SubGammaParams, dominated, empirical_mgf_check,
                            nll_subgamma_params, squared_loss_subgamma_params,
                            subgamma_envelope)
 from pblr.tasks import LinearTaskSpec
@@ -99,20 +99,19 @@ def small_variance_params():
 
 def test_mgf_mean_zero_deviation_at_small_lambda():
     params = small_variance_params()
-    report = empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
-                                 params, [0.01], 50_000, seed=3)
-    row = report.rows[0]
+    [(lam, psi_hat, _, band)] = empirical_mgf_check(
+        SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(), params, [0.01], 50_000, seed=3)
     # psi(lambda)/lambda -> E[V] = 0; psi_hat itself is O(lambda^2)
-    assert abs(row.psi_hat) <= 4.0 * row.band + 1e-3 * row.lam
+    assert abs(psi_hat) <= 4.0 * band + 1e-3 * lam
 
 
 def test_mgf_envelope_dominates_on_default_grid():
     params = small_variance_params()
-    report = empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
-                                 params, [0.25, 0.5, 1.0], 100_000, seed=4)
-    assert report.all_dominated()
-    for row in report.rows:
-        assert row.psi_hat <= row.envelope + 3.0 * row.band
+    rows = empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
+                               params, [0.25, 0.5, 1.0], 100_000, seed=4)
+    assert all(map(dominated, rows))
+    for _, psi_hat, envelope, band in rows:
+        assert psi_hat <= envelope + 3.0 * band
 
 
 def test_mgf_nll_uses_affine_map():
@@ -121,13 +120,15 @@ def test_mgf_nll_uses_affine_map():
     params = small_variance_params()
     sigma2 = 2.0
     lam_nll = 0.25
-    sq = empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
-                             params, [lam_nll / (2.0 * sigma2)], 20_000, seed=5)
+    [(_, psi_sq, _, _)] = empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
+                                              params, [lam_nll / (2.0 * sigma2)], 20_000,
+                                              seed=5)
     nll_params = SubGammaParams(s2=params.s2 / (2.0 * sigma2) ** 2,
                                 c=params.c / (2.0 * sigma2))
-    nl = empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.nll(sigma2),
-                             nll_params, [lam_nll], 20_000, seed=5)
-    assert nl.rows[0].psi_hat == pytest.approx(sq.rows[0].psi_hat, rel=1e-10)
+    [(_, psi_nll, _, _)] = empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR,
+                                               LossSpec.nll(sigma2), nll_params, [lam_nll],
+                                               20_000, seed=5)
+    assert psi_nll == pytest.approx(psi_sq, rel=1e-10)
 
 
 def test_mgf_grid_validation():
@@ -145,11 +146,11 @@ def test_mgf_grid_validation():
                             SubGammaParams(s2=params.s2, c=0.1 * params.c),
                             [1.5 * inv_c], 20_000, seed=0)
     # the conditional MGF is bounded on all of (0, 1/c): a finite band up to 1/c
-    report = empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
-                                 params, [0.6 * inv_c, 0.9 * inv_c, 0.99 * inv_c],
-                                 20_000, seed=0)
-    for row in report.rows:
-        assert np.isfinite(row.psi_hat) and 0.0 < row.band < np.inf
+    rows = empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
+                               params, [0.6 * inv_c, 0.9 * inv_c, 0.99 * inv_c],
+                               20_000, seed=0)
+    for _, psi_hat, _, band in rows:
+        assert np.isfinite(psi_hat) and 0.0 < band < np.inf
 
 
 MGF_CHECK_LAMBDAS = (0.25, 0.5, 1.0)
@@ -157,7 +158,7 @@ MGF_CHECK_SEEDS = range(5)
 MGF_CHECK_M = 20_000
 
 
-def mgf_check_reports():
+def mgf_check_rows():
     params = small_variance_params()
     for seed in MGF_CHECK_SEEDS:
         yield seed, empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
@@ -165,46 +166,45 @@ def mgf_check_reports():
 
 
 def test_mgf_band_matches_bootstrap_on_same_draws():
-    for seed, report in mgf_check_reports():
+    for seed, rows in mgf_check_rows():
         z = rng.stream(seed, rng.MGF_TAG).standard_normal(MGF_CHECK_M)
-        for row in report.rows:
-            log_e = squared_log_mgf_given_z(row.lam, z, SMALL_TASK.w_star,
+        for lam, _, _, band in rows:
+            log_e = squared_log_mgf_given_z(lam, z, SMALL_TASK.w_star,
                                             SMALL_TASK.input_var, SMALL_TASK.noise_var,
                                             SMALL_PRIOR_VAR)
             (se,) = bootstrap_log_mgf_se(log_e, [1.0], reps=400, seed=seed)
-            assert abs(row.band / se - 1.0) <= 0.2, (seed, row.lam, row.band, se)
+            assert abs(band / se - 1.0) <= 0.2, (seed, lam, band, se)
 
 
 def test_mgf_psi_hat_within_four_se_of_plain_sampling():
     # plain draws of (w, x, y), not the conditional MGF the check averages
-    for seed, report in mgf_check_reports():
+    for seed, rows in mgf_check_rows():
         plain = plain_log_mgf_mc(MGF_CHECK_LAMBDAS, SMALL_TASK.w_star, SMALL_TASK.input_var,
                                  SMALL_TASK.noise_var, SMALL_PRIOR_VAR, 200_000, seed + 100)
-        for row, (psi, se) in zip(report.rows, plain):
-            combined = np.hypot(row.band, se)
-            assert abs(row.psi_hat - psi) <= 4.0 * combined, (seed, row.lam)
+        for (lam, psi_hat, _, band), (psi, se) in zip(rows, plain):
+            combined = np.hypot(band, se)
+            assert abs(psi_hat - psi) <= 4.0 * combined, (seed, lam)
 
 
 def test_mgf_psi_hat_within_four_bands_of_quadrature():
     exact = [squared_log_mgf_quadrature(lam, SMALL_TASK.w_star, SMALL_TASK.input_var,
                                         SMALL_TASK.noise_var, SMALL_PRIOR_VAR)
              for lam in MGF_CHECK_LAMBDAS]
-    for seed, report in mgf_check_reports():
-        for row, psi in zip(report.rows, exact):
-            assert row.band > 0
-            assert abs(row.psi_hat - psi) <= 4.0 * row.band, (seed, row.lam)
+    for seed, rows in mgf_check_rows():
+        for (lam, psi_hat, _, band), psi in zip(rows, exact):
+            assert band > 0
+            assert abs(psi_hat - psi) <= 4.0 * band, (seed, lam)
 
 
 def test_mgf_report_csv(tmp_path):
-    # mgf.csv as `pblr validate` writes it, against the report it was written from
+    # mgf.csv as `pblr validate` writes it, against the rows it was written from
     main(["validate", "--seed", "6", "--trials", "1", "--mgf-m", "10000",
           "--out", str(tmp_path)])
-    _, report, _ = run_validate(seed=6, trials=1, mgf_m=10_000)
+    _, rows, _ = run_validate(seed=6, trials=1, mgf_m=10_000)
     lines = (tmp_path / "mgf.csv").read_text(encoding="utf-8").strip().split("\n")
     assert lines[:4] == [f"# tool_version = {__version__}", "# seed = 6",
                          "# m = 10000", "# loss = squared"]
     assert lines[4] == "lambda,psi_hat,envelope,band"
-    assert len(lines) == 5 + len(report.rows)
-    for line, row in zip(lines[5:], report.rows):
-        assert tuple(float(v) for v in line.split(",")) == \
-            (row.lam, row.psi_hat, row.envelope, row.band)
+    assert len(lines) == 5 + len(rows)
+    for line, row in zip(lines[5:], rows):
+        assert tuple(float(v) for v in line.split(",")) == row
