@@ -143,13 +143,9 @@ def cmd_fig_b(args) -> int:
     _require_variances(args)
     out = args.out
     if args.seeds > 1:  # selection needs only the evidence: no test set
-        wins = collections.Counter()
-        for k in range(args.seeds):
-            family = exp.polynomial_family(seed=args.seed + k, n=args.n,
-                                           sigma2=args.sigma2, sigma_pi2=args.sigma_pi2,
-                                           degrees=args.degrees)
-            # min keeps the first of tied evidences: the degree listed first wins
-            wins[min(family, key=lambda pair: pair[1].neg_log_evidence)[0]] += 1
+        wins = collections.Counter(exp.selected_degrees(
+            seed=args.seed, seeds=args.seeds, n=args.n, sigma2=args.sigma2,
+            sigma_pi2=args.sigma_pi2, degrees=args.degrees).tolist())
         exp.write_csv(out / "fig_b_selection.csv", ("degree", "wins"), sorted(wins.items()),
                       {**_sine_meta(args), "seeds": args.seeds})
         print(f"wrote {out / 'fig_b_selection.csv'}")

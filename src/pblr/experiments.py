@@ -1,9 +1,13 @@
 """Reproductions of the two synthetic studies, emitting plot-ready tables.
 
 fig_a / fig_b: polynomial models of degree 1..7 fitted to 15 noisy sine
-samples, with the evidence split per degree. fig_c: bound values against
-training-set size for the 20-dimensional Gaussian linear task. validate:
-coverage of the bounds over repeated draws plus the MGF envelope check.
+samples, with the evidence split per degree; each draws its sample once and
+fits every degree with the per-fit path. The fig-b seed scan
+(`selected_degrees`) needs only the evidence of each (seed, degree), so it
+stacks up to SCAN_BLOCK seeds into one batched fit per degree. fig_c: bound
+values against training-set size for the 20-dimensional Gaussian linear
+task. validate: coverage of the bounds over repeated draws plus the MGF
+envelope check.
 """
 
 import math
@@ -11,13 +15,14 @@ import math
 import numpy as np
 
 from . import __version__, rng
-from .blr import ModelConfig, evidence_decomposition, fit_posterior
+from .blr import (ModelConfig, evidence_decomposition, fit_posterior,
+                  stacked_neg_log_evidence)
 from .losses import LossSpec, empirical_gibbs_risk
 from .mc import gibbs_generalization_risk, run_validity_study, sample_bounds
 from .subgamma import (dominated, empirical_mgf_check, nll_subgamma_params,
                        squared_loss_subgamma_params)
 from .tasks import (TWO_PI, LinearTaskSpec, SineTaskSpec, gen_sine_task,
-                    polynomial_design)
+                    polynomial_design, polynomial_features)
 
 DEFAULT_SEED = 1
 
@@ -27,6 +32,7 @@ SINE_NOISE_VAR = 0.25
 SINE_SIGMA2 = 0.5
 SINE_SIGMA_PI2 = 1.0 / 0.005
 DEFAULT_DEGREES = tuple(range(1, 8))
+SCAN_BLOCK = 1024  # seeds per stacked fit in the seed scan: memory stays flat in the seed count
 
 # linear-task bound comparison defaults
 LINREG_D = 20
@@ -67,11 +73,16 @@ def write_csv(path, columns, rows, metadata) -> None:
                               for v in row) + "\n")
 
 
-def _polynomial_fits(seed, n, noise_var, sigma2, sigma_pi2, degrees) -> tuple:
-    """The sine sample and one (degree, posterior, EvidenceReport) per degree, in order."""
+def _checked_degrees(degrees) -> tuple:
     degrees = tuple(int(d) for d in degrees)
     if not degrees or any(d < 1 for d in degrees):
         raise ValueError("polynomial degrees must be >= 1")
+    return degrees
+
+
+def _polynomial_fits(seed, n, noise_var, sigma2, sigma_pi2, degrees) -> tuple:
+    """The sine sample and one (degree, posterior, EvidenceReport) per degree, in order."""
+    degrees = _checked_degrees(degrees)
     dataset = gen_sine_task(SineTaskSpec(n=n, noise_var=noise_var, seed=seed))
     cfg = ModelConfig(noise_var=sigma2, prior_var=sigma_pi2)
     fits = []
@@ -91,8 +102,7 @@ def run_fig_a(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
     grid = np.linspace(0.0, TWO_PI, grid_size)
     rows = []
     for degree, post, _ in fits:
-        phi = grid[:, None] ** np.arange(degree + 1)[None, :]
-        preds = phi @ post.mean
+        preds = polynomial_features(grid, degree) @ post.mean
         rows.extend((degree, float(x), float(p)) for x, p in zip(grid, preds))
     return dataset, rows
 
@@ -118,6 +128,41 @@ def polynomial_family(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
     """(degree, EvidenceReport) pairs in the order of `degrees`, fitted on one sine sample."""
     _, fits = _polynomial_fits(seed, n, noise_var, sigma2, sigma_pi2, degrees)
     return tuple((degree, report) for degree, _, report in fits)
+
+
+def _stacked_evidences(seeds, n, noise_var, cfg, degrees) -> np.ndarray:
+    """(len(seeds), len(degrees)) negative log evidences: one stacked fit per degree."""
+    samples = [gen_sine_task(SineTaskSpec(n=n, noise_var=noise_var, seed=s)) for s in seeds]
+    xs = np.stack([sample.raw_inputs for sample in samples])
+    labels = np.stack([sample.labels for sample in samples])
+    return np.stack([stacked_neg_log_evidence(polynomial_features(xs, degree), labels, cfg)
+                     for degree in degrees], axis=1)
+
+
+def selected_degrees(seeds, seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
+                     sigma2=SINE_SIGMA2, sigma_pi2=SINE_SIGMA_PI2,
+                     degrees=DEFAULT_DEGREES) -> np.ndarray:
+    """The highest-evidence degree of each of the sine samples seed, ..., seed + seeds - 1.
+
+    Draws the same samples as `polynomial_family` and keeps the first of tied
+    evidences, so the degree listed first wins a tie. A sample that fails a
+    fit check raises the error the per-seed path gives first, in seed order.
+    """
+    if seeds < 1:
+        raise ValueError(f"seeds must be at least 1, got {seeds}")
+    degrees = _checked_degrees(degrees)
+    cfg = ModelConfig(noise_var=sigma2, prior_var=sigma_pi2)
+    best = []
+    for start in range(seed, seed + seeds, SCAN_BLOCK):
+        block = range(start, min(start + SCAN_BLOCK, seed + seeds))
+        try:
+            nle = _stacked_evidences(block, n, noise_var, cfg, degrees)
+        except ValueError:
+            for s in block:  # the stacked fits fail degree by degree, not seed by seed
+                polynomial_family(s, n, noise_var, sigma2, sigma_pi2, degrees)
+            raise
+        best.append(np.asarray(degrees)[np.argmin(nle, axis=1)])
+    return np.concatenate(best)
 
 
 def _linear_setup(seed, d, sigma2, sigma_pi2, crop):

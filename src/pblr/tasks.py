@@ -116,20 +116,23 @@ class LinearTaskSpec:
         return self.input_var * np.einsum("...i,...i->...", diff, diff) + self.noise_var
 
 
-def polynomial_design(dataset: Dataset, degree: int) -> DesignMatrix:
-    """Build the n x (degree+1) design matrix [1, x, ..., x^degree] for scalar inputs.
+def polynomial_features(xs: np.ndarray, degree: int) -> np.ndarray:
+    """Powers [1, x, ..., x^degree] along a new last axis, for an array of scalar inputs.
 
-    Overflow produces non-finite entries; DesignMatrix rejects those on
-    construction.
+    Overflow produces non-finite entries, without a warning; the fits reject them.
     """
-    xs = np.asarray(dataset.raw_inputs, dtype=float)
-    if xs.ndim != 1:
-        raise ValueError("polynomial features need scalar inputs")
     if degree < 0:
         raise ValueError("degree must be non-negative")
     with np.errstate(over="ignore"):
-        phi = xs[:, None] ** np.arange(degree + 1)[None, :]
-    return DesignMatrix(phi=phi, labels=dataset.labels)
+        return np.asarray(xs, dtype=float)[..., None] ** np.arange(degree + 1)
+
+
+def polynomial_design(dataset: Dataset, degree: int) -> DesignMatrix:
+    """Build the n x (degree+1) design matrix [1, x, ..., x^degree] for scalar inputs."""
+    if dataset.raw_inputs.ndim != 1:
+        raise ValueError("polynomial features need scalar inputs")
+    return DesignMatrix(phi=polynomial_features(dataset.raw_inputs, degree),
+                        labels=dataset.labels)
 
 
 def identity_design(dataset: Dataset) -> DesignMatrix:

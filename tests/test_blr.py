@@ -6,8 +6,8 @@ import pytest
 from pblr import blr
 from pblr.blr import (EvidenceReport, ModelConfig, evidence_decomposition,
                       fit_posterior, gaussian_kl, gibbs_expected_empirical_nll,
-                      neg_log_evidence)
-from pblr.tasks import DesignMatrix
+                      neg_log_evidence, stacked_neg_log_evidence)
+from pblr.tasks import DesignMatrix, polynomial_features
 
 from oracles import (kl_gaussians, nle_full_covariance, nle_sequential_1d,
                      precision, ridge_minimizer_gd, sample_posterior)
@@ -190,6 +190,15 @@ def test_evidence_report_rejects_violated_identity():
             EvidenceReport(*numbers)
 
 
+def test_evidence_report_reads_rounding_kl_as_zero():
+    # fig-c at sigma_pi2 = 1e-15 gives a KL of about -1.1e-13 from rounding alone
+    report = EvidenceReport(2.0, 2.0, -1.14e-13)
+    assert report.kl == 0.0 and type(report.kl) is float
+    assert EvidenceReport(2.0, 1.5, 0.5).kl == 0.5
+    with pytest.raises(ValueError, match="KL must be non-negative, got -1e-09"):
+        EvidenceReport(2.0, 2.0 + 1e-9, -1e-9)
+
+
 def test_overflowing_evidence_fails_closed():
     # outside pytest the overflow is only a warning, and every term becomes inf
     design = DesignMatrix(phi=np.array([[1.0]]), labels=np.array([1e200]))
@@ -269,3 +278,41 @@ def test_predictive_var_matches_explicit_inverse():
         phi = rng.standard_normal((int(rng.integers(1, 40)), post.d))
         ref = np.einsum("ij,jk,ik->i", phi, np.linalg.inv(precision(post)), phi)
         assert np.allclose(post.predictive_var(phi), ref, rtol=1e-10, atol=0.0)
+
+
+def test_stacked_evidence_matches_per_fit_path():
+    rng = np.random.default_rng(12)
+    for n, d in ((0, 2), (1, 1), (7, 3), (40, 6)):
+        cfg = ModelConfig(noise_var=float(rng.uniform(0.2, 3.0)),
+                          prior_var=float(rng.uniform(0.2, 5.0)))
+        phi = rng.standard_normal((5, n, d))
+        labels = rng.standard_normal((5, n))
+        stacked = stacked_neg_log_evidence(phi, labels, cfg)
+        assert stacked.shape == (5,)
+        per_fit = [neg_log_evidence(DesignMatrix(phi=p, labels=y), cfg)
+                   for p, y in zip(phi, labels)]
+        np.testing.assert_allclose(stacked, per_fit, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("phi, labels, cfg, message", [
+    (np.ones((2, 3, 2)), np.ones((2, 2)), UNIT_CFG, "need phi of shape"),
+    (np.full((2, 3, 2), np.inf), np.ones((2, 3)), UNIT_CFG,
+     "design matrix contains non-finite entries"),
+    (np.ones((2, 3, 2)), np.full((2, 3), np.nan), UNIT_CFG,
+     "labels contain non-finite entries"),
+    (np.ones((2, 3, 2)), np.ones((2, 3)), ModelConfig(noise_var=1e-310, prior_var=1.0),
+     "posterior precision is not finite at noise_var = 1e-310, prior_var = 1.0"),
+    (polynomial_features(np.linspace(0.1, 2 * np.pi, 30).reshape(2, 15), 40),
+     np.zeros((2, 15)), ModelConfig(noise_var=0.5, prior_var=200.0),
+     "posterior precision is not positive definite at d = 41, "
+     "noise_var = 0.5, prior_var = 200.0"),
+    (np.array([[[1.0]], [[1.0]]]), np.array([[1.0], [1e200]]), UNIT_CFG,
+     "evidence identity violated"),
+], ids=["shape", "design", "labels", "precision-inf", "indefinite", "identity"])
+def test_stacked_evidence_fails_closed(phi, labels, cfg, message):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+        stacked_neg_log_evidence(phi, labels, cfg)
+    if phi.ndim == 3 and labels.shape == phi.shape[:2]:  # the per-fit path says the same
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+            for p, y in zip(phi, labels):
+                neg_log_evidence(DesignMatrix(phi=p, labels=y), cfg)

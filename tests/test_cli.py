@@ -197,12 +197,45 @@ def test_negative_seed_from_env_names_the_flag(tmp_path, capsys, monkeypatch, co
     (["fig-b", "--sigma2", "1e-300"], "fig_b.csv"),
     (["fig-c", "--sigma-pi2", "1e-320", "--n-grid", 10], "fig_c.csv"),
     (["fig-b", "--degrees", 40], "fig_b.csv"),
-], ids=["fig-b-sigma2", "fig-c-sigma-pi2", "fig-b-degree-40"])
+    (["fig-b", "--seeds", 3, "--sigma2", "1e-300"], "fig_b_selection.csv"),
+    (["fig-b", "--seeds", 3, "--degrees", 40], "fig_b_selection.csv"),
+    (["fig-b", "--seeds", 3, "--degrees", 7, 12, 14], "fig_b_selection.csv"),
+], ids=["fig-b-sigma2", "fig-c-sigma-pi2", "fig-b-degree-40", "scan-sigma2",
+        "scan-degree-40", "scan-degrees-7-12-14"])
 def test_nonfinite_precision_fails_closed(tmp_path, capsys, argv, csv):
     assert run([*argv, "--out", tmp_path]) == 1
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and "noise_var" in err[0] and "prior_var" in err[0]
     assert not (tmp_path / csv).exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    # seeds 1 and 2 fit degree 14; seed 3 is the first that cannot
+    (["--seed", 1, "--seeds", 3, "--degrees", 7, 12, 14],
+     "posterior precision is not positive definite at d = 15, noise_var = 0.5, "
+     "prior_var = 200.0"),
+    (["--seed", 1, "--seeds", 3, "--degrees", 400], "design matrix contains non-finite entries"),
+    # seed 3 fails at degree 14, but seed 0 fails first, at degree 15
+    (["--seed", 0, "--seeds", 4, "--degrees", 14, 15],
+     "posterior precision is not positive definite at d = 16, noise_var = 0.5, "
+     "prior_var = 200.0"),
+], ids=["degrees-7-12-14", "degree-400", "seed-order"])
+def test_seed_scan_fails_closed_with_the_per_seed_error(tmp_path, capsys, argv, message):
+    assert run(["fig-b", *argv, "--out", tmp_path]) == 1
+    assert capsys.readouterr().err.strip().split("\n") == [f"error: {message}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sigma_pi2", ["1e-15", "1e-16", "1e-17"])
+def test_rounding_negative_kl_reaches_the_bounds_as_zero(tmp_path, sigma_pi2):
+    # the KL of a posterior pinned to the prior comes out near -1e-13 from rounding
+    for seed in range(1, 6):
+        out = tmp_path / str(seed)
+        assert run(["fig-c", "--seed", seed, "--sigma-pi2", sigma_pi2,
+                    "--n-grid", 10, 1000, "--out", out]) == 0
+        lines = (out / "fig_c.csv").read_text(encoding="utf-8").strip().split("\n")
+        rows = [l for l in lines if not l.startswith("#")][1:]
+        assert len(rows) == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from pblr import experiments as exp
@@ -124,3 +125,46 @@ def test_sine_study_fits_each_degree_once(cholesky_calls, run_sine):
 def test_fig_c_factors_each_sample_size_once(cholesky_calls):
     exp.run_fig_c(n_grid=(10, 100, 1000))
     assert len(cholesky_calls) == 3
+
+
+def test_seed_scan_evidence_matches_per_seed_fits():
+    cfg = exp.ModelConfig(noise_var=exp.SINE_SIGMA2, prior_var=exp.SINE_SIGMA_PI2)
+    stacked = exp._stacked_evidences(range(200), exp.SINE_N, exp.SINE_NOISE_VAR, cfg,
+                                     exp.DEFAULT_DEGREES)
+    per_seed = np.array([[report.neg_log_evidence for _, report in
+                          exp.polynomial_family(seed=seed)] for seed in range(200)])
+    rel = np.abs(stacked - per_seed) / np.abs(per_seed)
+    # the normal equations lose accuracy with cond(A), which grows with the degree
+    assert rel[:, :3].max() <= 1e-12
+    assert rel[:, 3:].max() <= 1e-7
+
+
+def test_seed_scan_blocks_keep_the_per_seed_winners(monkeypatch):
+    monkeypatch.setattr(exp, "SCAN_BLOCK", 16)  # 100 seeds cross six block boundaries
+    expected = []
+    for seed in range(30, 130):
+        nles = [report.neg_log_evidence for _, report in exp.polynomial_family(seed=seed)]
+        expected.append(exp.DEFAULT_DEGREES[nles.index(min(nles))])
+    assert exp.selected_degrees(seed=30, seeds=100).tolist() == expected
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"degrees": (40,)}, {"degrees": (7, 12, 14)}, {"degrees": (400,)}, {"sigma2": 1e-300},
+], ids=["degree-40", "degrees-7-12-14", "degree-400", "sigma2-1e-300"])
+def test_stacked_fits_fail_as_the_per_seed_path(kwargs):
+    cfg = exp.ModelConfig(noise_var=kwargs.get("sigma2", exp.SINE_SIGMA2),
+                          prior_var=exp.SINE_SIGMA_PI2)
+    with pytest.raises(ValueError) as per_seed:
+        for seed in (1, 2, 3):
+            exp.polynomial_family(seed=seed, **kwargs)
+    with pytest.raises(ValueError) as stacked:
+        exp._stacked_evidences((1, 2, 3), exp.SINE_N, exp.SINE_NOISE_VAR, cfg,
+                               kwargs.get("degrees", exp.DEFAULT_DEGREES))
+    assert str(stacked.value) == str(per_seed.value)
+
+
+def test_seed_scan_uses_no_per_seed_fit(cholesky_calls):
+    assert len(exp.selected_degrees(seed=0, seeds=50)) == 50
+    assert cholesky_calls == []
+    with pytest.raises(ValueError, match="seeds must be at least 1, got 0"):
+        exp.selected_degrees(seeds=0)
