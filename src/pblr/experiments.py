@@ -130,23 +130,25 @@ def polynomial_family(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
     return tuple((degree, report) for degree, _, report in fits)
 
 
-def _stacked_evidences(seeds, n, noise_var, cfg, degrees) -> np.ndarray:
+def _stacked_evidences(seeds, n, cfg, degrees) -> np.ndarray:
     """(len(seeds), len(degrees)) negative log evidences: one stacked fit per degree."""
-    samples = [gen_sine_task(SineTaskSpec(n=n, noise_var=noise_var, seed=s)) for s in seeds]
+    samples = [gen_sine_task(SineTaskSpec(n=n, noise_var=SINE_NOISE_VAR, seed=s))
+               for s in seeds]
     xs = np.stack([sample.raw_inputs for sample in samples])
     labels = np.stack([sample.labels for sample in samples])
     return np.stack([stacked_neg_log_evidence(polynomial_features(xs, degree), labels, cfg)
                      for degree in degrees], axis=1)
 
 
-def selected_degrees(seeds, seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
-                     sigma2=SINE_SIGMA2, sigma_pi2=SINE_SIGMA_PI2,
-                     degrees=DEFAULT_DEGREES) -> np.ndarray:
+def selected_degrees(seeds, seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2,
+                     sigma_pi2=SINE_SIGMA_PI2, degrees=DEFAULT_DEGREES) -> np.ndarray:
     """The highest-evidence degree of each of the sine samples seed, ..., seed + seeds - 1.
 
     Draws the same samples as `polynomial_family` and keeps the first of tied
-    evidences, so the degree listed first wins a tie. A sample that fails a
-    fit check raises the error the per-seed path gives first, in seed order.
+    evidences, so the degree listed first wins a tie. A block whose stacked
+    fit fails a check is refitted seed by seed with `polynomial_family`: a
+    sample that fails there raises its error, in seed order, and otherwise the
+    block's winners come from those per-seed fits.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be at least 1, got {seeds}")
@@ -156,11 +158,10 @@ def selected_degrees(seeds, seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VA
     for start in range(seed, seed + seeds, SCAN_BLOCK):
         block = range(start, min(start + SCAN_BLOCK, seed + seeds))
         try:
-            nle = _stacked_evidences(block, n, noise_var, cfg, degrees)
-        except ValueError:
-            for s in block:  # the stacked fits fail degree by degree, not seed by seed
-                polynomial_family(s, n, noise_var, sigma2, sigma_pi2, degrees)
-            raise
+            nle = _stacked_evidences(block, n, cfg, degrees)
+        except ValueError:  # the stacked fits fail degree by degree, not seed by seed
+            nle = np.array([[report.neg_log_evidence for _, report in polynomial_family(
+                s, n, sigma2=sigma2, sigma_pi2=sigma_pi2, degrees=degrees)] for s in block])
         best.append(np.asarray(degrees)[np.argmin(nle, axis=1)])
     return np.concatenate(best)
 

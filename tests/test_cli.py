@@ -199,9 +199,8 @@ def test_negative_seed_from_env_names_the_flag(tmp_path, capsys, monkeypatch, co
     (["fig-b", "--degrees", 40], "fig_b.csv"),
     (["fig-b", "--seeds", 3, "--sigma2", "1e-300"], "fig_b_selection.csv"),
     (["fig-b", "--seeds", 3, "--degrees", 40], "fig_b_selection.csv"),
-    (["fig-b", "--seeds", 3, "--degrees", 7, 12, 14], "fig_b_selection.csv"),
 ], ids=["fig-b-sigma2", "fig-c-sigma-pi2", "fig-b-degree-40", "scan-sigma2",
-        "scan-degree-40", "scan-degrees-7-12-14"])
+        "scan-degree-40"])
 def test_nonfinite_precision_fails_closed(tmp_path, capsys, argv, csv):
     assert run([*argv, "--out", tmp_path]) == 1
     err = capsys.readouterr().err.strip().split("\n")

@@ -129,8 +129,7 @@ def test_fig_c_factors_each_sample_size_once(cholesky_calls):
 
 def test_seed_scan_evidence_matches_per_seed_fits():
     cfg = exp.ModelConfig(noise_var=exp.SINE_SIGMA2, prior_var=exp.SINE_SIGMA_PI2)
-    stacked = exp._stacked_evidences(range(200), exp.SINE_N, exp.SINE_NOISE_VAR, cfg,
-                                     exp.DEFAULT_DEGREES)
+    stacked = exp._stacked_evidences(range(200), exp.SINE_N, cfg, exp.DEFAULT_DEGREES)
     per_seed = np.array([[report.neg_log_evidence for _, report in
                           exp.polynomial_family(seed=seed)] for seed in range(200)])
     rel = np.abs(stacked - per_seed) / np.abs(per_seed)
@@ -139,13 +138,25 @@ def test_seed_scan_evidence_matches_per_seed_fits():
     assert rel[:, 3:].max() <= 1e-7
 
 
+def _per_seed_winners(seeds):
+    winners = []
+    for seed in seeds:
+        nles = [report.neg_log_evidence for _, report in exp.polynomial_family(seed=seed)]
+        winners.append(exp.DEFAULT_DEGREES[nles.index(min(nles))])
+    return winners
+
+
 def test_seed_scan_blocks_keep_the_per_seed_winners(monkeypatch):
     monkeypatch.setattr(exp, "SCAN_BLOCK", 16)  # 100 seeds cross six block boundaries
-    expected = []
-    for seed in range(30, 130):
-        nles = [report.neg_log_evidence for _, report in exp.polynomial_family(seed=seed)]
-        expected.append(exp.DEFAULT_DEGREES[nles.index(min(nles))])
-    assert exp.selected_degrees(seed=30, seeds=100).tolist() == expected
+    assert exp.selected_degrees(seed=30, seeds=100).tolist() == _per_seed_winners(range(30, 130))
+
+
+def test_seed_scan_takes_the_per_seed_winners_when_a_stacked_fit_fails(monkeypatch):
+    def refuse(*args):
+        raise ValueError("stacked fit refused")
+    monkeypatch.setattr(exp, "SCAN_BLOCK", 16)
+    monkeypatch.setattr(exp, "stacked_neg_log_evidence", refuse)
+    assert exp.selected_degrees(seed=30, seeds=20).tolist() == _per_seed_winners(range(30, 50))
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -158,7 +169,7 @@ def test_stacked_fits_fail_as_the_per_seed_path(kwargs):
         for seed in (1, 2, 3):
             exp.polynomial_family(seed=seed, **kwargs)
     with pytest.raises(ValueError) as stacked:
-        exp._stacked_evidences((1, 2, 3), exp.SINE_N, exp.SINE_NOISE_VAR, cfg,
+        exp._stacked_evidences((1, 2, 3), exp.SINE_N, cfg,
                                kwargs.get("degrees", exp.DEFAULT_DEGREES))
     assert str(stacked.value) == str(per_seed.value)
 
