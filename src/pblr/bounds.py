@@ -5,8 +5,9 @@ probability at least 1 - delta over the draw of the training sample. The
 evidence forms take the negative log marginal likelihood directly and are
 evaluated in log space, so they stay finite when the evidence itself
 underflows (n up to 1e6 and beyond). For the NLL loss at the Bayes
-posterior, -ln Z = n * (Gibbs empirical risk) + KL, so each direct bound is
-its evidence form evaluated at n * emp + kl; the two share one formula.
+posterior, -ln Z = n * (Gibbs empirical risk) + KL, so the sub-gamma bound
+is stated once, in its evidence form; its direct form emp + (kl +
+ln(1/delta))/n + s^2/(2(1-c)) is that form at -ln Z = n * emp + kl.
 
 Model selection and averaging take a finite family of models, each given
 by its negative log evidence -ln Z_i on the same n training points.
@@ -17,11 +18,8 @@ and is never looser.
 """
 
 import math
-import sys
 
 import numpy as np
-
-_MAX_EXP = math.log(sys.float_info.max)  # largest x with a finite exp(x)
 
 
 def _check_common(kl: float, n: int, delta: float) -> None:
@@ -33,15 +31,6 @@ def _check_common(kl: float, n: int, delta: float) -> None:
         raise ValueError("delta must lie in (0, 1]")
 
 
-def _catoni(exponent: float, a: float, b: float) -> float:
-    """a + (b-a)/(1-e^{a-b}) [1 - e^exponent], refusing an exponent that overflows."""
-    if not a < b:
-        raise ValueError("need a < b")
-    if not exponent <= _MAX_EXP:  # also catches NaN
-        raise ValueError(f"Catoni bound is not finite (exponent {exponent})")
-    return a + (b - a) / (1.0 - math.exp(a - b)) * (1.0 - math.exp(exponent))
-
-
 def catoni_bound(emp: float, kl: float, n: int, delta: float,
                  a: float, b: float) -> float:
     """Bounded-loss bound: a + (b-a)/(1-e^{a-b}) [1 - e^{-emp + a - (kl + ln(1/delta))/n}].
@@ -50,16 +39,14 @@ def catoni_bound(emp: float, kl: float, n: int, delta: float,
     fed an uncropped loss to a bounded-loss bound.
     """
     _check_common(kl, n, delta)
-    if a < b and not a <= emp <= b:  # a >= b is rejected first, by _catoni
+    if not a < b:
+        raise ValueError("need a < b")
+    if not a <= emp <= b:
         raise ValueError(f"empirical risk {emp} outside loss range [{a}, {b}]")
-    return _catoni(-emp + a - (kl - math.log(delta)) / n, a, b)
-
-
-def catoni_evidence_bound(neg_log_evidence: float, n: int, delta: float,
-                          a: float, b: float) -> float:
-    """Catoni bound expressed through the evidence: a + scale [1 - e^a (Z delta)^{1/n}]."""
-    _check_common(0.0, n, delta)
-    return _catoni(a + (-neg_log_evidence + math.log(delta)) / n, a, b)
+    exponent = -emp + a - (kl - math.log(delta)) / n  # <= 0, or NaN when a = emp = -inf
+    if math.isnan(exponent):
+        raise ValueError("Catoni bound is not finite (exponent nan)")
+    return a + (b - a) / (1.0 - math.exp(a - b)) * (1.0 - math.exp(exponent))
 
 
 def hoeffding_psi_bound(lam: float, n: int, a: float, b: float) -> float:
@@ -80,16 +67,6 @@ def alquier_bound(emp: float, kl: float, n: int, delta: float,
     if not psi_bound >= 0:
         raise ValueError("psi_bound must be non-negative")
     return emp + (kl - math.log(delta) + psi_bound) / lam
-
-
-def subgamma_bound(emp: float, kl: float, n: int, delta: float,
-                   s2: float, c: float) -> float:
-    """emp + (kl + ln(1/delta))/n + s^2/(2(1-c)) for sub-gamma losses, c < 1.
-
-    At c = 0 this is the bound for sub-Gaussian losses.
-    """
-    _check_common(kl, n, delta)
-    return subgamma_evidence_bound(n * emp + kl, n, delta, s2, c)
 
 
 def subgamma_evidence_bound(neg_log_evidence: float, n: int, delta: float,

@@ -4,7 +4,8 @@ fig_a / fig_b: polynomial models of degree 1..7 fitted to 15 noisy sine
 samples, with the evidence split per degree; each draws its sample once and
 fits every degree with the per-fit path. The fig-b seed scan
 (`selected_degrees`) needs only the evidence of each (seed, degree), so it
-stacks up to SCAN_BLOCK seeds into one batched fit per degree. fig_c: bound
+stacks up to SCAN_BLOCK seeds into one batched fit per degree; both paths run
+the one fit routine of `blr`, so they give the same evidences. fig_c: bound
 values against training-set size for the 20-dimensional Gaussian linear
 task. validate: coverage of the bounds over repeated draws plus the MGF
 envelope check.
@@ -144,11 +145,11 @@ def selected_degrees(seeds, seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2,
                      sigma_pi2=SINE_SIGMA_PI2, degrees=DEFAULT_DEGREES) -> np.ndarray:
     """The highest-evidence degree of each of the sine samples seed, ..., seed + seeds - 1.
 
-    Draws the same samples as `polynomial_family` and keeps the first of tied
-    evidences, so the degree listed first wins a tie. A block whose stacked
-    fit fails a check is refitted seed by seed with `polynomial_family`: a
-    sample that fails there raises its error, in seed order, and otherwise the
-    block's winners come from those per-seed fits.
+    Draws the same samples as `polynomial_family`, whose evidences the stacked
+    fits reproduce bit for bit, and keeps the first of tied evidences, so the
+    degree listed first wins a tie. A stacked fit fails degree by degree, so a
+    block that fails a check is refitted seed by seed to raise the error of
+    the first failing seed.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be at least 1, got {seeds}")
@@ -159,9 +160,10 @@ def selected_degrees(seeds, seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2,
         block = range(start, min(start + SCAN_BLOCK, seed + seeds))
         try:
             nle = _stacked_evidences(block, n, cfg, degrees)
-        except ValueError:  # the stacked fits fail degree by degree, not seed by seed
-            nle = np.array([[report.neg_log_evidence for _, report in polynomial_family(
-                s, n, sigma2=sigma2, sigma_pi2=sigma_pi2, degrees=degrees)] for s in block])
+        except ValueError:
+            for s in block:
+                polynomial_family(s, n, sigma2=sigma2, sigma_pi2=sigma_pi2, degrees=degrees)
+            raise
         best.append(np.asarray(degrees)[np.argmin(nle, axis=1)])
     return np.concatenate(best)
 

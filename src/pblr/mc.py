@@ -14,7 +14,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import bounds as bnd
 from . import rng
@@ -27,7 +26,7 @@ from .tasks import LinearTaskSpec, gen_linear_task, identity_design
 
 def _weights(post: GaussianPosterior, z: np.ndarray) -> np.ndarray:
     """Weight vectors mean + L^{-T} z for the columns of z, shape (columns, d)."""
-    return post.mean[None, :] + solve_triangular(post.chol, z, lower=True, trans="T").T
+    return post.mean[None, :] + z.T @ post.inv_chol
 
 
 # Nodes per axis of the successive cropped-loss rules (numpy's weights overflow past 256).

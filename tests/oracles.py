@@ -10,10 +10,13 @@ quadrature of a closed-form conditional MGF instead of sampling. The
 exceptions are `sample_posterior`, seeded exact posterior draws, and
 `squared_log_mgf_given_z`, the conditional MGF the package's MGF check
 also averages. Neither is an independent path; `plain_log_mgf_mc` is the
-independent check of the latter.
+independent check of the latter. The bound references state the direct
+sub-gamma bound and the evidence-form Catoni bound, the forms the package
+does not compute, for checking the forms it does.
 """
 
 import math
+import sys
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -194,3 +197,33 @@ def squared_log_mgf_quadrature(lam: float, w_star: np.ndarray, input_var: float,
     z, weights = np.polynomial.hermite_e.hermegauss(200)
     log_f = squared_log_mgf_given_z(lam, z, w_star, input_var, noise_var, prior_var)
     return math.log(float(weights @ np.exp(log_f)) / math.sqrt(2.0 * math.pi))
+
+
+def subgamma_bound(emp: float, kl: float, n: int, delta: float, s2: float,
+                   c: float) -> float:
+    """Direct-form sub-gamma bound emp + (kl + ln(1/delta))/n + s^2/(2(1-c)).
+
+    The reference for `bounds.subgamma_evidence_bound` at -ln Z = n emp + kl
+    (sub-Gaussian at c = 0). Raises ValueError on a NaN emp, a KL that is
+    negative or NaN, n < 1, delta outside (0, 1], s2 < 0 or c outside [0, 1).
+    """
+    if not (emp == emp and kl >= 0 and n >= 1 and 0 < delta <= 1 and s2 >= 0
+            and 0 <= c < 1):
+        raise ValueError(f"invalid sub-gamma bound arguments {(emp, kl, n, delta, s2, c)}")
+    return emp + (kl - math.log(delta)) / n + s2 / (2.0 * (1.0 - c))
+
+
+def catoni_evidence_bound(neg_log_evidence: float, n: int, delta: float,
+                          a: float, b: float) -> float:
+    """Catoni's bound through the evidence: a + (b-a)/(1-e^{a-b}) [1 - e^a (Z delta)^{1/n}].
+
+    The reference for `bounds.catoni_bound` at -ln Z = n emp + kl, in log space
+    so that it stays finite when Z underflows. Raises ValueError when
+    e^a (Z delta)^{1/n} overflows.
+    """
+    if not (n >= 1 and 0 < delta <= 1 and a < b):
+        raise ValueError(f"invalid Catoni bound arguments {(n, delta, a, b)}")
+    exponent = a + (math.log(delta) - neg_log_evidence) / n
+    if not exponent <= math.log(sys.float_info.max):
+        raise ValueError(f"Catoni bound is not finite (exponent {exponent})")
+    return a + (b - a) / (1.0 - math.exp(a - b)) * (1.0 - math.exp(exponent))

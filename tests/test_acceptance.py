@@ -12,8 +12,7 @@ import time
 import numpy as np
 
 from pblr import experiments as exp
-from pblr.blr import ModelConfig, evidence_decomposition, fit_posterior, \
-    gibbs_expected_empirical_nll, neg_log_evidence
+from pblr.blr import ModelConfig, evidence_decomposition, fit_posterior
 from pblr.losses import LossSpec
 from pblr.bounds import hierarchical_bound, model_selection_bounds
 from pblr.subgamma import empirical_mgf_check, nll_subgamma_params, \
@@ -70,7 +69,8 @@ def test_criterion_2_sequential_1d_oracle():
         labels = rng.standard_normal(n)
         cfg = ModelConfig(noise_var=float(rng.uniform(0.3, 2.0)),
                           prior_var=float(rng.uniform(0.3, 4.0)))
-        mine = neg_log_evidence(DesignMatrix(phi=phi, labels=labels), cfg)
+        design = DesignMatrix(phi=phi, labels=labels)
+        mine = evidence_decomposition(fit_posterior(design, cfg), design, cfg).neg_log_evidence
         ref = nle_sequential_1d(phi[:, 0], labels, cfg.noise_var, cfg.prior_var)
         worst = max(worst, abs(mine - ref) / max(1.0, abs(ref)))
     elapsed = time.monotonic() - start
@@ -89,7 +89,7 @@ def test_criterion_3_quadratic_form_vs_monte_carlo():
             break
         count += 1
         post = fit_posterior(design, cfg)
-        closed = gibbs_expected_empirical_nll(post, design, cfg)
+        closed = evidence_decomposition(post, design, cfg).gibbs_emp_risk_total
         weights = sample_posterior(post, 100_000, seed=count)
         resid = design.labels[None, :] - weights @ design.phi.T
         totals = 0.5 * design.n * math.log(2.0 * math.pi * cfg.noise_var) \

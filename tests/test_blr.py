@@ -5,8 +5,7 @@ import pytest
 
 from pblr import blr
 from pblr.blr import (EvidenceReport, ModelConfig, evidence_decomposition,
-                      fit_posterior, gaussian_kl, gibbs_expected_empirical_nll,
-                      neg_log_evidence, stacked_neg_log_evidence)
+                      fit_posterior, stacked_neg_log_evidence)
 from pblr.tasks import DesignMatrix, polynomial_features
 
 from oracles import (kl_gaussians, nle_full_covariance, nle_sequential_1d,
@@ -14,6 +13,11 @@ from oracles import (kl_gaussians, nle_full_covariance, nle_sequential_1d,
 
 UNIT_CFG = ModelConfig(noise_var=1.0, prior_var=1.0)
 ONE_POINT = DesignMatrix(phi=np.array([[1.0]]), labels=np.array([1.0]))
+
+
+def split(design, cfg):
+    """The evidence report of the posterior fitted to design."""
+    return evidence_decomposition(fit_posterior(design, cfg), design, cfg)
 
 
 def random_instance(rng, n=None, d=None):
@@ -58,19 +62,19 @@ def test_posterior_mean_matches_gradient_descent_ridge():
 
 def test_neg_log_evidence_empty():
     design = DesignMatrix(phi=np.zeros((0, 3)), labels=np.zeros(0))
-    assert neg_log_evidence(design, UNIT_CFG) == pytest.approx(0.0, abs=1e-14)
+    assert split(design, UNIT_CFG).neg_log_evidence == pytest.approx(0.0, abs=1e-14)
 
 
 def test_neg_log_evidence_one_point_marginal_density():
     # marginal of y=1 is N(0, prior_var + noise_var) = N(0, 2)
     expected = 0.5 * math.log(4.0 * math.pi) + 0.25
-    assert neg_log_evidence(ONE_POINT, UNIT_CFG) == pytest.approx(expected, abs=1e-12)
+    assert split(ONE_POINT, UNIT_CFG).neg_log_evidence == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(1.5155121234846454, abs=1e-12)
 
 
 def test_neg_log_evidence_zero_feature():
     design = DesignMatrix(phi=np.array([[0.0]]), labels=np.array([0.0]))
-    assert neg_log_evidence(design, UNIT_CFG) == pytest.approx(
+    assert split(design, UNIT_CFG).neg_log_evidence == pytest.approx(
         0.5 * math.log(2.0 * math.pi), abs=1e-12)
 
 
@@ -78,7 +82,7 @@ def test_neg_log_evidence_matches_full_covariance_oracle():
     rng = np.random.default_rng(1)
     for _ in range(20):
         design, cfg = random_instance(rng)
-        mine = neg_log_evidence(design, cfg)
+        mine = split(design, cfg).neg_log_evidence
         ref = nle_full_covariance(design.phi, design.labels, cfg.noise_var,
                                   cfg.prior_var)
         assert mine == pytest.approx(ref, rel=1e-8, abs=1e-8)
@@ -92,7 +96,7 @@ def test_neg_log_evidence_matches_sequential_1d_oracle():
         labels = rng.standard_normal(n)
         cfg = ModelConfig(noise_var=float(rng.uniform(0.3, 2.0)),
                           prior_var=float(rng.uniform(0.3, 4.0)))
-        mine = neg_log_evidence(DesignMatrix(phi=phi, labels=labels), cfg)
+        mine = split(DesignMatrix(phi=phi, labels=labels), cfg).neg_log_evidence
         ref = nle_sequential_1d(phi[:, 0], labels, cfg.noise_var, cfg.prior_var)
         assert mine == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
@@ -101,13 +105,13 @@ def test_kl_zero_when_posterior_equals_prior():
     design = DesignMatrix(phi=np.zeros((0, 4)), labels=np.zeros(0))
     cfg = ModelConfig(noise_var=1.0, prior_var=2.7)
     post = fit_posterior(design, cfg)
-    assert gaussian_kl(post, cfg) == pytest.approx(0.0, abs=1e-12)
+    assert evidence_decomposition(post, design, cfg).kl == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_one_point_frozen_value():
     post = fit_posterior(ONE_POINT, UNIT_CFG)
-    assert gaussian_kl(post, UNIT_CFG) == pytest.approx(0.22157359027997264,
-                                                        abs=1e-12)
+    assert evidence_decomposition(post, ONE_POINT, UNIT_CFG).kl == pytest.approx(
+        0.22157359027997264, abs=1e-12)
 
 
 def test_kl_matches_generic_gaussian_oracle():
@@ -118,7 +122,8 @@ def test_kl_matches_generic_gaussian_oracle():
         cov_post = np.linalg.inv(precision(post))
         ref = kl_gaussians(post.mean, cov_post, np.zeros(post.d),
                            cfg.prior_var * np.eye(post.d))
-        assert gaussian_kl(post, cfg) == pytest.approx(ref, rel=1e-8, abs=1e-8)
+        assert evidence_decomposition(post, design, cfg).kl == pytest.approx(
+            ref, rel=1e-8, abs=1e-8)
 
 
 def test_kl_strictly_positive_for_informative_fit():
@@ -128,27 +133,27 @@ def test_kl_strictly_positive_for_informative_fit():
         if np.abs(design.labels).max() == 0.0:
             continue
         post = fit_posterior(design, cfg)
-        assert gaussian_kl(post, cfg) > 0.0
+        assert evidence_decomposition(post, design, cfg).kl > 0.0
 
 
 def test_gibbs_nll_one_point_frozen_value():
     post = fit_posterior(ONE_POINT, UNIT_CFG)
-    val = gibbs_expected_empirical_nll(post, ONE_POINT, UNIT_CFG)
+    val = evidence_decomposition(post, ONE_POINT, UNIT_CFG).gibbs_emp_risk_total
     assert val == pytest.approx(1.2939385332046727, abs=1e-12)
 
 
 def test_gibbs_nll_empty_sample():
     design = DesignMatrix(phi=np.zeros((0, 2)), labels=np.zeros(0))
     post = fit_posterior(design, UNIT_CFG)
-    assert gibbs_expected_empirical_nll(post, design, UNIT_CFG) == pytest.approx(
-        0.0, abs=1e-12)
+    report = evidence_decomposition(post, design, UNIT_CFG)
+    assert report.gibbs_emp_risk_total == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gibbs_nll_matches_monte_carlo():
     rng = np.random.default_rng(5)
     design, cfg = random_instance(rng, n=30, d=4)
     post = fit_posterior(design, cfg)
-    closed = gibbs_expected_empirical_nll(post, design, cfg)
+    closed = evidence_decomposition(post, design, cfg).gibbs_emp_risk_total
     weights = sample_posterior(post, 100_000, seed=123)
     resid = design.labels[None, :] - weights @ design.phi.T
     totals = 0.5 * design.n * math.log(2.0 * math.pi * cfg.noise_var) \
@@ -253,14 +258,16 @@ def test_posterior_rejects_nonfinite_labels():
 
 def test_posterior_computes_its_trace_once(monkeypatch):
     calls = []
-    real = blr.solve_triangular
-    monkeypatch.setattr(blr, "solve_triangular",
-                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    for name in ("_inverse_factor", "_frobenius_sq"):  # L^{-1}, then ||L^{-1}||_F^2
+        real = getattr(blr, name)
+        monkeypatch.setattr(blr, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
     design, cfg = random_instance(np.random.default_rng(3))
     post = fit_posterior(design, cfg)
     report = evidence_decomposition(post, design, cfg)
-    assert gaussian_kl(post, cfg) == report.kl
-    assert len(calls) == 1
+    assert evidence_decomposition(post, design, cfg).kl == report.kl
+    post.predictive_var(design.phi)
+    assert calls == ["_inverse_factor", "_frobenius_sq"]
 
 
 def test_evidence_decomposition_rejects_mismatched_posterior():
@@ -289,9 +296,9 @@ def test_stacked_evidence_matches_per_fit_path():
         labels = rng.standard_normal((5, n))
         stacked = stacked_neg_log_evidence(phi, labels, cfg)
         assert stacked.shape == (5,)
-        per_fit = [neg_log_evidence(DesignMatrix(phi=p, labels=y), cfg)
+        per_fit = [split(DesignMatrix(phi=p, labels=y), cfg).neg_log_evidence
                    for p, y in zip(phi, labels)]
-        np.testing.assert_allclose(stacked, per_fit, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(stacked, per_fit)  # one fit routine, one split
 
 
 @pytest.mark.parametrize("phi, labels, cfg, message", [
@@ -315,4 +322,4 @@ def test_stacked_evidence_fails_closed(phi, labels, cfg, message):
     if phi.ndim == 3 and labels.shape == phi.shape[:2]:  # the per-fit path says the same
         with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
             for p, y in zip(phi, labels):
-                neg_log_evidence(DesignMatrix(phi=p, labels=y), cfg)
+                split(DesignMatrix(phi=p, labels=y), cfg).neg_log_evidence

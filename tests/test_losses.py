@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pblr.blr import GaussianPosterior, ModelConfig, fit_posterior, \
-    gibbs_expected_empirical_nll
+from pblr.blr import GaussianPosterior, ModelConfig, evidence_decomposition, \
+    fit_posterior
 from pblr.losses import LossSpec, empirical_gibbs_risk, expected_loss
 from pblr.tasks import DesignMatrix
 
@@ -107,7 +107,7 @@ def test_exact_empirical_risk_agrees_with_monte_carlo(name):
 
 def test_mc_gibbs_risk_matches_closed_form_nll():
     post, design, cfg = random_fit(3, 20, 3, 0.9, 1.5)
-    closed = gibbs_expected_empirical_nll(post, design, cfg) / design.n
+    closed = evidence_decomposition(post, design, cfg).gibbs_emp_risk_total / design.n
     assert empirical_gibbs_risk(post, design, LossSpec.nll(0.9)) == pytest.approx(
         closed, rel=1e-12)
     est, se = empirical_risk_mc(LossSpec.nll(0.9), posterior_draws(post, 100_000, 42),
