@@ -7,7 +7,10 @@ likelihood splits exactly into the posterior-averaged empirical negative
 log-likelihood plus the posterior-prior KL divergence. One numpy routine
 fits one design or a stack of them: the Cholesky factor L of A, its
 inverse L^{-1} from one solve against the identity, and the mean
-L^{-T} L^{-1} phi'y / noise_var. The log determinant comes from diag(L);
+L^{-T} L^{-1} phi'y / noise_var. A stacked design (S, n, d) gives a
+`GaussianPosterior` and an `EvidenceReport` that carry the S fits as arrays,
+entry by entry with the bits of fitting that design alone. The log
+determinant comes from diag(L);
 tr(A^{-1}) = ||L^{-1}||_F^2 and the quadratic forms phi' A^{-1} phi =
 ||L^{-1} phi||^2 come from L^{-1}. A^{-1} itself is never formed.
 """
@@ -52,9 +55,19 @@ def _frobenius_sq(inv_l: np.ndarray):
     return np.sum(inv_l * inv_l, axis=(-2, -1))
 
 
+def scalar_or_stack(value):
+    """A float for one fit, or the array of one value per fit of a stack."""
+    value = np.asarray(value, dtype=float)
+    return float(value) if value.ndim == 0 else value
+
+
 @dataclass(frozen=True)
 class GaussianPosterior:
-    """Gaussian posterior N(mean, A^{-1}) stored as (mean, L) with A = L L'."""
+    """Gaussian posterior N(mean, A^{-1}) stored as (mean, L) with A = L L'.
+
+    A stack of S posteriors has mean (S, d) and chol (S, d, d); its scalar
+    properties are then arrays of S values.
+    """
 
     mean: np.ndarray
     chol: np.ndarray  # lower triangular Cholesky factor L of the precision A
@@ -70,21 +83,21 @@ class GaussianPosterior:
 
     @property
     def d(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
     @cached_property  # computed on first use, once per posterior
-    def logdet_precision(self) -> float:
-        return float(_logdet(self.chol))
+    def logdet_precision(self):
+        return scalar_or_stack(_logdet(self.chol))
 
     @cached_property
-    def cov_trace(self) -> float:
+    def cov_trace(self):
         """tr(A^{-1}) = ||L^{-1}||_F^2; computed once."""
-        return float(_frobenius_sq(self.inv_chol))
+        return scalar_or_stack(_frobenius_sq(self.inv_chol))
 
     def predictive_var(self, phi: np.ndarray) -> np.ndarray:
         """phi_i' A^{-1} phi_i for each row phi_i of phi: the row norms of phi L^{-T}."""
-        z = phi @ self.inv_chol.T
-        return np.einsum("ij,ij->i", z, z)
+        z = phi @ np.swapaxes(self.inv_chol, -1, -2)
+        return np.einsum("...ij,...ij->...i", z, z)
 
 
 def _checked_kl(neg_log_evidence, gibbs_emp_risk_total, kl):
@@ -107,7 +120,10 @@ def _checked_kl(neg_log_evidence, gibbs_emp_risk_total, kl):
 
 @dataclass(frozen=True)
 class EvidenceReport:
-    """Exact split of the negative log evidence into risk and complexity."""
+    """Exact split of the negative log evidence into risk and complexity.
+
+    Each field is a float, or an array of one value per fit of a stack.
+    """
 
     neg_log_evidence: float
     gibbs_emp_risk_total: float
@@ -115,7 +131,9 @@ class EvidenceReport:
 
     def __post_init__(self):
         kl = _checked_kl(self.neg_log_evidence, self.gibbs_emp_risk_total, self.kl)
-        object.__setattr__(self, "kl", float(kl))
+        for name, value in zip(("neg_log_evidence", "gibbs_emp_risk_total", "kl"),
+                               (self.neg_log_evidence, self.gibbs_emp_risk_total, kl)):
+            object.__setattr__(self, name, scalar_or_stack(value))
 
 
 def _fit(phi: np.ndarray, labels: np.ndarray, cfg: ModelConfig) -> tuple:
@@ -177,30 +195,24 @@ def evidence_decomposition(post: GaussianPosterior, design: DesignMatrix,
     """Negative log evidence and its exact (risk, KL) split for a posterior fitted to design."""
     if post.d != design.d:
         raise ValueError(f"posterior has {post.d} weights, design {design.d} features")
-    return EvidenceReport(*map(float, _split(design.phi, design.labels, post.mean,
-                                             post.logdet_precision, post.cov_trace, cfg)))
+    return EvidenceReport(*_split(design.phi, design.labels, post.mean,
+                                  post.logdet_precision, post.cov_trace, cfg))
 
 
 def stacked_neg_log_evidence(phi: np.ndarray, labels: np.ndarray,
                              cfg: ModelConfig) -> np.ndarray:
     """Negative log evidence of S independent fits at once: phi (S, n, d), labels (S, n).
 
-    Entry s has the bits of evidence_decomposition's neg_log_evidence for the
-    design (phi[s], labels[s]): both run one fit routine and one split. It
-    makes the checks of that path, with its messages: a non-finite design, a
-    non-finite or indefinite precision, a non-finite mean, the KL sign and the
-    evidence identity each raise ValueError.
+    It is `evidence_decomposition` of the stacked fit, so entry s has the bits
+    of the per-fit path for the design (phi[s], labels[s]), and it makes that
+    path's checks, with its messages: a non-finite design, a non-finite or
+    indefinite precision, a non-finite mean, the KL sign and the evidence
+    identity each raise ValueError.
     """
     phi = np.asarray(phi, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if phi.ndim != 3 or labels.shape != phi.shape[:2]:
         raise ValueError(f"need phi of shape (S, n, d) and labels (S, n), "
                          f"got {phi.shape} and {labels.shape}")
-    if not np.isfinite(phi).all():
-        raise ValueError("design matrix contains non-finite entries")
-    if not np.isfinite(labels).all():
-        raise ValueError("labels contain non-finite entries")
-    mean, low, inv_l = _fit(phi, labels, cfg)
-    nle, gibbs, kl = _split(phi, labels, mean, _logdet(low), _frobenius_sq(inv_l), cfg)
-    _checked_kl(nle, gibbs, kl)
-    return nle
+    design = DesignMatrix(phi=phi, labels=labels)
+    return evidence_decomposition(fit_posterior(design, cfg), design, cfg).neg_log_evidence

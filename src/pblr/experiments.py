@@ -192,11 +192,11 @@ def run_fig_c(seed=DEFAULT_SEED, n_grid=DEFAULT_N_GRID, delta=DEFAULT_DELTA,
     params = nll_subgamma_params(sigma2, task.input_var, sigma_pi2, task.d,
                                  task.w_star_sq_norm, task.noise_var)
     rows = []
-    for n in n_grid:
-        post, report, bounds = sample_bounds(task, model, n, cropped, delta)
-        rows.append((n, report.gibbs_emp_risk_total / n,
-                     gibbs_generalization_risk(post, task, LossSpec.nll(sigma2)),
-                     *(bounds[family] for family in
+    for n in n_grid:  # one sample per n: a stack of one
+        post, report, bounds = sample_bounds(task, model, n, cropped, delta, [task.seed])
+        gen_nll = gibbs_generalization_risk(post, task, LossSpec.nll(sigma2))
+        rows.append((n, float(report.gibbs_emp_risk_total[0] / n), float(gen_nll[0]),
+                     *(float(bounds[family][0]) for family in
                        ("subgamma", "catoni", "alquier_sqrtn", "alquier_n"))))
     metadata = {
         "seed": seed, "delta": delta, "d": task.d, "w_norm": LINREG_W_NORM,

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .blr import GaussianPosterior
+from .blr import GaussianPosterior, scalar_or_stack
 from .tasks import DesignMatrix
 
 # Variance floor of the cropped expectation: a zero variance is the limit of
@@ -112,13 +112,16 @@ def _expected_cropped(spec: LossSpec, mu, var):
 
 
 def empirical_gibbs_risk(post: GaussianPosterior, design: DesignMatrix,
-                         loss: LossSpec) -> float:
+                         loss: LossSpec):
     """Exact E_{w~posterior} of the dataset-average loss.
 
     Under the posterior N(mean, A^{-1}) with A = L L', the residual
-    y_i - phi_i . w is N(y_i - phi_i . mean, ||L^{-1} phi_i||^2).
+    y_i - phi_i . w is N(y_i - phi_i . mean, ||L^{-1} phi_i||^2). A stacked
+    posterior and design give the array of the S risks, each with the bits of
+    its fit alone.
     """
     if design.n == 0:
         raise ValueError("the empirical risk needs at least one example")
-    resid = design.labels - design.phi @ post.mean
-    return float(np.mean(expected_loss(loss, resid, post.predictive_var(design.phi))))
+    resid = design.labels - (design.phi @ post.mean[..., None])[..., 0]
+    return scalar_or_stack(np.mean(
+        expected_loss(loss, resid, post.predictive_var(design.phi)), axis=-1))

@@ -2,11 +2,13 @@
 
 The generalization risk is exact for every loss: closed form for the
 squared and NLL losses, a self-checking tensor Gauss-Hermite rule over the
-posterior for the cropped one. `sample_bounds` turns one linear-task
-sample into its posterior, evidence report and bounds; fig-c calls it once
-per sample size. The coverage study plays the frequentist game the bounds
-are stated for: draw many independent training samples, call
-`sample_bounds` on each, and count how often the true Gibbs risk exceeds
+posterior for the cropped one. Both take one posterior or a stack of them.
+`sample_bounds` turns a stack of linear-task samples, one per seed, into
+their stacked posterior, evidence report and bounds, with one fit for the
+stack; fig-c calls it with one seed per sample size. The coverage study
+plays the frequentist game the bounds are stated for: draw many
+independent training samples, pass them to `sample_bounds` up to
+STUDY_BLOCK at a time, and count how often the true Gibbs risk exceeds
 each bound.
 """
 
@@ -18,92 +20,129 @@ import numpy as np
 from . import bounds as bnd
 from . import rng
 from .blr import (GaussianPosterior, ModelConfig, evidence_decomposition,
-                  fit_posterior)
+                  fit_posterior, scalar_or_stack)
 from .losses import LossSpec, empirical_gibbs_risk, expected_loss
 from .subgamma import nll_subgamma_params
-from .tasks import LinearTaskSpec, gen_linear_task, identity_design
-
-
-def _weights(post: GaussianPosterior, z: np.ndarray) -> np.ndarray:
-    """Weight vectors mean + L^{-T} z for the columns of z, shape (columns, d)."""
-    return post.mean[None, :] + z.T @ post.inv_chol
-
+from .tasks import DesignMatrix, LinearTaskSpec, gen_linear_task
 
 # Nodes per axis of the successive cropped-loss rules (numpy's weights overflow past 256).
 _HERMITE_NODES = (8, 16, 32, 64, 128, 256)
 _MAX_POINTS = 2 ** 18  # points of the largest rule: 64 nodes per axis in d = 3
+# (posterior, point) pairs a rule evaluates at once, or one posterior when its rule
+# alone has more points: memory stays flat in the stack size and the ladder's height
+_MAX_PAIRS = 2 ** 14
+STUDY_BLOCK = 256  # trials per stacked fit in the coverage study: memory stays flat in the trial count
+
+
+def _rule(mean: np.ndarray, inv_chol: np.ndarray, nodes: np.ndarray, prob: np.ndarray,
+          task: LinearTaskSpec, loss: LossSpec) -> np.ndarray:
+    """sum_j prob_j E loss at the weights mean + L^{-T} z_j, per posterior (rows of mean).
+
+    The z_j are the columns of nodes; the posteriors go _MAX_PAIRS // points at
+    a time (at least one). Each value has the same bits in any stack.
+    """
+    step = max(1, _MAX_PAIRS // prob.size)
+    values = []
+    for start in range(0, len(mean), step):
+        weights = mean[start:start + step, None, :] + nodes.T @ inv_chol[start:start + step]
+        values.append(np.sum(expected_loss(loss, 0.0, task.squared_risk(weights)) * prob,
+                             axis=-1))
+    return np.concatenate(values)
 
 
 def gibbs_generalization_risk(post: GaussianPosterior, task: LinearTaskSpec,
-                              loss: LossSpec) -> float:
-    """Exact E_{w~posterior} E_{(x,y)~task} loss(w, x, y).
+                              loss: LossSpec):
+    """Exact E_{w~posterior} E_{(x,y)~task} loss(w, x, y): a float, or an array for a stack.
 
     Given w the residual y - w.x is N(0, s(w)) with s(w) = task.squared_risk(w).
     The squared and nll losses are affine in s, and E_w s(w) = s(mean) +
     input_var tr(A^{-1}). The cropped loss is not: its E_w is a tensor Gauss-Hermite
     rule (Golub & Welsch 1969) with k nodes on each axis of z in w = mean + L^{-T} z,
-    k doubling from 8 until two successive rules agree within 1e-10 relative. When
-    no such pair fits _MAX_POINTS points it raises ValueError.
+    k doubling from 8 until two successive rules agree within 1e-10 relative. Each
+    rule is built once and evaluated for every posterior of the stack that has not
+    yet converged. When some posterior has no such pair within _MAX_POINTS points
+    it raises ValueError.
     """
     if loss.kind != "cropped":
         s = task.squared_risk(post.mean) + task.input_var * post.cov_trace
-        return float(expected_loss(loss, 0.0, s))
+        return scalar_or_stack(expected_loss(loss, 0.0, s))
     d = post.d
     ladder = [k for k in _HERMITE_NODES if k ** d <= _MAX_POINTS]
     if len(ladder) < 2:
         raise ValueError(f"the cropped generalization risk in d = {d} needs over "
                          f"{_MAX_POINTS} quadrature points")
+    mean = post.mean.reshape(-1, d)
+    inv_chol = post.inv_chol.reshape(-1, d, d)
+    risk = np.empty(len(mean))
+    live = np.arange(len(mean))  # posteriors still on the ladder
     value = None
     for k in ladder:
         nodes, weights = np.polynomial.hermite_e.hermegauss(k)
         index = np.indices((k,) * d).reshape(d, -1)
         prob = np.prod(weights[index], axis=0) / (2.0 * math.pi) ** (d / 2.0)
-        s = task.squared_risk(_weights(post, nodes[index]))
-        previous, value = value, float(prob @ expected_loss(loss, 0.0, s))
-        if previous is not None and abs(value - previous) <= 1e-10 * abs(value):
-            return value
+        previous, value = value, _rule(mean[live], inv_chol[live], nodes[index], prob,
+                                       task, loss)
+        if previous is not None:
+            gap = np.abs(value - previous)
+            done = gap <= 1e-10 * np.abs(value)  # NaN never converges
+            risk[live[done]] = value[done]
+            live, value, gap = live[~done], value[~done], gap[~done]
+            if not live.size:
+                return scalar_or_stack(risk.reshape(post.mean.shape[:-1]))
     raise ValueError(f"the cropped generalization risk did not converge: the {k // 2}- "
-                     f"and {k}-node Gauss-Hermite rules differ by {abs(value - previous):.3g}, "
+                     f"and {k}-node Gauss-Hermite rules differ by {gap[0]:.3g}, "
                      f"and no finer rule in d = {d} fits {_MAX_POINTS} points")
 
 
 FAMILIES = ("subgamma", "catoni", "alquier_sqrtn")  # checked by the coverage study
 
 
-def sample_bounds(task: LinearTaskSpec, model: ModelConfig, n: int,
-                  cropped: LossSpec, delta: float) -> tuple:
-    """Fit the posterior to n draws of the task and bound its risk.
+def _stacked_draws(task: LinearTaskSpec, n: int, seeds) -> DesignMatrix:
+    """The design of n draws of the task at each seed, stacked: phi (S, n, d), labels (S, n)."""
+    draws = [gen_linear_task(dataclasses.replace(task, seed=seed), n) for seed in seeds]
+    if len(draws) == 1:  # a view, not a copy: fig-c's sample at n = 1e6 holds 160 MB
+        return DesignMatrix(phi=draws[0].raw_inputs[None], labels=draws[0].labels[None])
+    return DesignMatrix(phi=np.stack([draw.raw_inputs for draw in draws]),
+                        labels=np.stack([draw.labels for draw in draws]))
 
-    Returns (post, report, bounds), where bounds maps subgamma (the evidence
-    form, on the NLL loss), catoni, alquier_sqrtn and alquier_n (on the
-    cropped loss) to their values at confidence 1 - delta.
+
+def sample_bounds(task: LinearTaskSpec, model: ModelConfig, n: int,
+                  cropped: LossSpec, delta: float, seeds) -> tuple:
+    """Fit the posterior to n draws of the task at each of the S seeds and bound its risk.
+
+    Returns (post, report, bounds): the S posteriors as one stacked
+    GaussianPosterior, their EvidenceReport of (S,) arrays, and bounds
+    mapping subgamma (the evidence form, on the NLL loss), catoni,
+    alquier_sqrtn and alquier_n (on the cropped loss) to (S,) arrays of their
+    values at confidence 1 - delta. One fit, one evidence split and one
+    empirical cropped risk serve the stack, so entry s has the bits of a
+    stack of one at seeds[s]; the scalar bound formulas run once per sample.
     """
     if getattr(cropped, "kind", None) != "cropped":
         raise ValueError("the catoni and alquier families need a cropped loss")
     params = nll_subgamma_params(model.noise_var, task.input_var, model.prior_var,
                                  task.d, task.w_star_sq_norm, task.noise_var)
-    design = identity_design(gen_linear_task(task, n))
+    design = _stacked_draws(task, n, seeds)
     post = fit_posterior(design, model)
     report = evidence_decomposition(post, design, model)  # identity checked inline
     emp_crop = empirical_gibbs_risk(post, design, cropped)
     a, b = cropped.a, cropped.b
-    bounds = {
-        "subgamma": bnd.subgamma_evidence_bound(report.neg_log_evidence, n, delta,
-                                                params.s2, params.c),
-        "catoni": bnd.catoni_bound(emp_crop, report.kl, n, delta, a, b),
-    }
-    for family, lam in (("alquier_sqrtn", math.sqrt(n)), ("alquier_n", float(n))):
-        bounds[family] = bnd.alquier_bound(emp_crop, report.kl, n, delta, lam,
-                                           bnd.hoeffding_psi_bound(lam, n, a, b))
-    return post, report, bounds
+    lams = (math.sqrt(n), float(n))  # alquier_sqrtn, alquier_n
+    rows = [(bnd.subgamma_evidence_bound(nle, n, delta, params.s2, params.c),
+             bnd.catoni_bound(emp, kl, n, delta, a, b),
+             *(bnd.alquier_bound(emp, kl, n, delta, lam, bnd.hoeffding_psi_bound(lam, n, a, b))
+               for lam in lams))
+            for nle, kl, emp in zip(report.neg_log_evidence.tolist(), report.kl.tolist(),
+                                    emp_crop.tolist())]
+    return post, report, dict(zip(("subgamma", "catoni", "alquier_sqrtn", "alquier_n"),
+                                  np.array(rows).T))
 
 
-def _trial_bounds_and_risks(task: LinearTaskSpec, model: ModelConfig, n: int,
-                            cropped: LossSpec, delta: float, trial: int) -> dict:
-    """Fit one fresh dataset and return {family: (bound, risk)}."""
-    sample = dataclasses.replace(
-        task, seed=rng.derive_seed(task.seed, rng.TRIAL_TAG, trial, 0))
-    post, _, bounds = sample_bounds(sample, model, n, cropped, delta)
+def _block_bounds_and_risks(task: LinearTaskSpec, model: ModelConfig, n: int,
+                            cropped: LossSpec, delta: float, block: range) -> dict:
+    """Fit the trials of block in one stack; {family: (bounds, risks)}, arrays over the block."""
+    seeds = [rng.derive_seed(task.seed, rng.TRIAL_TAG, trial, 0) for trial in block]
+    post, _, bounds = sample_bounds(task, model, n, cropped, delta, seeds)
     risk_nll = gibbs_generalization_risk(post, task, LossSpec.nll(model.noise_var))
     risk_crop = gibbs_generalization_risk(post, task, cropped)
     return {family: (bounds[family], risk_nll if family == "subgamma" else risk_crop)
@@ -117,20 +156,25 @@ def run_validity_study(task: LinearTaskSpec, model: ModelConfig, n: int,
     A trial violates a family when its exact risk exceeds the bound; a
     non-finite bound or risk raises ValueError instead of counting either way.
     Trials use streams derived from (task.seed, trial index), so the result is
-    reproducible and order-independent. Returns the coverage.json dict: delta,
-    one {family, trials, violations, rate} per family, and the config echo.
+    reproducible and order-independent; each block of up to STUDY_BLOCK trials
+    is one stacked fit. Returns the coverage.json dict: delta, one {family,
+    trials, violations, rate} per family, and the config echo.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     counts = {family: 0 for family in FAMILIES}
-    for trial in range(trials):
-        per_family = _trial_bounds_and_risks(task, model, n, cropped, delta, trial)
-        for family, (bound, risk) in per_family.items():
-            if not (math.isfinite(bound) and math.isfinite(risk)):
-                raise ValueError(f"trial {trial}, {family}: bound {bound} and risk "
-                                 f"{risk} must both be finite")
-            if risk > bound:
-                counts[family] += 1
+    for start in range(0, trials, STUDY_BLOCK):
+        block = range(start, min(start + STUDY_BLOCK, trials))
+        per_family = _block_bounds_and_risks(task, model, n, cropped, delta, block)
+        bound, risk = (np.array([pair[i] for pair in per_family.values()], dtype=float)
+                       for i in (0, 1))  # (families, trials of the block)
+        bad = ~(np.isfinite(bound) & np.isfinite(risk))
+        if bad.any():  # the first trial with a bad value, then its first bad family
+            trial, j = np.argwhere(bad.T)[0]
+            raise ValueError(f"trial {block[trial]}, {list(per_family)[j]}: bound "
+                             f"{bound[j, trial]} and risk {risk[j, trial]} must both be finite")
+        for family, above in zip(per_family, risk > bound):
+            counts[family] += int(np.count_nonzero(above))
     return {
         "delta": delta,
         "families": [{"family": family, "trials": trials, "violations": counts[family],

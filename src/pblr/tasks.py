@@ -40,7 +40,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Feature-mapped inputs: row i of ``phi`` is the feature vector of example i."""
+    """Feature-mapped inputs: row i of ``phi`` is the feature vector of example i.
+
+    A stack of S designs of one shape has phi (S, n, d) and labels (S, n).
+    """
 
     phi: np.ndarray
     labels: np.ndarray
@@ -50,10 +53,11 @@ class DesignMatrix:
         labels = np.asarray(self.labels, dtype=float)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "labels", labels)
-        if phi.ndim != 2:
-            raise ValueError("phi must be a matrix")
-        if phi.shape[0] != labels.shape[0]:
-            raise ValueError(f"phi has {phi.shape[0]} rows but {labels.shape[0]} labels")
+        if phi.ndim > 3:
+            raise ValueError("phi must be a matrix or a stack of matrices")
+        if phi.shape[:-1] != labels.shape:
+            raise ValueError(f"phi of shape {phi.shape} does not match labels of shape "
+                             f"{labels.shape}")
         if not np.isfinite(phi).all():
             raise ValueError("design matrix contains non-finite entries")
         if not np.isfinite(labels).all():
@@ -61,11 +65,11 @@ class DesignMatrix:
 
     @property
     def n(self) -> int:
-        return self.phi.shape[0]
+        return self.phi.shape[-2]
 
     @property
     def d(self) -> int:
-        return self.phi.shape[1]
+        return self.phi.shape[-1]
 
 
 @dataclass(frozen=True)

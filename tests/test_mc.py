@@ -5,9 +5,8 @@ import pytest
 
 from pblr.blr import GaussianPosterior, ModelConfig, fit_posterior
 from pblr.losses import LossSpec
-from pblr import mc
-from pblr.mc import (_trial_bounds_and_risks, gibbs_generalization_risk,
-                     run_validity_study)
+from pblr import mc, rng as streams
+from pblr.mc import gibbs_generalization_risk, run_validity_study, sample_bounds
 from pblr.tasks import DesignMatrix, LinearTaskSpec, gen_linear_task, identity_design
 
 from oracles import generalization_risk_mc, posterior_draws, precision, sample_posterior
@@ -172,28 +171,120 @@ def test_study_config_validation():
         run_validity_study(**study_args(trials=0))
 
 
+def fake_block(values, bad_trial=0):
+    """A stand-in for mc._block_bounds_and_risks: subgamma (bound, risk) = values at
+    bad_trial, and the finite, covered (1.0, 0.5) at every other trial."""
+    def fake(task, model, n, cropped, delta, block):
+        bound, risk = np.ones(len(block)), np.full(len(block), 0.5)
+        if bad_trial in block:
+            bound[block.index(bad_trial)], risk[block.index(bad_trial)] = values
+        return {"subgamma": (bound, risk)}
+    return fake
+
+
 @pytest.mark.parametrize("position, bad", [(0, math.nan), (0, math.inf),
                                            (1, math.nan)])
 def test_nonfinite_trial_value_raises(monkeypatch, position, bad):
     # NaN compares False and an infinite bound is never exceeded: neither is coverage
     values = [1.0, 0.5]  # (bound, risk)
     values[position] = bad
-    monkeypatch.setattr(mc, "_trial_bounds_and_risks",
-                        lambda *args: {"subgamma": tuple(values)})
-    with pytest.raises(ValueError, match="finite"):
+    monkeypatch.setattr(mc, "_block_bounds_and_risks", fake_block(values))
+    with pytest.raises(ValueError, match="trial 0, subgamma: .* must both be finite"):
         run_validity_study(**study_args())
+
+
+@pytest.mark.parametrize("block", [mc.STUDY_BLOCK, 2])
+def test_nonfinite_value_names_its_trial(monkeypatch, block):
+    # trial 3 of 5 is the bad one; with blocks of 2 it is the second of the second block
+    monkeypatch.setattr(mc, "STUDY_BLOCK", block)
+    monkeypatch.setattr(mc, "_block_bounds_and_risks", fake_block([1.0, math.inf], 3))
+    with pytest.raises(ValueError, match="trial 3, subgamma: bound 1.0 and risk inf"):
+        run_validity_study(**study_args(trials=5))
+
+
+def test_first_nonfinite_trial_wins_over_family_order(monkeypatch):
+    # trial-major: trial 1's catoni is reported before trial 2's subgamma
+    def fake(task, model, n, cropped, delta, block):
+        return {"subgamma": (np.array([1.0, 1.0, np.nan]), np.full(3, 0.5)),
+                "catoni": (np.array([1.0, np.nan, 1.0]), np.full(3, 0.5))}
+    monkeypatch.setattr(mc, "_block_bounds_and_risks", fake)
+    with pytest.raises(ValueError, match="trial 1, catoni"):
+        run_validity_study(**study_args(trials=3))
 
 
 @pytest.mark.parametrize("risk, violations", [(1.0, 0), (1.0 + 1e-15, 1)])
 def test_violation_is_risk_above_bound(monkeypatch, risk, violations):
-    monkeypatch.setattr(mc, "_trial_bounds_and_risks",
-                        lambda *args: {"subgamma": (1.0, risk)})
+    monkeypatch.setattr(mc, "_block_bounds_and_risks", fake_block([1.0, risk]))
     report = run_validity_study(**study_args(trials=1))
     assert report["families"][0]["violations"] == violations
 
 
-def test_coverage_trial_factors_once(cholesky_calls):
+def test_coverage_study_fits_once_per_block(cholesky_calls, monkeypatch):
+    run_validity_study(**study_args(trials=5))
+    assert cholesky_calls == [(5,)]  # one stacked fit: no per-trial fits
+    cholesky_calls.clear()
+    monkeypatch.setattr(mc, "STUDY_BLOCK", 2)
+    run_validity_study(**study_args(trials=5))
+    assert cholesky_calls == [(2,), (2,), (1,)]
+
+
+def test_stacked_study_matches_stacks_of_one():
+    args = study_args(trials=20)
+    task, model, n, cropped, delta, trials = args.values()
+    nll = LossSpec.nll(model.noise_var)
+    stacked = mc._block_bounds_and_risks(task, model, n, cropped, delta, range(trials))
+    assert set(stacked) == set(mc.FAMILIES)
+    for trial in range(trials):
+        seed = streams.derive_seed(task.seed, streams.TRIAL_TAG, trial, 0)
+        post, report, bounds = sample_bounds(task, model, n, cropped, delta, [seed])
+        assert post.mean.shape == (1, task.d) and report.kl.shape == (1,)
+        risks = {"nll": gibbs_generalization_risk(post, task, nll),
+                 "cropped": gibbs_generalization_risk(post, task, cropped)}
+        # one posterior, not a stack: its oracle gives the same bits as a float
+        single = GaussianPosterior(mean=post.mean[0], chol=post.chol[0])
+        assert gibbs_generalization_risk(single, task, nll) == risks["nll"][0]
+        assert gibbs_generalization_risk(single, task, cropped) == risks["cropped"][0]
+        for family, (bound, risk) in stacked.items():
+            assert bound[trial] == bounds[family][0], (trial, family)
+            expected = risks["nll" if family == "subgamma" else "cropped"][0]
+            assert risk[trial] == expected, (trial, family)
+
+
+def test_study_result_does_not_depend_on_the_block_size(monkeypatch):
+    args = study_args(trials=20)
+    whole = run_validity_study(**args)
+    monkeypatch.setattr(mc, "STUDY_BLOCK", 3)  # 7 blocks, the last one short
+    assert run_validity_study(**args) == whole
+
+
+def test_generalization_risk_chunks_agree(monkeypatch):
+    # a stack evaluated a few (posterior, point) pairs at a time gives the same bits
     args = study_args()
-    del args["trials"]  # one trial: its index replaces the count
-    _trial_bounds_and_risks(**args, trial=0)
-    assert len(cholesky_calls) == 1
+    task, model, n, cropped, delta = (args[k] for k in ("task", "model", "n", "cropped", "delta"))
+    post, _, _ = sample_bounds(task, model, n, cropped, delta, range(6))
+    whole = gibbs_generalization_risk(post, task, cropped)
+    monkeypatch.setattr(mc, "_MAX_PAIRS", 1000)
+    np.testing.assert_array_equal(gibbs_generalization_risk(post, task, cropped), whole)
+
+
+def stacked_posterior(*posts):
+    return GaussianPosterior(mean=np.stack([p.mean for p in posts]),
+                             chol=np.stack([p.chol for p in posts]))
+
+
+def test_stacked_cropped_oracle_fails_closed():
+    # one member that never converges fails the whole stack, wherever it sits
+    task = LinearTaskSpec(w_star=np.full(3, 0.5 / math.sqrt(3)), input_var=1.0,
+                          noise_var=1.0 / 9.0, seed=0)
+    cropped = LossSpec.cropped(LossSpec.nll(2.0), 1.0, 4.0)
+    good, _ = fitted_posterior(seed=3, d=3)
+    wide = fit_posterior(identity_design(gen_linear_task(task, 1)),
+                         ModelConfig(noise_var=2.0, prior_var=100.0))
+    assert np.isfinite(gibbs_generalization_risk(stacked_posterior(good, good), task, cropped)).all()
+    with pytest.raises(ValueError, match="did not converge"):
+        gibbs_generalization_risk(stacked_posterior(good, good, wide, good), task, cropped)
+    # in d = 20 no stack of any size gets a rule
+    task20 = LinearTaskSpec(w_star=np.full(20, 0.1), input_var=1.0, noise_var=0.1)
+    zero = spd_posterior(np.zeros(20), 1.0)
+    with pytest.raises(ValueError, match="d = 20 needs over"):
+        gibbs_generalization_risk(stacked_posterior(zero, zero), task20, cropped)
