@@ -83,6 +83,11 @@ def _expected_cropped(spec: LossSpec, mu, var):
     The inner loss is below a for |r| < t_a and above b for |r| > t_b; in
     between it is c0 + r^2 / denom, whose truncated-normal second moment on
     [lo, hi] is (mu^2 + var) P + sd ((mu + lo) phi(z_lo) - (mu + hi) phi(z_hi)).
+    At the scalar mu = 0 (the generalization oracle's case) |r| / sd is
+    half-normal: with alpha = t_a / sd and beta = t_b / sd the expectation is
+    a (1 - 2 Phi(-alpha)) + 2 b Phi(-beta) + 2 (c0 + var / denom) (Phi(-alpha)
+    - Phi(-beta)) + (2 var / denom) (alpha phi(alpha) - beta phi(beta)),
+    two Phi and two phi per point instead of four of each.
     """
     # Imported here, not at the top: scipy.special adds about 0.1 s to
     # `import pblr.cli`, and only cropped losses need it.
@@ -97,6 +102,15 @@ def _expected_cropped(spec: LossSpec, mu, var):
                          f"the residual where the loss reaches it overflows")
     var = np.maximum(var, _MIN_VAR)
     sd = np.sqrt(var)
+    if mu.ndim == 0 and mu == 0.0:
+        alpha, beta = t_a / sd, t_b / sd
+        with np.errstate(over="ignore"):  # beta^2 overflows as var -> 0, where phi(beta) -> 0
+            gauss = alpha * np.exp(-0.5 * alpha * alpha) - beta * np.exp(-0.5 * beta * beta)
+        tail_a, tail_b = ndtr(-alpha), ndtr(-beta)
+        scaled = var / denom
+        return (a * (1.0 - 2.0 * tail_a) + 2.0 * b * tail_b
+                + 2.0 * (c0 + scaled) * (tail_a - tail_b)
+                + math.sqrt(2.0 / math.pi) * scaled * gauss)
     edges = (-t_b, -t_a, t_a, t_b)
     z = [(t - mu) / sd for t in edges]
     with np.errstate(over="ignore"):

@@ -2,7 +2,8 @@
 
 The generalization risk is exact for every loss: closed form for the
 squared and NLL losses, a self-checking tensor Gauss-Hermite rule over the
-posterior for the cropped one. Both take one posterior or a stack of them.
+posterior for the cropped one, refined from 8 nodes per axis in steps of about
+sqrt(2) (d <= 5). Both take one posterior or a stack of them.
 `sample_bounds` turns a stack of linear-task samples, one per seed, into
 their stacked posterior, evidence report and bounds, with one fit for the
 stack; fig-c calls it with one seed per sample size. The coverage study
@@ -25,8 +26,10 @@ from .losses import LossSpec, empirical_gibbs_risk, expected_loss
 from .subgamma import nll_subgamma_params
 from .tasks import DesignMatrix, LinearTaskSpec, gen_linear_task
 
-# Nodes per axis of the successive cropped-loss rules (numpy's weights overflow past 256).
-_HERMITE_NODES = (8, 16, 32, 64, 128, 256)
+# Nodes per axis of the successive cropped-loss rules. Steps of about sqrt(2), not 2,
+# make the rule that confirms a converged one about 2^(d/2), not 2^d, times as large
+# (numpy's weights overflow past 256).
+_HERMITE_NODES = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
 _MAX_POINTS = 2 ** 18  # points of the largest rule: 64 nodes per axis in d = 3
 # (posterior, point) pairs a rule evaluates at once, or one posterior when its rule
 # alone has more points: memory stays flat in the stack size and the ladder's height
@@ -58,10 +61,11 @@ def gibbs_generalization_risk(post: GaussianPosterior, task: LinearTaskSpec,
     The squared and nll losses are affine in s, and E_w s(w) = s(mean) +
     input_var tr(A^{-1}). The cropped loss is not: its E_w is a tensor Gauss-Hermite
     rule (Golub & Welsch 1969) with k nodes on each axis of z in w = mean + L^{-T} z,
-    k doubling from 8 until two successive rules agree within 1e-10 relative. Each
-    rule is built once and evaluated for every posterior of the stack that has not
-    yet converged. When some posterior has no such pair within _MAX_POINTS points
-    it raises ValueError.
+    k climbing from 8 in steps of about sqrt(2) (8, 12, 16, 24, ...) until two
+    successive rules agree within 1e-10 relative; the first two fit _MAX_POINTS up
+    to d = 5. Each rule is built once and evaluated for every posterior of the stack
+    that has not yet converged. When some posterior has no such pair within
+    _MAX_POINTS points it raises ValueError.
     """
     if loss.kind != "cropped":
         s = task.squared_risk(post.mean) + task.input_var * post.cov_trace
@@ -89,9 +93,9 @@ def gibbs_generalization_risk(post: GaussianPosterior, task: LinearTaskSpec,
             live, value, gap = live[~done], value[~done], gap[~done]
             if not live.size:
                 return scalar_or_stack(risk.reshape(post.mean.shape[:-1]))
-    raise ValueError(f"the cropped generalization risk did not converge: the {k // 2}- "
-                     f"and {k}-node Gauss-Hermite rules differ by {gap[0]:.3g}, "
-                     f"and no finer rule in d = {d} fits {_MAX_POINTS} points")
+    raise ValueError(f"the cropped generalization risk did not converge: the "
+                     f"{ladder[-2]}- and {ladder[-1]}-node Gauss-Hermite rules differ by "
+                     f"{gap[0]:.3g}, and no finer rule in d = {d} fits {_MAX_POINTS} points")
 
 
 FAMILIES = ("subgamma", "catoni", "alquier_sqrtn")  # checked by the coverage study

@@ -93,20 +93,29 @@ def empirical_mgf_check(task: LinearTaskSpec, prior_var: float, loss: LossSpec,
         raise ValueError("MGF estimation needs at least 1e4 samples")
     for lam in lambda_grid:
         _check_lambda(lam, params.c)
-    u = 1.0 - rng.stream(seed, rng.MGF_TAG).standard_normal(m) ** 2
+    u = rng.stream(seed, rng.MGF_TAG).standard_normal(m)
+    np.subtract(1.0, np.square(u, out=u), out=u)
     scale = 1.0 if loss.kind == "squared" else 0.5 / loss.sigma2  # V_nll = V_sq / (2 sigma2)
+    # Three work arrays serve every lambda. The steps are those of t = lam scale
+    # input_var u, r = 1 - 2 prior_var t and log_e = lam scale noise_var u +
+    # t ||w*||^2 / r - d/2 log r, in the same order, so the rows keep their bits.
+    t, r, log_e = np.empty(m), np.empty(m), np.empty(m)
     rows = []
     for lam in lambda_grid:
-        t = lam * scale * task.input_var * u
-        r = 1.0 - 2.0 * prior_var * t
+        np.multiply(lam * scale * task.input_var, u, out=t)
+        np.subtract(1.0, np.multiply(2.0 * prior_var, t, out=r), out=r)
         if not r.min() > 0:  # params.c is below the scale of this task and prior
             raise ValueError(f"lambda {lam} is not below 1/c for this task and prior")
-        log_e = (lam * scale * task.noise_var * u + t * task.w_star_sq_norm / r
-                 - 0.5 * task.d * np.log(r))
+        np.multiply(lam * scale * task.noise_var, u, out=log_e)
+        np.divide(np.multiply(t, task.w_star_sq_norm, out=t), r, out=t)
+        np.add(log_e, t, out=log_e)
+        np.subtract(log_e, np.multiply(0.5 * task.d, np.log(r, out=r), out=r), out=log_e)
         top = float(log_e.max())
-        e = np.exp(log_e - top)
-        e_mean = float(np.mean(e))
+        e = np.exp(np.subtract(log_e, top, out=log_e), out=log_e)
+        e_mean = float(e.sum() / m)
+        # sd(e) with ddof = 1 as np.std computes it, from the same mean
+        np.square(np.subtract(e, e_mean, out=r), out=r)
         rows.append((float(lam), top + math.log(e_mean),
                      subgamma_envelope(lam, params.s2, params.c),
-                     float(e.std(ddof=1)) / (math.sqrt(m) * e_mean)))
+                     math.sqrt(r.sum() / (m - 1)) / (math.sqrt(m) * e_mean)))
     return rows

@@ -7,10 +7,11 @@ solve, sequential 1-D Bayesian updating instead of batch formulas, plain
 Monte Carlo over sampled weights and data instead of closed-form Gaussian
 expectations, a bootstrap instead of the delta method, and Gauss-Hermite
 quadrature of a closed-form conditional MGF instead of sampling. The
-exceptions are `sample_posterior`, seeded exact posterior draws, and
+exceptions are `sample_posterior`, seeded exact posterior draws,
 `squared_log_mgf_given_z`, the conditional MGF the package's MGF check
-also averages. Neither is an independent path; `plain_log_mgf_mc` is the
-independent check of the latter. The bound references state the direct
+also averages, and `mgf_rows_reference`, that check's arithmetic as plain
+array expressions. None is an independent path; `plain_log_mgf_mc` is the
+independent check of the last two. The bound references state the direct
 sub-gamma bound and the evidence-form Catoni bound, the forms the package
 does not compute, for checking the forms it does.
 """
@@ -126,6 +127,25 @@ def generalization_risk_mc(spec, weights: np.ndarray, x: np.ndarray,
     return float(per_pair.mean()), float(per_pair.std(ddof=1) / math.sqrt(len(per_pair)))
 
 
+def cropped_risk_tensor_rule(post, task, loss, k: int) -> float:
+    """E_w E_{x,y} of a cropped loss from one fixed tensor Gauss-Hermite rule, k nodes per axis.
+
+    The k^d weights are mean + L^{-T} z over the node grid, from a triangular
+    solve; at each, the residual is N(0, s(w)) and its expected loss comes from
+    the general array-mu formula of `expected_loss`, not its zero-mean form.
+    """
+    from pblr.losses import expected_loss
+
+    z, weights = np.polynomial.hermite_e.hermegauss(k)
+    grid = np.stack(np.meshgrid(*[z] * post.d, indexing="ij")).reshape(post.d, -1)
+    prob = np.ones(1)
+    for _ in range(post.d):
+        prob = np.outer(prob, weights).ravel()
+    w = post.mean[:, None] + solve_triangular(post.chol, grid, lower=True, trans="T")
+    s = task.squared_risk(w.T)
+    return float(prob @ expected_loss(loss, np.zeros_like(s), s)) / (2.0 * math.pi) ** (post.d / 2)
+
+
 def bootstrap_log_mgf_se(v: np.ndarray, lams, reps: int, seed: int) -> np.ndarray:
     """Bootstrap standard error of log mean exp(lam * v), one per lam.
 
@@ -227,3 +247,32 @@ def catoni_evidence_bound(neg_log_evidence: float, n: int, delta: float,
     if not exponent <= math.log(sys.float_info.max):
         raise ValueError(f"Catoni bound is not finite (exponent {exponent})")
     return a + (b - a) / (1.0 - math.exp(a - b)) * (1.0 - math.exp(exponent))
+
+
+def mgf_rows_reference(task, prior_var: float, loss, params, lambda_grid, m: int,
+                       seed: int) -> list:
+    """`subgamma.empirical_mgf_check`'s rows, one fresh temporary per operation.
+
+    The same draws and the same operations in the same order as the package's
+    in-place pass, written as plain array expressions with np.mean and
+    np.std(ddof=1), so the rows must agree bit for bit.
+    """
+    from pblr.subgamma import subgamma_envelope
+
+    u = 1.0 - rng.stream(seed, rng.MGF_TAG).standard_normal(m) ** 2
+    scale = 1.0 if loss.kind == "squared" else 0.5 / loss.sigma2
+    rows = []
+    for lam in lambda_grid:
+        t = lam * scale * task.input_var * u
+        r = 1.0 - 2.0 * prior_var * t
+        if not r.min() > 0:
+            raise ValueError(f"lambda {lam} is not below 1/c for this task and prior")
+        log_e = (lam * scale * task.noise_var * u + t * task.w_star_sq_norm / r
+                 - 0.5 * task.d * np.log(r))
+        top = float(log_e.max())
+        e = np.exp(log_e - top)
+        e_mean = float(np.mean(e))
+        rows.append((float(lam), top + math.log(e_mean),
+                     subgamma_envelope(lam, params.s2, params.c),
+                     float(e.std(ddof=1)) / (math.sqrt(m) * e_mean)))
+    return rows

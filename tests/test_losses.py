@@ -134,6 +134,36 @@ def test_mc_gibbs_risk_constant_cropped_loss():
     assert empirical_gibbs_risk(post, design, spec) == 1e6
 
 
+@pytest.mark.parametrize("spec", [
+    LossSpec.cropped(LossSpec.nll(2.0), 1.0, 4.0),
+    LossSpec.cropped(LossSpec.squared(), 0.2, 1.0),
+    LossSpec.cropped(LossSpec.nll(0.9), 1.0, 1.5),
+    LossSpec.cropped(LossSpec.nll(2.0), 2.0, 4.0),
+], ids=["default", "squared", "nll-0.9", "nll-2-above-c0"])
+def test_zero_mean_cropped_form_matches_the_general_one(spec):
+    # the scalar mu = 0 takes the half-normal form; an array of zeros the general one
+    var = np.geomspace(1e-12, 1e2, 600)
+    np.testing.assert_allclose(expected_loss(spec, 0.0, var),
+                               expected_loss(spec, np.zeros_like(var), var), rtol=1e-13, atol=0.0)
+
+
+def test_zero_mean_cropped_form_edge_cases():
+    var = np.geomspace(1e-12, 1e2, 60)
+    inactive = LossSpec.cropped(LossSpec.nll(2.0), -1e9, 1e9)
+    np.testing.assert_array_equal(expected_loss(inactive, 0.0, var),
+                                  expected_loss(inactive, np.zeros_like(var), var))
+    # c0 = 0.5 log(4 pi) >= b: every residual's loss is cropped down to b
+    above = LossSpec.cropped(LossSpec.nll(2.0), 0.5, 1.0)
+    np.testing.assert_array_equal(expected_loss(above, 0.0, var), 1.0)
+    # var = 0 is the clamped loss(0); beta^2 overflows without a RuntimeWarning
+    for spec in (LossSpec.cropped(LossSpec.nll(2.0), 1.0, 4.0),
+                 LossSpec.cropped(LossSpec.squared(), 0.2, 1.0),
+                 LossSpec.cropped(LossSpec.squared(), 0.2, 1e300)):
+        at_zero = np.clip(loss_of_residual(spec.inner, np.zeros(1)), spec.a, spec.b)
+        assert expected_loss(spec, 0.0, 0.0) == at_zero[0]
+        assert expected_loss(spec, 0.0, np.zeros(3)).tolist() == [at_zero[0]] * 3
+
+
 def test_empirical_risk_needs_an_example():
     design = DesignMatrix(phi=np.zeros((0, 1)), labels=np.zeros(0))
     with pytest.raises(ValueError):

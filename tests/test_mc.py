@@ -9,7 +9,8 @@ from pblr import mc, rng as streams
 from pblr.mc import gibbs_generalization_risk, run_validity_study, sample_bounds
 from pblr.tasks import DesignMatrix, LinearTaskSpec, gen_linear_task, identity_design
 
-from oracles import generalization_risk_mc, posterior_draws, precision, sample_posterior
+from oracles import (cropped_risk_tensor_rule, generalization_risk_mc, posterior_draws,
+                     precision, sample_posterior)
 
 
 def spd_posterior(mean, scale):
@@ -101,8 +102,9 @@ def test_generalization_risk_rejects_cropped_loss(monkeypatch):
     cropped = LossSpec.cropped(LossSpec.nll(2.0), 1.0, 4.0)
     wide = fit_posterior(identity_design(gen_linear_task(task, 1)),
                          ModelConfig(noise_var=2.0, prior_var=100.0))
-    with pytest.raises(ValueError, match="did not converge"):
+    with pytest.raises(ValueError, match="did not converge") as err:
         gibbs_generalization_risk(wide, task, cropped)
+    err.match("the 48- and 64-node")  # the last two rungs of the ladder in d = 3
     # in d = 20 not even the first two rules fit the point budget: no rule is built
     monkeypatch.setattr(np.polynomial.hermite_e, "hermegauss", None)
     task20 = LinearTaskSpec(w_star=np.full(20, 0.1), input_var=1.0, noise_var=0.1)
@@ -110,16 +112,18 @@ def test_generalization_risk_rejects_cropped_loss(monkeypatch):
         gibbs_generalization_risk(spd_posterior(np.zeros(20), 1.0), task20, cropped)
 
 
-@pytest.mark.parametrize("spec", [
-    LossSpec.nll(0.9),
-    LossSpec.squared(),
-    LossSpec.cropped(LossSpec.nll(0.9), 1.0, 1.5),
-    LossSpec.cropped(LossSpec.squared(), 0.2, 1.0),
-], ids=["nll", "squared", "cropped-nll", "cropped-squared"])
-def test_generalization_risk_agrees_with_monte_carlo(spec):
-    task = LinearTaskSpec(w_star=np.array([0.5, -0.3, 0.2]), input_var=1.0,
+@pytest.mark.parametrize("spec, d, n", [
+    (LossSpec.nll(0.9), 3, 10),
+    (LossSpec.squared(), 3, 10),
+    (LossSpec.cropped(LossSpec.nll(0.9), 1.0, 1.5), 3, 10),
+    (LossSpec.cropped(LossSpec.squared(), 0.2, 1.0), 3, 10),
+    # the 8- and 12-node rules fit the point budget in d = 5 (12^5 <= 2^18)
+    (LossSpec.cropped(LossSpec.nll(0.9), 1.0, 1.5), 5, 40),
+], ids=["nll", "squared", "cropped-nll", "cropped-squared", "cropped-nll-d5"])
+def test_generalization_risk_agrees_with_monte_carlo(spec, d, n):
+    task = LinearTaskSpec(w_star=np.array([0.5, -0.3, 0.2, 0.1, -0.4])[:d], input_var=1.0,
                           noise_var=0.3, seed=12)
-    post, _ = fitted_posterior(seed=13, n=10, d=3)
+    post, _ = fitted_posterior(seed=13, n=n, d=d)
     m = 200_000
     fresh = gen_linear_task(task, m)
     ref, ref_se = generalization_risk_mc(spec, posterior_draws(post, m, 14),
@@ -248,6 +252,18 @@ def test_stacked_study_matches_stacks_of_one():
             assert bound[trial] == bounds[family][0], (trial, family)
             expected = risks["nll" if family == "subgamma" else "cropped"][0]
             assert risk[trial] == expected, (trial, family)
+
+
+def test_cropped_oracle_matches_a_fixed_32_node_rule():
+    args = study_args(trials=20)
+    task, model, n, cropped, delta, trials = args.values()
+    seeds = [streams.derive_seed(task.seed, streams.TRIAL_TAG, trial, 0) for trial in range(trials)]
+    post, _, _ = sample_bounds(task, model, n, cropped, delta, seeds)
+    risk = gibbs_generalization_risk(post, task, cropped)
+    for trial in range(trials):
+        single = GaussianPosterior(mean=post.mean[trial], chol=post.chol[trial])
+        assert risk[trial] == pytest.approx(cropped_risk_tensor_rule(single, task, cropped, 32),
+                                            rel=1e-13, abs=0.0), trial
 
 
 def test_study_result_does_not_depend_on_the_block_size(monkeypatch):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import (bootstrap_log_mgf_se, plain_log_mgf_mc, squared_log_mgf_given_z,
-                     squared_log_mgf_quadrature)
+from oracles import (bootstrap_log_mgf_se, mgf_rows_reference, plain_log_mgf_mc,
+                     squared_log_mgf_given_z, squared_log_mgf_quadrature)
 from pblr import __version__, rng
 from pblr.cli import main
 from pblr.experiments import run_validate
@@ -151,6 +151,20 @@ def test_mgf_grid_validation():
                                20_000, seed=0)
     for _, psi_hat, _, band in rows:
         assert np.isfinite(psi_hat) and 0.0 < band < np.inf
+
+
+@pytest.mark.parametrize("loss", [LossSpec.squared(), LossSpec.nll(2.0)],
+                         ids=["squared", "nll"])
+def test_mgf_rows_keep_their_bits(loss):
+    # the in-place pass computes each row with the operations of plain array code
+    params = small_variance_params()
+    if loss.kind == "nll":
+        params = SubGammaParams(s2=params.s2 / 16.0, c=params.c / 4.0)
+    lams = [0.25, 0.5, 1.0, 0.99 / params.c]
+    for seed in range(5):
+        assert empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, loss, params, lams,
+                                   20_000, seed) == \
+            mgf_rows_reference(SMALL_TASK, SMALL_PRIOR_VAR, loss, params, lams, 20_000, seed)
 
 
 MGF_CHECK_LAMBDAS = (0.25, 0.5, 1.0)
