@@ -198,21 +198,3 @@ def evidence_decomposition(post: GaussianPosterior, design: DesignMatrix,
     return EvidenceReport(*_split(design.phi, design.labels, post.mean,
                                   post.logdet_precision, post.cov_trace, cfg))
 
-
-def stacked_neg_log_evidence(phi: np.ndarray, labels: np.ndarray,
-                             cfg: ModelConfig) -> np.ndarray:
-    """Negative log evidence of S independent fits at once: phi (S, n, d), labels (S, n).
-
-    It is `evidence_decomposition` of the stacked fit, so entry s has the bits
-    of the per-fit path for the design (phi[s], labels[s]), and it makes that
-    path's checks, with its messages: a non-finite design, a non-finite or
-    indefinite precision, a non-finite mean, the KL sign and the evidence
-    identity each raise ValueError.
-    """
-    phi = np.asarray(phi, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    if phi.ndim != 3 or labels.shape != phi.shape[:2]:
-        raise ValueError(f"need phi of shape (S, n, d) and labels (S, n), "
-                         f"got {phi.shape} and {labels.shape}")
-    design = DesignMatrix(phi=phi, labels=labels)
-    return evidence_decomposition(fit_posterior(design, cfg), design, cfg).neg_log_evidence

@@ -1,14 +1,13 @@
 """Reproductions of the two synthetic studies, emitting plot-ready tables.
 
 fig_a / fig_b: polynomial models of degree 1..7 fitted to 15 noisy sine
-samples, with the evidence split per degree; each draws its sample once and
-fits every degree with the per-fit path. The fig-b seed scan
-(`selected_degrees`) needs only the evidence of each (seed, degree), so it
-stacks up to SCAN_BLOCK seeds into one batched fit per degree; both paths run
-the one fit routine of `blr`, so they give the same evidences. fig_c: bound
-values against training-set size for the 20-dimensional Gaussian linear
-task. validate: coverage of the bounds over repeated draws plus the MGF
-envelope check.
+samples, with the evidence split per degree. One loop, `_polynomial_fits`,
+fits and splits every degree, for one sample or a stack of them; the fig-b
+seed scan (`selected_degrees`) passes it blocks of up to SCAN_BUDGET design
+entries, so each seed's evidence has the bits of fitting its sample alone.
+fig_c: bound values against training-set size for the 20-dimensional
+Gaussian linear task. validate: coverage of the bounds over repeated draws
+plus the MGF envelope check.
 """
 
 import math
@@ -16,13 +15,12 @@ import math
 import numpy as np
 
 from . import __version__, rng
-from .blr import (ModelConfig, evidence_decomposition, fit_posterior,
-                  stacked_neg_log_evidence)
+from .blr import ModelConfig, evidence_decomposition, fit_posterior
 from .losses import LossSpec, empirical_gibbs_risk
 from .mc import gibbs_generalization_risk, run_validity_study, sample_bounds
 from .subgamma import (dominated, empirical_mgf_check, nll_subgamma_params,
                        squared_loss_subgamma_params)
-from .tasks import (TWO_PI, LinearTaskSpec, SineTaskSpec, gen_sine_task,
+from .tasks import (TWO_PI, DesignMatrix, LinearTaskSpec, SineTaskSpec, gen_sine_task,
                     polynomial_design, polynomial_features)
 
 DEFAULT_SEED = 1
@@ -33,7 +31,9 @@ SINE_NOISE_VAR = 0.25
 SINE_SIGMA2 = 0.5
 SINE_SIGMA_PI2 = 1.0 / 0.005
 DEFAULT_DEGREES = tuple(range(1, 8))
-SCAN_BLOCK = 1024  # seeds per stacked fit in the seed scan: memory stays flat in the seed count
+# design entries S*n*(top degree + 1) per stacked fit of the seed scan: 1,024 seeds
+# at the defaults, and memory stays flat in both the seed count and n
+SCAN_BUDGET = 1024 * SINE_N * (DEFAULT_DEGREES[-1] + 1)
 
 # linear-task bound comparison defaults
 LINREG_D = 20
@@ -81,25 +81,29 @@ def _checked_degrees(degrees) -> tuple:
     return degrees
 
 
-def _polynomial_fits(seed, n, noise_var, sigma2, sigma_pi2, degrees) -> tuple:
-    """The sine sample and one (degree, posterior, EvidenceReport) per degree, in order."""
+def _polynomial_fits(xs, labels, sigma2, sigma_pi2, degrees) -> list:
+    """One (degree, posterior, EvidenceReport) per degree, in order.
+
+    xs and labels are one sine sample, shape (n,), or a stack of S samples,
+    shape (S, n); a stack gives posteriors and reports of S fits each.
+    """
     degrees = _checked_degrees(degrees)
-    dataset = gen_sine_task(SineTaskSpec(n=n, noise_var=noise_var, seed=seed))
     cfg = ModelConfig(noise_var=sigma2, prior_var=sigma_pi2)
     fits = []
     for degree in degrees:
-        design = polynomial_design(dataset, degree)
+        design = DesignMatrix(polynomial_features(xs, degree), labels)
         post = fit_posterior(design, cfg)
         # the report checks the evidence identity on construction
         fits.append((degree, post, evidence_decomposition(post, design, cfg)))
-    return dataset, fits
+    return fits
 
 
 def run_fig_a(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
               sigma2=SINE_SIGMA2, sigma_pi2=SINE_SIGMA_PI2,
               degrees=DEFAULT_DEGREES, grid_size=200):
     """Posterior-mean predictions per degree on a dense input grid."""
-    dataset, fits = _polynomial_fits(seed, n, noise_var, sigma2, sigma_pi2, degrees)
+    dataset = gen_sine_task(SineTaskSpec(n=n, noise_var=noise_var, seed=seed))
+    fits = _polynomial_fits(dataset.raw_inputs, dataset.labels, sigma2, sigma_pi2, degrees)
     grid = np.linspace(0.0, TWO_PI, grid_size)
     rows = []
     for degree, post, _ in fits:
@@ -114,7 +118,8 @@ def run_fig_b(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
     """Evidence decomposition per degree plus the Gibbs NLL risk on fresh data."""
     if test_size < 1:
         raise ValueError(f"test_size must be at least 1, got {test_size}")
-    _, fits = _polynomial_fits(seed, n, noise_var, sigma2, sigma_pi2, degrees)
+    train = gen_sine_task(SineTaskSpec(n=n, noise_var=noise_var, seed=seed))
+    fits = _polynomial_fits(train.raw_inputs, train.labels, sigma2, sigma_pi2, degrees)
     test = gen_sine_task(SineTaskSpec(n=test_size, noise_var=noise_var,
                                       seed=rng.derive_seed(seed, rng.TEST_SET_TAG)))
     nll = LossSpec.nll(sigma2)
@@ -127,43 +132,39 @@ def polynomial_family(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
                       sigma2=SINE_SIGMA2, sigma_pi2=SINE_SIGMA_PI2,
                       degrees=DEFAULT_DEGREES) -> tuple:
     """(degree, EvidenceReport) pairs in the order of `degrees`, fitted on one sine sample."""
-    _, fits = _polynomial_fits(seed, n, noise_var, sigma2, sigma_pi2, degrees)
+    sample = gen_sine_task(SineTaskSpec(n=n, noise_var=noise_var, seed=seed))
+    fits = _polynomial_fits(sample.raw_inputs, sample.labels, sigma2, sigma_pi2, degrees)
     return tuple((degree, report) for degree, _, report in fits)
-
-
-def _stacked_evidences(seeds, n, cfg, degrees) -> np.ndarray:
-    """(len(seeds), len(degrees)) negative log evidences: one stacked fit per degree."""
-    samples = [gen_sine_task(SineTaskSpec(n=n, noise_var=SINE_NOISE_VAR, seed=s))
-               for s in seeds]
-    xs = np.stack([sample.raw_inputs for sample in samples])
-    labels = np.stack([sample.labels for sample in samples])
-    return np.stack([stacked_neg_log_evidence(polynomial_features(xs, degree), labels, cfg)
-                     for degree in degrees], axis=1)
 
 
 def selected_degrees(seeds, seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2,
                      sigma_pi2=SINE_SIGMA_PI2, degrees=DEFAULT_DEGREES) -> np.ndarray:
     """The highest-evidence degree of each of the sine samples seed, ..., seed + seeds - 1.
 
-    Draws the same samples as `polynomial_family`, whose evidences the stacked
-    fits reproduce bit for bit, and keeps the first of tied evidences, so the
-    degree listed first wins a tie. A stacked fit fails degree by degree, so a
-    block that fails a check is refitted seed by seed to raise the error of
-    the first failing seed.
+    Draws the same samples as `polynomial_family` and fits them in stacked
+    blocks of at most SCAN_BUDGET design entries (at least one seed), so each
+    evidence has the bits of `polynomial_family`'s. Keeps the first of tied
+    evidences, so the degree listed first wins a tie. A stacked fit fails
+    degree by degree, so a block that fails a check is refitted seed by seed
+    to raise the error of the first failing seed.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be at least 1, got {seeds}")
     degrees = _checked_degrees(degrees)
-    cfg = ModelConfig(noise_var=sigma2, prior_var=sigma_pi2)
+    block = max(1, SCAN_BUDGET // (max(n, 1) * (max(degrees) + 1)))
     best = []
-    for start in range(seed, seed + seeds, SCAN_BLOCK):
-        block = range(start, min(start + SCAN_BLOCK, seed + seeds))
+    for start in range(seed, seed + seeds, block):
+        samples = [gen_sine_task(SineTaskSpec(n=n, noise_var=SINE_NOISE_VAR, seed=s))
+                   for s in range(start, min(start + block, seed + seeds))]
         try:
-            nle = _stacked_evidences(block, n, cfg, degrees)
+            fits = _polynomial_fits(np.stack([sample.raw_inputs for sample in samples]),
+                                    np.stack([sample.labels for sample in samples]),
+                                    sigma2, sigma_pi2, degrees)
         except ValueError:
-            for s in block:
-                polynomial_family(s, n, sigma2=sigma2, sigma_pi2=sigma_pi2, degrees=degrees)
+            for sample in samples:
+                _polynomial_fits(sample.raw_inputs, sample.labels, sigma2, sigma_pi2, degrees)
             raise
+        nle = np.stack([report.neg_log_evidence for _, _, report in fits], axis=1)
         best.append(np.asarray(degrees)[np.argmin(nle, axis=1)])
     return np.concatenate(best)
 

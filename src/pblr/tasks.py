@@ -139,14 +139,6 @@ def polynomial_design(dataset: Dataset, degree: int) -> DesignMatrix:
                         labels=dataset.labels)
 
 
-def identity_design(dataset: Dataset) -> DesignMatrix:
-    """Use the raw input vectors themselves as features."""
-    phi = np.asarray(dataset.raw_inputs, dtype=float)
-    if phi.ndim == 1:
-        phi = phi[:, None]
-    return DesignMatrix(phi=phi, labels=dataset.labels)
-
-
 def gen_sine_task(spec: SineTaskSpec) -> Dataset:
     """Draw a sine-task sample with x on [0, TWO_PI]; bit-identical for equal specs."""
     gen = rng.stream(spec.seed, rng.SINE_TAG, spec.n)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from pblr import blr
-from pblr.blr import (EvidenceReport, ModelConfig, evidence_decomposition,
-                      fit_posterior, stacked_neg_log_evidence)
+from pblr.blr import EvidenceReport, ModelConfig, evidence_decomposition, fit_posterior
 from pblr.tasks import DesignMatrix, polynomial_features
 
 from oracles import (kl_gaussians, nle_full_covariance, nle_sequential_1d,
@@ -294,7 +293,7 @@ def test_stacked_evidence_matches_per_fit_path():
                           prior_var=float(rng.uniform(0.2, 5.0)))
         phi = rng.standard_normal((5, n, d))
         labels = rng.standard_normal((5, n))
-        stacked = stacked_neg_log_evidence(phi, labels, cfg)
+        stacked = split(DesignMatrix(phi=phi, labels=labels), cfg).neg_log_evidence
         assert stacked.shape == (5,)
         per_fit = [split(DesignMatrix(phi=p, labels=y), cfg).neg_log_evidence
                    for p, y in zip(phi, labels)]
@@ -302,7 +301,7 @@ def test_stacked_evidence_matches_per_fit_path():
 
 
 @pytest.mark.parametrize("phi, labels, cfg, message", [
-    (np.ones((2, 3, 2)), np.ones((2, 2)), UNIT_CFG, "need phi of shape"),
+    (np.ones((2, 3, 2)), np.ones((2, 2)), UNIT_CFG, "does not match labels"),
     (np.full((2, 3, 2), np.inf), np.ones((2, 3)), UNIT_CFG,
      "design matrix contains non-finite entries"),
     (np.ones((2, 3, 2)), np.full((2, 3), np.nan), UNIT_CFG,
@@ -318,7 +317,7 @@ def test_stacked_evidence_matches_per_fit_path():
 ], ids=["shape", "design", "labels", "precision-inf", "indefinite", "identity"])
 def test_stacked_evidence_fails_closed(phi, labels, cfg, message):
     with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
-        stacked_neg_log_evidence(phi, labels, cfg)
+        split(DesignMatrix(phi=phi, labels=labels), cfg)
     if phi.ndim == 3 and labels.shape == phi.shape[:2]:  # the per-fit path says the same
         with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
             for p, y in zip(phi, labels):

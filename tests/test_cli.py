@@ -36,11 +36,13 @@ def test_fig_a_writes_files(tmp_path):
 
 
 def test_rerun_reproduces_identical_bytes(tmp_path):
-    for argv, files in ((["fig-b", "--seed", 5], ["fig_b.csv"]),
-                        (["validate", "--trials", 2, "--mgf-m", 10000],
-                         ["coverage.json", "mgf.csv"]),
-                        (["fig-c", "--n-grid", 10, 100], ["fig_c.csv"])):
-        a, b = tmp_path / argv[0] / "a", tmp_path / argv[0] / "b"
+    for case, (argv, files) in enumerate((
+            (["fig-a", "--seed", 5], ["fig_a.csv", "train.csv"]),
+            (["fig-b", "--seed", 5], ["fig_b.csv"]),
+            (["fig-b", "--seeds", 50], ["fig_b_selection.csv"]),
+            (["validate", "--trials", 2, "--mgf-m", 10000], ["coverage.json", "mgf.csv"]),
+            (["fig-c", "--n-grid", 10, 100], ["fig_c.csv"]))):
+        a, b = tmp_path / str(case) / "a", tmp_path / str(case) / "b"
         for out in (a, b):
             assert run([*argv, "--out", out]) == 0
         for name in files:

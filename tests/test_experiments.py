@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pblr import experiments as exp
+from pblr.blr import fit_posterior
 from pblr.mc import sample_bounds
 from pblr.subgamma import dominated, nll_subgamma_params
 
@@ -129,9 +130,18 @@ def test_fig_c_factors_each_sample_size_once(cholesky_calls):
     assert len(cholesky_calls) == 3
 
 
+def stacked_evidences(seeds, sigma2=exp.SINE_SIGMA2, degrees=exp.DEFAULT_DEGREES):
+    """(len(seeds), len(degrees)) negative log evidences from one stacked `_polynomial_fits`."""
+    samples = [exp.gen_sine_task(exp.SineTaskSpec(n=exp.SINE_N, noise_var=exp.SINE_NOISE_VAR,
+                                                  seed=seed)) for seed in seeds]
+    fits = exp._polynomial_fits(np.stack([sample.raw_inputs for sample in samples]),
+                                np.stack([sample.labels for sample in samples]),
+                                sigma2, exp.SINE_SIGMA_PI2, degrees)
+    return np.stack([report.neg_log_evidence for _, _, report in fits], axis=1)
+
+
 def test_seed_scan_evidence_matches_per_seed_fits():
-    cfg = exp.ModelConfig(noise_var=exp.SINE_SIGMA2, prior_var=exp.SINE_SIGMA_PI2)
-    stacked = exp._stacked_evidences(range(200), exp.SINE_N, cfg, exp.DEFAULT_DEGREES)
+    stacked = stacked_evidences(range(200))
     per_seed = np.array([[report.neg_log_evidence for _, report in
                           exp.polynomial_family(seed=seed)] for seed in range(200)])
     # both paths run blr's one fit routine and one split, so the bits agree
@@ -147,16 +157,19 @@ def _per_seed_winners(seeds):
 
 
 def test_seed_scan_blocks_keep_the_per_seed_winners(monkeypatch):
-    monkeypatch.setattr(exp, "SCAN_BLOCK", 16)  # 100 seeds cross six block boundaries
+    # 16 seeds per block at the defaults: 100 seeds cross six block boundaries
+    monkeypatch.setattr(exp, "SCAN_BUDGET", 16 * exp.SINE_N * 8)
     assert exp.selected_degrees(seed=30, seeds=100).tolist() == _per_seed_winners(range(30, 130))
 
 
 def test_seed_scan_raises_a_stacked_failure_that_no_seed_makes(monkeypatch):
     # a failed block gives no winners, even if every per-seed fit of it passes
-    def refuse(*args):
-        raise ValueError("stacked fit refused")
-    monkeypatch.setattr(exp, "SCAN_BLOCK", 16)
-    monkeypatch.setattr(exp, "stacked_neg_log_evidence", refuse)
+    def refuse_stacks(design, cfg):
+        if design.phi.ndim == 3:
+            raise ValueError("stacked fit refused")
+        return fit_posterior(design, cfg)
+    monkeypatch.setattr(exp, "SCAN_BUDGET", 16 * exp.SINE_N * 8)
+    monkeypatch.setattr(exp, "fit_posterior", refuse_stacks)
     with pytest.raises(ValueError, match="stacked fit refused"):
         exp.selected_degrees(seed=30, seeds=20)
 
@@ -165,14 +178,11 @@ def test_seed_scan_raises_a_stacked_failure_that_no_seed_makes(monkeypatch):
     {"degrees": (40,)}, {"degrees": (7, 12, 14)}, {"degrees": (400,)}, {"sigma2": 1e-300},
 ], ids=["degree-40", "degrees-7-12-14", "degree-400", "sigma2-1e-300"])
 def test_stacked_fits_fail_as_the_per_seed_path(kwargs):
-    cfg = exp.ModelConfig(noise_var=kwargs.get("sigma2", exp.SINE_SIGMA2),
-                          prior_var=exp.SINE_SIGMA_PI2)
     with pytest.raises(ValueError) as per_seed:
         for seed in (1, 2, 3):
             exp.polynomial_family(seed=seed, **kwargs)
     with pytest.raises(ValueError) as stacked:
-        exp._stacked_evidences((1, 2, 3), exp.SINE_N, cfg,
-                               kwargs.get("degrees", exp.DEFAULT_DEGREES))
+        stacked_evidences((1, 2, 3), **kwargs)
     assert str(stacked.value) == str(per_seed.value)
 
 
@@ -182,3 +192,13 @@ def test_seed_scan_uses_no_per_seed_fit(cholesky_calls):
     assert cholesky_calls == [(50,)] * len(exp.DEFAULT_DEGREES)
     with pytest.raises(ValueError, match="seeds must be at least 1, got 0"):
         exp.selected_degrees(seeds=0)
+
+
+@pytest.mark.parametrize("seeds, n, blocks", [
+    (1030, exp.SINE_N, [1024, 6]), (40, 1_000, [15, 15, 10]), (4, 50_000, [1, 1, 1, 1]),
+], ids=["defaults", "budget-sized-blocks", "one-seed-per-block"])
+def test_seed_scan_stacks_at_most_the_budget(cholesky_calls, seeds, n, blocks):
+    # a stacked fit of S seeds holds S * n * 8 design entries at degree 7
+    exp.selected_degrees(seeds=seeds, n=n)
+    assert cholesky_calls == [(size,) for size in blocks for _ in exp.DEFAULT_DEGREES]
+    assert all(size == 1 or size * n * 8 <= exp.SCAN_BUDGET for size in blocks)

@@ -7,7 +7,7 @@ from pblr.blr import GaussianPosterior, ModelConfig, fit_posterior
 from pblr.losses import LossSpec
 from pblr import mc, rng as streams
 from pblr.mc import gibbs_generalization_risk, run_validity_study, sample_bounds
-from pblr.tasks import DesignMatrix, LinearTaskSpec, gen_linear_task, identity_design
+from pblr.tasks import DesignMatrix, LinearTaskSpec, gen_linear_task
 
 from oracles import (cropped_risk_tensor_rule, generalization_risk_mc, posterior_draws,
                      precision, sample_posterior)
@@ -100,7 +100,8 @@ def test_generalization_risk_rejects_cropped_loss(monkeypatch):
     task = LinearTaskSpec(w_star=np.full(3, 0.5 / math.sqrt(3)), input_var=1.0,
                           noise_var=1.0 / 9.0, seed=0)
     cropped = LossSpec.cropped(LossSpec.nll(2.0), 1.0, 4.0)
-    wide = fit_posterior(identity_design(gen_linear_task(task, 1)),
+    ds = gen_linear_task(task, 1)
+    wide = fit_posterior(DesignMatrix(phi=ds.raw_inputs, labels=ds.labels),
                          ModelConfig(noise_var=2.0, prior_var=100.0))
     with pytest.raises(ValueError, match="did not converge") as err:
         gibbs_generalization_risk(wide, task, cropped)
@@ -294,7 +295,8 @@ def test_stacked_cropped_oracle_fails_closed():
                           noise_var=1.0 / 9.0, seed=0)
     cropped = LossSpec.cropped(LossSpec.nll(2.0), 1.0, 4.0)
     good, _ = fitted_posterior(seed=3, d=3)
-    wide = fit_posterior(identity_design(gen_linear_task(task, 1)),
+    ds = gen_linear_task(task, 1)
+    wide = fit_posterior(DesignMatrix(phi=ds.raw_inputs, labels=ds.labels),
                          ModelConfig(noise_var=2.0, prior_var=100.0))
     assert np.isfinite(gibbs_generalization_risk(stacked_posterior(good, good), task, cropped)).all()
     with pytest.raises(ValueError, match="did not converge"):

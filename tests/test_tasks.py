@@ -4,8 +4,7 @@ import pytest
 from pblr import __version__
 from pblr.cli import main
 from pblr.tasks import (Dataset, DesignMatrix, LinearTaskSpec, SineTaskSpec,
-                        gen_linear_task, gen_sine_task, identity_design,
-                        polynomial_design)
+                        gen_linear_task, gen_sine_task, polynomial_design)
 
 
 def polynomial_features(x, degree):
@@ -120,14 +119,6 @@ def test_polynomial_design_rows_match_feature_map():
     assert design.d == 4
     for i in range(6):
         assert np.allclose(design.phi[i], ds.raw_inputs[i] ** np.arange(4))
-
-
-def test_identity_design_vector_inputs():
-    spec = LinearTaskSpec(w_star=np.ones(3), seed=0)
-    ds = gen_linear_task(spec, 5)
-    design = identity_design(ds)
-    assert design.phi.shape == (5, 3)
-    assert np.array_equal(design.phi, ds.raw_inputs)
 
 
 def write_train_csv(tmp_path, seed, n):
