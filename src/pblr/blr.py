@@ -6,11 +6,12 @@ A = phi' phi / noise_var + I / prior_var, and the negative log marginal
 likelihood splits exactly into the posterior-averaged empirical negative
 log-likelihood plus the posterior-prior KL divergence. One numpy routine
 fits one design or a stack of them: the Cholesky factor L of A, its
-inverse L^{-1} from one solve against the identity, and the mean
-L^{-T} L^{-1} phi'y / noise_var. A stacked design (S, n, d) gives a
-`GaussianPosterior` and an `EvidenceReport` that carry the S fits as arrays,
-entry by entry with the bits of fitting that design alone. The log
-determinant comes from diag(L);
+inverse L^{-1} from one solve of L' against the identity, and z = L^{-1} phi'y.
+The leading k columns of the design take the leading k x k blocks of L and
+L^{-1} and the mean L_k^{-T} z[:k] / noise_var, so one fit serves every
+column prefix. A stacked design (S, n, d) gives a `GaussianPosterior` and an
+`EvidenceReport` that carry the S fits as arrays, entry by entry with the
+bits of fitting that design alone. The log determinant comes from diag(L);
 tr(A^{-1}) = ||L^{-1}||_F^2 and the quadratic forms phi' A^{-1} phi =
 ||L^{-1} phi||^2 come from L^{-1}. A^{-1} itself is never formed.
 """
@@ -39,10 +40,15 @@ class ModelConfig:
 
 
 def _inverse_factor(low: np.ndarray) -> np.ndarray:
-    """L^{-1} of one lower triangular L or of a stack of them."""
+    """L^{-1} of one lower triangular L or of a stack of them, as ((L')^{-1})'.
+
+    Pivoting swaps no rows of the upper triangular L' (of L it would, where
+    |L_i0| > L_00), so L^{-1} is exactly lower triangular, block by leading block.
+    """
     # the identity gets the full stack shape: numpy 1.24 reads a 2-D right-hand
     # side against a stack of matrices as a stack of vectors
-    return np.linalg.solve(low, np.broadcast_to(np.eye(low.shape[-1]), low.shape))
+    eye = np.broadcast_to(np.eye(low.shape[-1]), low.shape)
+    return np.swapaxes(np.linalg.solve(np.swapaxes(low, -1, -2), eye), -1, -2)
 
 
 def _logdet(low: np.ndarray):
@@ -137,11 +143,10 @@ class EvidenceReport:
 
 
 def _fit(phi: np.ndarray, labels: np.ndarray, cfg: ModelConfig) -> tuple:
-    """(mean, L, L^{-1}) of the posterior for one design phi (n, d) or a stack (S, n, d).
+    """(L, L^{-1}, L^{-1} phi'y) of the posterior for one design phi (n, d) or a stack (S, n, d).
 
     The fit of a stack entry has the same bits as the fit of that design alone.
-    Raises ValueError when the precision is not finite or not positive definite,
-    or the mean is not finite.
+    Raises ValueError when the precision is not finite or not positive definite.
     """
     d = phi.shape[-1]
     phi_t = np.swapaxes(phi, -1, -2)
@@ -156,17 +161,27 @@ def _fit(phi: np.ndarray, labels: np.ndarray, cfg: ModelConfig) -> tuple:
         raise ValueError(f"posterior precision is not positive definite at d = {d}, "
                          f"noise_var = {cfg.noise_var!r}, prior_var = {cfg.prior_var!r}") from exc
     inv_l = _inverse_factor(low)
-    z = inv_l @ (phi_t @ labels[..., None])  # L^{-1} phi'y; zero when n = 0
-    mean = (np.swapaxes(inv_l, -1, -2) @ z)[..., 0] / cfg.noise_var
-    if not np.isfinite(mean).all():
-        raise ValueError("posterior mean is not finite")
-    return mean, low, inv_l
+    return low, inv_l, inv_l @ (phi_t @ labels[..., None])  # L^{-1} phi'y is 0 when n = 0
+
+
+def fit_prefixes(design: DesignMatrix, cfg: ModelConfig, widths) -> list:
+    """The posterior of each leading column block phi[..., :k], k in widths, from one fit.
+
+    The precision of phi[..., :k] is A's leading k x k block, so its factors are
+    the leading blocks of L and L^{-1} (Golub & Van Loan, Matrix Computations,
+    4.2). Raises ValueError as `_fit`, for a non-finite mean or a width not in 0..d.
+    """
+    if not all(0 <= k <= design.d for k in widths):
+        raise ValueError(f"column widths {widths} are not within 0..{design.d}")
+    low, inv_l, z = _fit(design.phi, design.labels, cfg)
+    return [GaussianPosterior(  # the mean's check raises on a non-finite mean
+        mean=(np.swapaxes(inv_l[..., :k, :k], -1, -2) @ z[..., :k, :])[..., 0] / cfg.noise_var,
+        chol=low[..., :k, :k], inv_chol=inv_l[..., :k, :k]) for k in widths]
 
 
 def fit_posterior(design: DesignMatrix, cfg: ModelConfig) -> GaussianPosterior:
     """Posterior precision A = phi'phi/noise_var + I/prior_var and mean A^{-1}phi'y/noise_var."""
-    mean, low, inv_l = _fit(design.phi, design.labels, cfg)
-    return GaussianPosterior(mean=mean, chol=low, inv_chol=inv_l)
+    return fit_prefixes(design, cfg, [design.d])[0]
 
 
 def _split(phi, labels, mean, logdet_precision, cov_trace, cfg: ModelConfig) -> tuple:

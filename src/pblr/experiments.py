@@ -1,10 +1,10 @@
 """Reproductions of the two synthetic studies, emitting plot-ready tables.
 
 fig_a / fig_b: polynomial models of degree 1..7 fitted to 15 noisy sine
-samples, with the evidence split per degree. One loop, `_polynomial_fits`,
-fits and splits every degree, for one sample or a stack of them; the fig-b
-seed scan (`selected_degrees`) passes it blocks of up to SCAN_BUDGET design
-entries, so each seed's evidence has the bits of fitting its sample alone.
+samples, with the evidence split per degree. `_polynomial_fits` fits the top
+degree once, for one sample or a stack, and each degree is a column prefix of
+that fit; the fig-b seed scan (`selected_degrees`) passes it blocks of up to
+SCAN_BUDGET design entries, so each seed's evidence has the bits of its own fit.
 fig_c: bound values against training-set size for the 20-dimensional
 Gaussian linear task. validate: coverage of the bounds over repeated draws
 plus the MGF envelope check.
@@ -15,13 +15,13 @@ import math
 import numpy as np
 
 from . import __version__, rng
-from .blr import ModelConfig, evidence_decomposition, fit_posterior
+from .blr import ModelConfig, evidence_decomposition, fit_prefixes
 from .losses import LossSpec, empirical_gibbs_risk
 from .mc import gibbs_generalization_risk, run_validity_study, sample_bounds
 from .subgamma import (dominated, empirical_mgf_check, nll_subgamma_params,
                        squared_loss_subgamma_params)
 from .tasks import (TWO_PI, DesignMatrix, LinearTaskSpec, SineTaskSpec, gen_sine_task,
-                    polynomial_design, polynomial_features)
+                    polynomial_features)
 
 DEFAULT_SEED = 1
 
@@ -89,13 +89,12 @@ def _polynomial_fits(xs, labels, sigma2, sigma_pi2, degrees) -> list:
     """
     degrees = _checked_degrees(degrees)
     cfg = ModelConfig(noise_var=sigma2, prior_var=sigma_pi2)
-    fits = []
-    for degree in degrees:
-        design = DesignMatrix(polynomial_features(xs, degree), labels)
-        post = fit_posterior(design, cfg)
-        # the report checks the evidence identity on construction
-        fits.append((degree, post, evidence_decomposition(post, design, cfg)))
-    return fits
+    design = DesignMatrix(polynomial_features(xs, max(degrees)), labels)
+    posts = fit_prefixes(design, cfg, [degree + 1 for degree in degrees])
+    # each report checks the evidence identity on construction
+    return [(degree, post, evidence_decomposition(
+        post, DesignMatrix(design.phi[..., :degree + 1], design.labels), cfg))
+        for degree, post in zip(degrees, posts)]
 
 
 def run_fig_a(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
@@ -105,10 +104,9 @@ def run_fig_a(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
     dataset = gen_sine_task(SineTaskSpec(n=n, noise_var=noise_var, seed=seed))
     fits = _polynomial_fits(dataset.raw_inputs, dataset.labels, sigma2, sigma_pi2, degrees)
     grid = np.linspace(0.0, TWO_PI, grid_size)
-    rows = []
-    for degree, post, _ in fits:
-        preds = polynomial_features(grid, degree) @ post.mean
-        rows.extend((degree, float(x), float(p)) for x, p in zip(grid, preds))
+    grid_phi = polynomial_features(grid, max(degree for degree, _, _ in fits))
+    rows = [(degree, float(x), float(p)) for degree, post, _ in fits
+            for x, p in zip(grid, grid_phi[:, :degree + 1] @ post.mean)]
     return dataset, rows
 
 
@@ -122,9 +120,10 @@ def run_fig_b(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
     fits = _polynomial_fits(train.raw_inputs, train.labels, sigma2, sigma_pi2, degrees)
     test = gen_sine_task(SineTaskSpec(n=test_size, noise_var=noise_var,
                                       seed=rng.derive_seed(seed, rng.TEST_SET_TAG)))
+    test_phi = polynomial_features(test.raw_inputs, max(degree for degree, _, _ in fits))
     nll = LossSpec.nll(sigma2)
     return [(degree, report.neg_log_evidence, report.gibbs_emp_risk_total, report.kl,
-             empirical_gibbs_risk(post, polynomial_design(test, degree), nll))
+             empirical_gibbs_risk(post, DesignMatrix(test_phi[:, :degree + 1], test.labels), nll))
             for degree, post, report in fits]
 
 
@@ -144,9 +143,9 @@ def selected_degrees(seeds, seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2,
     Draws the same samples as `polynomial_family` and fits them in stacked
     blocks of at most SCAN_BUDGET design entries (at least one seed), so each
     evidence has the bits of `polynomial_family`'s. Keeps the first of tied
-    evidences, so the degree listed first wins a tie. A stacked fit fails
-    degree by degree, so a block that fails a check is refitted seed by seed
-    to raise the error of the first failing seed.
+    evidences, so the degree listed first wins a tie. A stacked fit fails as a
+    whole, so a block that fails a check is refitted seed by seed to raise the
+    error of the first failing seed.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be at least 1, got {seeds}")

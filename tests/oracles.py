@@ -2,7 +2,8 @@
 
 Each oracle takes a deliberately different computational path from the
 code under test: full-covariance marginal likelihood instead of the
-Cholesky decomposition route, plain gradient descent instead of a linear
+Cholesky decomposition route, elimination in exact rationals (stdlib
+fractions) instead of floating point, plain gradient descent instead of a linear
 solve, sequential 1-D Bayesian updating instead of batch formulas, plain
 Monte Carlo over sampled weights and data instead of closed-form Gaussian
 expectations, a bootstrap instead of the delta method, and Gauss-Hermite
@@ -18,6 +19,8 @@ does not compute, for checking the forms it does.
 
 import math
 import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -49,6 +52,51 @@ def nle_sequential_1d(phis: np.ndarray, ys: np.ndarray, sigma2: float,
         mean = (mean / var + p * y / sigma2) / precision
         var = 1.0 / precision
     return total
+
+
+def nle_exact_rational(xs, ys, degree: int, sigma2: float, prior_var: float,
+                       digits: int = 40) -> float:
+    """-log evidence of the polynomial model, reading every float input as an exact rational.
+
+    Uses the precision form 2 nle = n ln(2 pi sigma2) + d ln prior_var + ln det A
+    + y'y/sigma2 - b'A^{-1}b, with A = phi'phi/sigma2 + I/prior_var and
+    b = phi'y/sigma2, in stdlib fractions: the powers, A, det A and b'A^{-1}b
+    are exact (elimination without pivoting, as A is positive definite), and
+    the one logarithm is taken in decimal at `digits` digits. pi is math.pi.
+    """
+    xs = [Fraction(float(x)) for x in xs]
+    ys = [Fraction(float(y)) for y in ys]
+    s2, pv, d = Fraction(sigma2), Fraction(prior_var), degree + 1
+    rows = [[x ** j for j in range(d)] for x in xs]
+    a = [[sum(r[i] * r[j] for r in rows) / s2 + (1 / pv if i == j else 0) for j in range(d)]
+         for i in range(d)]
+    c = [sum(r[i] * y for r, y in zip(rows, ys)) / s2 for i in range(d)]
+    det, quad = Fraction(1), Fraction(0)
+    for k in range(d):  # A = L D L' with unit L: det A = prod D, b'A^{-1}b = sum (L^{-1}b)^2 / D
+        det *= a[k][k]
+        quad += c[k] * c[k] / a[k][k]
+        for i in range(k + 1, d):
+            f = a[i][k] / a[k][k]
+            a[i] = [a_ij - f * a_kj for a_ij, a_kj in zip(a[i], a[k])]
+            c[i] -= f * c[k]
+    log_arg = (2 * Fraction(math.pi) * s2) ** len(xs) * pv ** d * det
+    rest = sum(y * y for y in ys) / s2 - quad
+    with localcontext() as ctx:
+        ctx.prec = digits
+        twice = (Decimal(log_arg.numerator).ln() - Decimal(log_arg.denominator).ln()
+                 + Decimal(rest.numerator) / Decimal(rest.denominator))
+        return float(twice / 2)
+
+
+def lower_inverse_exact(low: np.ndarray) -> np.ndarray:
+    """The inverse of a lower triangular float matrix, solved in fractions and rounded once."""
+    k = low.shape[0]
+    lf = [[Fraction(float(v)) for v in row] for row in low]
+    inv = [[Fraction(0)] * k for _ in range(k)]
+    for j in range(k):
+        for i in range(j, k):
+            inv[i][j] = (int(i == j) - sum(lf[i][m] * inv[m][j] for m in range(j, i))) / lf[i][i]
+    return np.array([[float(v) for v in row] for row in inv])
 
 
 def ridge_minimizer_gd(phi: np.ndarray, y: np.ndarray, sigma2: float,

@@ -5,9 +5,9 @@ import pytest
 
 from pblr import blr
 from pblr.blr import EvidenceReport, ModelConfig, evidence_decomposition, fit_posterior
-from pblr.tasks import DesignMatrix, polynomial_features
+from pblr.tasks import DesignMatrix, SineTaskSpec, gen_sine_task, polynomial_features
 
-from oracles import (kl_gaussians, nle_full_covariance, nle_sequential_1d,
+from oracles import (kl_gaussians, lower_inverse_exact, nle_full_covariance, nle_sequential_1d,
                      precision, ridge_minimizer_gd, sample_posterior)
 
 UNIT_CFG = ModelConfig(noise_var=1.0, prior_var=1.0)
@@ -267,6 +267,38 @@ def test_posterior_computes_its_trace_once(monkeypatch):
     assert evidence_decomposition(post, design, cfg).kl == report.kl
     post.predictive_var(design.phi)
     assert calls == ["_inverse_factor", "_frobenius_sq"]
+
+
+def test_inverse_factor_is_lower_triangular_block_by_block():
+    # the degree-7 sine precision at seed 1: |L_i0| > L_00, where a pivoting
+    # solve of L itself swaps rows and leaves nonzeros above the diagonal
+    xs = gen_sine_task(SineTaskSpec(n=15, noise_var=0.25, seed=1)).raw_inputs
+    phi = polynomial_features(xs, 7)
+    low = np.linalg.cholesky(phi.T @ phi / 0.5 + np.eye(8) / 200.0)
+    assert np.abs(low[1:, 0]).max() > low[0, 0]
+    inv_l = blr._inverse_factor(low)
+    assert np.count_nonzero(np.triu(inv_l, 1)) == 0
+    for k in range(1, 9):  # each leading block is the inverse of L's leading block
+        exact = lower_inverse_exact(low[:k, :k])
+        assert np.abs(inv_l[:k, :k] - exact).max() <= 1e-13 * np.abs(exact).max(), k
+
+
+@pytest.mark.parametrize("shape", [(30, 6), (4, 30, 6)], ids=["one", "stack"])
+def test_fit_prefixes_match_fitting_each_prefix(cholesky_calls, shape):
+    rng = np.random.default_rng(13)
+    design = DesignMatrix(phi=rng.standard_normal(shape), labels=rng.standard_normal(shape[:-1]))
+    cfg = ModelConfig(noise_var=0.7, prior_var=1.9)
+    widths = [6, 1, 4, 6]
+    posts = blr.fit_prefixes(design, cfg, widths)
+    assert len(cholesky_calls) == 1
+    np.testing.assert_array_equal(posts[0].mean, fit_posterior(design, cfg).mean)
+    for k, post in zip(widths, posts):
+        alone = fit_posterior(DesignMatrix(design.phi[..., :k], design.labels), cfg)
+        for field in ("mean", "chol", "inv_chol"):
+            np.testing.assert_allclose(getattr(post, field), getattr(alone, field),
+                                       rtol=1e-12, atol=1e-15)
+    with pytest.raises(ValueError, match=r"column widths \[2, 7\] are not within 0..6"):
+        blr.fit_prefixes(design, cfg, [2, 7])
 
 
 def test_evidence_decomposition_rejects_mismatched_posterior():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pblr import experiments as exp
-from pblr.blr import fit_posterior
+from pblr.blr import fit_prefixes
 from pblr.mc import sample_bounds
 from pblr.subgamma import dominated, nll_subgamma_params
 
@@ -112,7 +112,8 @@ def test_run_validate_quick():
 
 def test_fig_b_factors_each_degree_once(cholesky_calls):
     exp.run_fig_b(degrees=tuple(range(1, 8)))
-    assert len(cholesky_calls) == 7
+    # one factorization of the degree-7 design; degrees 1-6 are its leading blocks
+    assert cholesky_calls == [()]
 
 
 @pytest.mark.parametrize("run_sine", [
@@ -122,7 +123,24 @@ def test_fig_b_factors_each_degree_once(cholesky_calls):
 ], ids=["run_fig_a", "run_fig_b", "polynomial_family"])
 def test_sine_study_fits_each_degree_once(cholesky_calls, run_sine):
     run_sine((1, 2, 3))
-    assert len(cholesky_calls) == 3
+    assert cholesky_calls == [()]  # one fit at degree 3 serves degrees 1 and 2
+
+
+@pytest.mark.parametrize("run_sine, sizes", [
+    (lambda: exp.run_fig_a(degrees=(2, 5, 3), grid_size=10), [(15,), (10,)]),
+    (lambda: exp.run_fig_b(degrees=(2, 5, 3), test_size=10), [(15,), (10,)]),
+    (lambda: exp.selected_degrees(seeds=4, degrees=(2, 5, 3)), [(4, 15)]),
+], ids=["run_fig_a", "run_fig_b", "selected_degrees"])
+def test_sine_study_builds_each_power_once(monkeypatch, run_sine, sizes):
+    # the powers of each input array at the top degree; lower degrees are column prefixes
+    calls, features = [], exp.polynomial_features
+
+    def counting(xs, degree):
+        calls.append((np.shape(xs), degree))
+        return features(xs, degree)
+    monkeypatch.setattr(exp, "polynomial_features", counting)
+    run_sine()
+    assert calls == [(size, 5) for size in sizes]
 
 
 def test_fig_c_factors_each_sample_size_once(cholesky_calls):
@@ -164,12 +182,12 @@ def test_seed_scan_blocks_keep_the_per_seed_winners(monkeypatch):
 
 def test_seed_scan_raises_a_stacked_failure_that_no_seed_makes(monkeypatch):
     # a failed block gives no winners, even if every per-seed fit of it passes
-    def refuse_stacks(design, cfg):
+    def refuse_stacks(design, cfg, widths):
         if design.phi.ndim == 3:
             raise ValueError("stacked fit refused")
-        return fit_posterior(design, cfg)
+        return fit_prefixes(design, cfg, widths)
     monkeypatch.setattr(exp, "SCAN_BUDGET", 16 * exp.SINE_N * 8)
-    monkeypatch.setattr(exp, "fit_posterior", refuse_stacks)
+    monkeypatch.setattr(exp, "fit_prefixes", refuse_stacks)
     with pytest.raises(ValueError, match="stacked fit refused"):
         exp.selected_degrees(seed=30, seeds=20)
 
@@ -188,8 +206,8 @@ def test_stacked_fits_fail_as_the_per_seed_path(kwargs):
 
 def test_seed_scan_uses_no_per_seed_fit(cholesky_calls):
     assert len(exp.selected_degrees(seed=0, seeds=50)) == 50
-    # one fit of all 50 seeds per degree, and none of a single design
-    assert cholesky_calls == [(50,)] * len(exp.DEFAULT_DEGREES)
+    # one fit of all 50 seeds for every degree, and none of a single design
+    assert cholesky_calls == [(50,)]
     with pytest.raises(ValueError, match="seeds must be at least 1, got 0"):
         exp.selected_degrees(seeds=0)
 
@@ -200,5 +218,5 @@ def test_seed_scan_uses_no_per_seed_fit(cholesky_calls):
 def test_seed_scan_stacks_at_most_the_budget(cholesky_calls, seeds, n, blocks):
     # a stacked fit of S seeds holds S * n * 8 design entries at degree 7
     exp.selected_degrees(seeds=seeds, n=n)
-    assert cholesky_calls == [(size,) for size in blocks for _ in exp.DEFAULT_DEGREES]
+    assert cholesky_calls == [(size,) for size in blocks]  # one fit per block
     assert all(size == 1 or size * n * 8 <= exp.SCAN_BUDGET for size in blocks)

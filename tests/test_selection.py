@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 
 from pblr.bounds import subgamma_evidence_bound
-from pblr.experiments import DEFAULT_SEED, SINE_N, polynomial_family, selected_degrees
+from pblr.experiments import (DEFAULT_SEED, SINE_N, SINE_NOISE_VAR, SINE_SIGMA2,
+                              SINE_SIGMA_PI2, polynomial_family, selected_degrees)
 from pblr.bounds import hierarchical_bound, model_selection_bounds
+from pblr.tasks import SineTaskSpec, gen_sine_task, polynomial_features
+
+from oracles import nle_exact_rational, nle_full_covariance
+
+# relative error bound of each degree's negative log evidence against the
+# exact-rational reference, about 10x the worst seen over seeds 1-6; the
+# normal equations square cond(phi), so the error grows with the degree
+EXACT_EVIDENCE_RTOL = {1: 1e-14, 2: 1e-14, 3: 1e-12, 4: 1e-11, 5: 1e-10, 6: 1e-9, 7: 5e-8}
 
 
 def test_single_model_reduces_to_evidence_bound():
@@ -101,3 +110,30 @@ def test_seed_scan_selects_degree_1_over_2000_seeds():
     best = selected_degrees(seed=DEFAULT_SEED, seeds=2000)
     assert len(best) == 2000
     assert np.sum(best == 1) >= 1990 and not np.any(best == 3)
+
+
+def exact_evidence_errors(seeds) -> dict:
+    """degree -> worst relative error of `polynomial_family`'s evidence over seeds."""
+    worst = dict.fromkeys(EXACT_EVIDENCE_RTOL, 0.0)
+    for seed in seeds:
+        sample = gen_sine_task(SineTaskSpec(n=SINE_N, noise_var=SINE_NOISE_VAR, seed=seed))
+        for degree, report in polynomial_family(seed=seed, degrees=tuple(EXACT_EVIDENCE_RTOL)):
+            exact = nle_exact_rational(sample.raw_inputs, sample.labels, degree,
+                                       SINE_SIGMA2, SINE_SIGMA_PI2)
+            worst[degree] = max(worst[degree], abs(report.neg_log_evidence - exact) / abs(exact))
+    return worst
+
+
+def test_exact_rational_oracle_agrees_with_the_full_covariance_form():
+    # at degree 1, where cond(K) is small, the n x n float form is accurate
+    sample = gen_sine_task(SineTaskSpec(n=SINE_N, noise_var=SINE_NOISE_VAR, seed=4))
+    exact = nle_exact_rational(sample.raw_inputs, sample.labels, 1, SINE_SIGMA2, SINE_SIGMA_PI2)
+    assert exact == pytest.approx(nle_full_covariance(
+        polynomial_features(sample.raw_inputs, 1), sample.labels, SINE_SIGMA2,
+        SINE_SIGMA_PI2), rel=1e-12)
+    assert nle_exact_rational([], [], 3, SINE_SIGMA2, SINE_SIGMA_PI2) == 0.0  # no data
+
+
+def test_polynomial_family_evidence_matches_exact_rationals():
+    worst = exact_evidence_errors(range(1, 4))
+    assert all(worst[degree] <= rtol for degree, rtol in EXACT_EVIDENCE_RTOL.items()), worst
