@@ -14,6 +14,8 @@ column prefix. A stacked design (S, n, d) gives a `GaussianPosterior` and an
 bits of fitting that design alone. The log determinant comes from diag(L);
 tr(A^{-1}) = ||L^{-1}||_F^2 and the quadratic forms phi' A^{-1} phi =
 ||L^{-1} phi||^2 come from L^{-1}. A^{-1} itself is never formed.
+Every stacked pass (seed scan, coverage study, cropped oracle) runs in the
+ranges of `stack_blocks`, each of at most STACK_BUDGET array entries.
 """
 
 import math
@@ -23,6 +25,16 @@ from functools import cached_property
 import numpy as np
 
 from .tasks import DesignMatrix
+
+# design entries per block of a stacked pass (1,024 sine samples of 15 points at
+# degree 7): memory stays flat in the stack size and in n
+STACK_BUDGET = 1024 * 15 * 8
+
+
+def stack_blocks(count: int, entries_each: int) -> list:
+    """range(count) cut into consecutive ranges of max(1, STACK_BUDGET // entries_each) items."""
+    step = max(1, STACK_BUDGET // max(entries_each, 1))
+    return [range(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 @dataclass(frozen=True)

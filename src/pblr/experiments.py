@@ -3,8 +3,9 @@
 fig_a / fig_b: polynomial models of degree 1..7 fitted to 15 noisy sine
 samples, with the evidence split per degree. `_polynomial_fits` fits the top
 degree once, for one sample or a stack, and each degree is a column prefix of
-that fit; the fig-b seed scan (`selected_degrees`) passes it blocks of up to
-SCAN_BUDGET design entries, so each seed's evidence has the bits of its own fit.
+that fit; the fig-b seed scan (`selected_degrees`) passes it the `blr.stack_blocks`
+of n*(top degree + 1) design entries per seed, so each seed's evidence has the
+bits of its own fit.
 fig_c: bound values against training-set size for the 20-dimensional
 Gaussian linear task. validate: coverage of the bounds over repeated draws
 plus the MGF envelope check.
@@ -15,7 +16,7 @@ import math
 import numpy as np
 
 from . import __version__, rng
-from .blr import ModelConfig, evidence_decomposition, fit_prefixes
+from .blr import ModelConfig, evidence_decomposition, fit_prefixes, stack_blocks
 from .losses import LossSpec, empirical_gibbs_risk
 from .mc import gibbs_generalization_risk, run_validity_study, sample_bounds
 from .subgamma import (dominated, empirical_mgf_check, nll_subgamma_params,
@@ -31,9 +32,6 @@ SINE_NOISE_VAR = 0.25
 SINE_SIGMA2 = 0.5
 SINE_SIGMA_PI2 = 1.0 / 0.005
 DEFAULT_DEGREES = tuple(range(1, 8))
-# design entries S*n*(top degree + 1) per stacked fit of the seed scan: 1,024 seeds
-# at the defaults, and memory stays flat in both the seed count and n
-SCAN_BUDGET = 1024 * SINE_N * (DEFAULT_DEGREES[-1] + 1)
 
 # linear-task bound comparison defaults
 LINREG_D = 20
@@ -59,19 +57,17 @@ def write_csv(path, columns, rows, metadata) -> None:
 
     Raises ValueError, before the file is opened, if any float cell is not finite.
     """
-    rows = list(rows)
-    for row in rows:
-        for col, val in zip(columns, row):
-            if isinstance(val, float) and not math.isfinite(val):
-                raise ValueError(f"{path}: {col} = {val!r} is not finite")
+    def cell(col, val) -> str:
+        if not isinstance(val, float):
+            return str(val)
+        if not math.isfinite(val):
+            raise ValueError(f"{path}: {col} = {val!r} is not finite")
+        return repr(float(val))
+    lines = [f"# tool_version = {__version__}",
+             *(f"# {key} = {val}" for key, val in metadata.items()), ",".join(columns),
+             *(",".join(map(cell, columns, row)) for row in rows)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# tool_version = {__version__}\n")
-        for key, val in metadata.items():
-            fh.write(f"# {key} = {val}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _checked_degrees(degrees) -> tuple:
@@ -97,11 +93,10 @@ def _polynomial_fits(xs, labels, sigma2, sigma_pi2, degrees) -> list:
         for degree, post in zip(degrees, posts)]
 
 
-def run_fig_a(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
-              sigma2=SINE_SIGMA2, sigma_pi2=SINE_SIGMA_PI2,
+def run_fig_a(seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2, sigma_pi2=SINE_SIGMA_PI2,
               degrees=DEFAULT_DEGREES, grid_size=200):
     """Posterior-mean predictions per degree on a dense input grid."""
-    dataset = gen_sine_task(SineTaskSpec(n=n, noise_var=noise_var, seed=seed))
+    dataset = gen_sine_task(SineTaskSpec(n=n, noise_var=SINE_NOISE_VAR, seed=seed))
     fits = _polynomial_fits(dataset.raw_inputs, dataset.labels, sigma2, sigma_pi2, degrees)
     grid = np.linspace(0.0, TWO_PI, grid_size)
     grid_phi = polynomial_features(grid, max(degree for degree, _, _ in fits))
@@ -110,15 +105,14 @@ def run_fig_a(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
     return dataset, rows
 
 
-def run_fig_b(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
-              sigma2=SINE_SIGMA2, sigma_pi2=SINE_SIGMA_PI2,
+def run_fig_b(seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2, sigma_pi2=SINE_SIGMA_PI2,
               degrees=DEFAULT_DEGREES, test_size=1000):
     """Evidence decomposition per degree plus the Gibbs NLL risk on fresh data."""
     if test_size < 1:
         raise ValueError(f"test_size must be at least 1, got {test_size}")
-    train = gen_sine_task(SineTaskSpec(n=n, noise_var=noise_var, seed=seed))
+    train = gen_sine_task(SineTaskSpec(n=n, noise_var=SINE_NOISE_VAR, seed=seed))
     fits = _polynomial_fits(train.raw_inputs, train.labels, sigma2, sigma_pi2, degrees)
-    test = gen_sine_task(SineTaskSpec(n=test_size, noise_var=noise_var,
+    test = gen_sine_task(SineTaskSpec(n=test_size, noise_var=SINE_NOISE_VAR,
                                       seed=rng.derive_seed(seed, rng.TEST_SET_TAG)))
     test_phi = polynomial_features(test.raw_inputs, max(degree for degree, _, _ in fits))
     nll = LossSpec.nll(sigma2)
@@ -127,11 +121,10 @@ def run_fig_b(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
             for degree, post, report in fits]
 
 
-def polynomial_family(seed=DEFAULT_SEED, n=SINE_N, noise_var=SINE_NOISE_VAR,
-                      sigma2=SINE_SIGMA2, sigma_pi2=SINE_SIGMA_PI2,
-                      degrees=DEFAULT_DEGREES) -> tuple:
+def polynomial_family(seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2,
+                      sigma_pi2=SINE_SIGMA_PI2, degrees=DEFAULT_DEGREES) -> tuple:
     """(degree, EvidenceReport) pairs in the order of `degrees`, fitted on one sine sample."""
-    sample = gen_sine_task(SineTaskSpec(n=n, noise_var=noise_var, seed=seed))
+    sample = gen_sine_task(SineTaskSpec(n=n, noise_var=SINE_NOISE_VAR, seed=seed))
     fits = _polynomial_fits(sample.raw_inputs, sample.labels, sigma2, sigma_pi2, degrees)
     return tuple((degree, report) for degree, _, report in fits)
 
@@ -140,29 +133,22 @@ def selected_degrees(seeds, seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2,
                      sigma_pi2=SINE_SIGMA_PI2, degrees=DEFAULT_DEGREES) -> np.ndarray:
     """The highest-evidence degree of each of the sine samples seed, ..., seed + seeds - 1.
 
-    Draws the same samples as `polynomial_family` and fits them in stacked
-    blocks of at most SCAN_BUDGET design entries (at least one seed), so each
+    Draws the same samples as `polynomial_family` and fits them in the
+    `stack_blocks` of n*(top degree + 1) design entries per seed, so each
     evidence has the bits of `polynomial_family`'s. Keeps the first of tied
-    evidences, so the degree listed first wins a tie. A stacked fit fails as a
-    whole, so a block that fails a check is refitted seed by seed to raise the
-    error of the first failing seed.
+    evidences, so the degree listed first wins a tie. A block fails as a
+    whole, with the error of its first failing check.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be at least 1, got {seeds}")
     degrees = _checked_degrees(degrees)
-    block = max(1, SCAN_BUDGET // (max(n, 1) * (max(degrees) + 1)))
     best = []
-    for start in range(seed, seed + seeds, block):
-        samples = [gen_sine_task(SineTaskSpec(n=n, noise_var=SINE_NOISE_VAR, seed=s))
-                   for s in range(start, min(start + block, seed + seeds))]
-        try:
-            fits = _polynomial_fits(np.stack([sample.raw_inputs for sample in samples]),
-                                    np.stack([sample.labels for sample in samples]),
-                                    sigma2, sigma_pi2, degrees)
-        except ValueError:
-            for sample in samples:
-                _polynomial_fits(sample.raw_inputs, sample.labels, sigma2, sigma_pi2, degrees)
-            raise
+    for block in stack_blocks(seeds, n * (max(degrees) + 1)):
+        samples = [gen_sine_task(SineTaskSpec(n=n, noise_var=SINE_NOISE_VAR, seed=seed + s))
+                   for s in block]
+        fits = _polynomial_fits(np.stack([sample.raw_inputs for sample in samples]),
+                                np.stack([sample.labels for sample in samples]),
+                                sigma2, sigma_pi2, degrees)
         nle = np.stack([report.neg_log_evidence for _, _, report in fits], axis=1)
         best.append(np.asarray(degrees)[np.argmin(nle, axis=1)])
     return np.concatenate(best)

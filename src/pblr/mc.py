@@ -8,9 +8,9 @@ sqrt(2) (d <= 5). Both take one posterior or a stack of them.
 their stacked posterior, evidence report and bounds, with one fit for the
 stack; fig-c calls it with one seed per sample size. The coverage study
 plays the frequentist game the bounds are stated for: draw many
-independent training samples, pass them to `sample_bounds` up to
-STUDY_BLOCK at a time, and count how often the true Gibbs risk exceeds
-each bound.
+independent training samples, pass them to `sample_bounds` in blocks of
+`blr.stack_blocks` (at most blr.STACK_BUDGET design entries, n*d per trial),
+and count how often the true Gibbs risk exceeds each bound.
 """
 
 import dataclasses
@@ -21,7 +21,7 @@ import numpy as np
 from . import bounds as bnd
 from . import rng
 from .blr import (GaussianPosterior, ModelConfig, evidence_decomposition,
-                  fit_posterior, scalar_or_stack)
+                  fit_posterior, scalar_or_stack, stack_blocks)
 from .losses import LossSpec, empirical_gibbs_risk, expected_loss
 from .subgamma import nll_subgamma_params
 from .tasks import DesignMatrix, LinearTaskSpec, gen_linear_task
@@ -31,23 +31,19 @@ from .tasks import DesignMatrix, LinearTaskSpec, gen_linear_task
 # (numpy's weights overflow past 256).
 _HERMITE_NODES = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
 _MAX_POINTS = 2 ** 18  # points of the largest rule: 64 nodes per axis in d = 3
-# (posterior, point) pairs a rule evaluates at once, or one posterior when its rule
-# alone has more points: memory stays flat in the stack size and the ladder's height
-_MAX_PAIRS = 2 ** 14
-STUDY_BLOCK = 256  # trials per stacked fit in the coverage study: memory stays flat in the trial count
 
 
 def _rule(mean: np.ndarray, inv_chol: np.ndarray, nodes: np.ndarray, prob: np.ndarray,
           task: LinearTaskSpec, loss: LossSpec) -> np.ndarray:
     """sum_j prob_j E loss at the weights mean + L^{-T} z_j, per posterior (rows of mean).
 
-    The z_j are the columns of nodes; the posteriors go _MAX_PAIRS // points at
-    a time (at least one). Each value has the same bits in any stack.
+    The z_j are the columns of nodes; the posteriors go in `stack_blocks` of
+    points*d weight entries each, so memory stays flat in the stack size and the
+    ladder's height. Each value has the same bits in any stack.
     """
-    step = max(1, _MAX_PAIRS // prob.size)
     values = []
-    for start in range(0, len(mean), step):
-        weights = mean[start:start + step, None, :] + nodes.T @ inv_chol[start:start + step]
+    for block in stack_blocks(len(mean), nodes.size):
+        weights = mean[block, None, :] + nodes.T @ inv_chol[block]
         values.append(np.sum(expected_loss(loss, 0.0, task.squared_risk(weights)) * prob,
                              axis=-1))
     return np.concatenate(values)
@@ -160,15 +156,15 @@ def run_validity_study(task: LinearTaskSpec, model: ModelConfig, n: int,
     A trial violates a family when its exact risk exceeds the bound; a
     non-finite bound or risk raises ValueError instead of counting either way.
     Trials use streams derived from (task.seed, trial index), so the result is
-    reproducible and order-independent; each block of up to STUDY_BLOCK trials
-    is one stacked fit. Returns the coverage.json dict: delta, one {family,
-    trials, violations, rate} per family, and the config echo.
+    reproducible and order-independent; each block of `stack_blocks` (n*d
+    design entries per trial) is one stacked fit. Returns the coverage.json
+    dict: delta, one {family, trials, violations, rate} per family, and the
+    config echo.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     counts = {family: 0 for family in FAMILIES}
-    for start in range(0, trials, STUDY_BLOCK):
-        block = range(start, min(start + STUDY_BLOCK, trials))
+    for block in stack_blocks(trials, n * task.d):
         per_family = _block_bounds_and_risks(task, model, n, cropped, delta, block)
         bound, risk = (np.array([pair[i] for pair in per_family.values()], dtype=float)
                        for i in (0, 1))  # (families, trials of the block)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pblr import experiments as exp
+from pblr import blr, experiments as exp
 from pblr.blr import fit_prefixes
 from pblr.mc import sample_bounds
 from pblr.subgamma import dominated, nll_subgamma_params
@@ -24,10 +24,10 @@ def test_fig_a_rejects_degree_zero():
         exp.run_fig_a(degrees=(0, 1, 2))
 
 
-def test_fig_a_dense_noiseless_interpolates_sine():
+def test_fig_a_dense_noiseless_interpolates_sine(monkeypatch):
     # degree-7 fit on dense nearly noiseless data approximates sin closely
-    _, rows = exp.run_fig_a(seed=0, n=500, noise_var=1e-12, degrees=(7,),
-                            grid_size=100)
+    monkeypatch.setattr(exp, "SINE_NOISE_VAR", 1e-12)
+    _, rows = exp.run_fig_a(seed=0, n=500, degrees=(7,), grid_size=100)
     errs = [abs(pred - math.sin(x)) for _, x, pred in rows]
     assert max(errs) < 0.1
 
@@ -176,7 +176,7 @@ def _per_seed_winners(seeds):
 
 def test_seed_scan_blocks_keep_the_per_seed_winners(monkeypatch):
     # 16 seeds per block at the defaults: 100 seeds cross six block boundaries
-    monkeypatch.setattr(exp, "SCAN_BUDGET", 16 * exp.SINE_N * 8)
+    monkeypatch.setattr(blr, "STACK_BUDGET", 16 * exp.SINE_N * 8)
     assert exp.selected_degrees(seed=30, seeds=100).tolist() == _per_seed_winners(range(30, 130))
 
 
@@ -186,7 +186,7 @@ def test_seed_scan_raises_a_stacked_failure_that_no_seed_makes(monkeypatch):
         if design.phi.ndim == 3:
             raise ValueError("stacked fit refused")
         return fit_prefixes(design, cfg, widths)
-    monkeypatch.setattr(exp, "SCAN_BUDGET", 16 * exp.SINE_N * 8)
+    monkeypatch.setattr(blr, "STACK_BUDGET", 16 * exp.SINE_N * 8)
     monkeypatch.setattr(exp, "fit_prefixes", refuse_stacks)
     with pytest.raises(ValueError, match="stacked fit refused"):
         exp.selected_degrees(seed=30, seeds=20)
@@ -219,4 +219,4 @@ def test_seed_scan_stacks_at_most_the_budget(cholesky_calls, seeds, n, blocks):
     # a stacked fit of S seeds holds S * n * 8 design entries at degree 7
     exp.selected_degrees(seeds=seeds, n=n)
     assert cholesky_calls == [(size,) for size in blocks]  # one fit per block
-    assert all(size == 1 or size * n * 8 <= exp.SCAN_BUDGET for size in blocks)
+    assert all(size == 1 or size * n * 8 <= blr.STACK_BUDGET for size in blocks)

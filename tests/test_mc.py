@@ -5,7 +5,7 @@ import pytest
 
 from pblr.blr import GaussianPosterior, ModelConfig, fit_posterior
 from pblr.losses import LossSpec
-from pblr import mc, rng as streams
+from pblr import blr, mc, rng as streams
 from pblr.mc import gibbs_generalization_risk, run_validity_study, sample_bounds
 from pblr.tasks import DesignMatrix, LinearTaskSpec, gen_linear_task
 
@@ -198,10 +198,10 @@ def test_nonfinite_trial_value_raises(monkeypatch, position, bad):
         run_validity_study(**study_args())
 
 
-@pytest.mark.parametrize("block", [mc.STUDY_BLOCK, 2])
+@pytest.mark.parametrize("block", [256, 2])
 def test_nonfinite_value_names_its_trial(monkeypatch, block):
     # trial 3 of 5 is the bad one; with blocks of 2 it is the second of the second block
-    monkeypatch.setattr(mc, "STUDY_BLOCK", block)
+    monkeypatch.setattr(blr, "STACK_BUDGET", block * 20 * 3)  # block trials of n = 20, d = 3
     monkeypatch.setattr(mc, "_block_bounds_and_risks", fake_block([1.0, math.inf], 3))
     with pytest.raises(ValueError, match="trial 3, subgamma: bound 1.0 and risk inf"):
         run_validity_study(**study_args(trials=5))
@@ -228,9 +228,15 @@ def test_coverage_study_fits_once_per_block(cholesky_calls, monkeypatch):
     run_validity_study(**study_args(trials=5))
     assert cholesky_calls == [(5,)]  # one stacked fit: no per-trial fits
     cholesky_calls.clear()
-    monkeypatch.setattr(mc, "STUDY_BLOCK", 2)
+    monkeypatch.setattr(blr, "STACK_BUDGET", 2 * 20 * 3)  # 2 trials of n = 20, d = 3
     run_validity_study(**study_args(trials=5))
     assert cholesky_calls == [(2,), (2,), (1,)]
+
+
+def test_coverage_study_blocks_follow_the_budget(cholesky_calls):
+    # n * d = 6,000 design entries per trial: 20 trials per block, memory flat in n
+    run_validity_study(**study_args(trials=50, n=2_000))
+    assert cholesky_calls == [(20,), (20,), (10,)]
 
 
 def test_stacked_study_matches_stacks_of_one():
@@ -270,7 +276,7 @@ def test_cropped_oracle_matches_a_fixed_32_node_rule():
 def test_study_result_does_not_depend_on_the_block_size(monkeypatch):
     args = study_args(trials=20)
     whole = run_validity_study(**args)
-    monkeypatch.setattr(mc, "STUDY_BLOCK", 3)  # 7 blocks, the last one short
+    monkeypatch.setattr(blr, "STACK_BUDGET", 3 * 20 * 3)  # 7 blocks, the last one short
     assert run_validity_study(**args) == whole
 
 
@@ -280,7 +286,7 @@ def test_generalization_risk_chunks_agree(monkeypatch):
     task, model, n, cropped, delta = (args[k] for k in ("task", "model", "n", "cropped", "delta"))
     post, _, _ = sample_bounds(task, model, n, cropped, delta, range(6))
     whole = gibbs_generalization_risk(post, task, cropped)
-    monkeypatch.setattr(mc, "_MAX_PAIRS", 1000)
+    monkeypatch.setattr(blr, "STACK_BUDGET", 1000 * 3)  # 1,000 (posterior, point) pairs in d = 3
     np.testing.assert_array_equal(gibbs_generalization_risk(post, task, cropped), whole)
 
 
