@@ -9,9 +9,10 @@ fits one design or a stack of them: the Cholesky factor L of A, its
 inverse L^{-1} from one solve of L' against the identity, and z = L^{-1} phi'y.
 The leading k columns of the design take the leading k x k blocks of L and
 L^{-1} and the mean L_k^{-T} z[:k] / noise_var, so one fit serves every
-column prefix. A stacked design (S, n, d) gives a `GaussianPosterior` and an
-`EvidenceReport` that carry the S fits as arrays, entry by entry with the
-bits of fitting that design alone. The log determinant comes from diag(L);
+column prefix, and `prefix_evidences` splits each prefix's evidence on a view
+of the one checked design. A stacked design (S, n, d) gives a
+`GaussianPosterior` and an `EvidenceReport` that carry the S fits as arrays,
+entry by entry with the bits of fitting that design alone. The log determinant comes from diag(L);
 tr(A^{-1}) = ||L^{-1}||_F^2 and the quadratic forms phi' A^{-1} phi =
 ||L^{-1} phi||^2 come from L^{-1}. A^{-1} itself is never formed.
 Every stacked pass (seed scan, coverage study, cropped oracle) runs in the
@@ -196,8 +197,8 @@ def fit_posterior(design: DesignMatrix, cfg: ModelConfig) -> GaussianPosterior:
     return fit_prefixes(design, cfg, [design.d])[0]
 
 
-def _split(phi, labels, mean, logdet_precision, cov_trace, cfg: ModelConfig) -> tuple:
-    """(neg_log_evidence, gibbs_emp_risk_total, kl) of one fit, or arrays of them for a stack.
+def _report(post: GaussianPosterior, phi, labels, cfg: ModelConfig) -> EvidenceReport:
+    """The evidence split of a posterior fitted to (phi, labels), for one fit or a stack.
 
     n*NLL(mean) is the empirical NLL total of the posterior mean predictor.
     The Gibbs total is n*NLL(mean) + tr(phi'phi A^{-1})/(2 noise_var); the
@@ -206,15 +207,16 @@ def _split(phi, labels, mean, logdet_precision, cov_trace, cfg: ModelConfig) -> 
     ill-conditioned designs.
     """
     n, d = phi.shape[-2:]
+    mean, logdet_precision, cov_trace = post.mean, post.logdet_precision, post.cov_trace
     resid = labels - (phi @ mean[..., None])[..., 0]  # empty when n = 0, so its norm is 0.0
     nll_at_mean = (0.5 * n * math.log(2.0 * math.pi * cfg.noise_var)
                    + np.sum(resid * resid, axis=-1) / (2.0 * cfg.noise_var))
     mean_sq = np.sum(mean * mean, axis=-1)
-    return (nll_at_mean + mean_sq / (2.0 * cfg.prior_var)
-            + 0.5 * logdet_precision + 0.5 * d * math.log(cfg.prior_var),
-            nll_at_mean + (0.5 * d - cov_trace / (2.0 * cfg.prior_var)),
-            0.5 * (cov_trace / cfg.prior_var + mean_sq / cfg.prior_var - d
-                   + logdet_precision + d * math.log(cfg.prior_var)))
+    return EvidenceReport(nll_at_mean + mean_sq / (2.0 * cfg.prior_var)
+                          + 0.5 * logdet_precision + 0.5 * d * math.log(cfg.prior_var),
+                          nll_at_mean + (0.5 * d - cov_trace / (2.0 * cfg.prior_var)),
+                          0.5 * (cov_trace / cfg.prior_var + mean_sq / cfg.prior_var - d
+                                 + logdet_precision + d * math.log(cfg.prior_var)))
 
 
 def evidence_decomposition(post: GaussianPosterior, design: DesignMatrix,
@@ -222,6 +224,14 @@ def evidence_decomposition(post: GaussianPosterior, design: DesignMatrix,
     """Negative log evidence and its exact (risk, KL) split for a posterior fitted to design."""
     if post.d != design.d:
         raise ValueError(f"posterior has {post.d} weights, design {design.d} features")
-    return EvidenceReport(*_split(design.phi, design.labels, post.mean,
-                                  post.logdet_precision, post.cov_trace, cfg))
+    return _report(post, design.phi, design.labels, cfg)
+
+
+def prefix_evidences(posts, design: DesignMatrix, cfg: ModelConfig) -> list:
+    """`evidence_decomposition` of each posterior of `fit_prefixes(design, cfg, widths)`.
+
+    Each is split on its own leading columns of design, a view of the checked
+    design rather than a new DesignMatrix, so the checks run once.
+    """
+    return [_report(post, design.phi[..., :post.d], design.labels, cfg) for post in posts]
 

@@ -3,11 +3,15 @@
 Each subcommand writes CSV/JSON files into --out; every file starts with
 '#'-prefixed metadata lines (seed, parameters, tool version) so a rerun
 with the same flags reproduces identical bytes. The exit code is nonzero
-whenever an inline invariant check fails.
+whenever an inline invariant check fails. `main` builds its parser on its
+first call and reuses it for every later call in the process; the parser
+reads PBL_SEED at each parse, and its list defaults are tuples, so no parse
+sees another's seed or values.
 """
 
 import argparse
 import collections
+import functools
 import json
 import math
 import os
@@ -40,10 +44,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        """Parse, with an omitted --seed taken from PBL_SEED as it is at this call."""
+        env_seed = _seed_default()  # a malformed PBL_SEED fails every parse
+        parsed = super().parse_args(args, namespace)
+        if parsed.seed is None:
+            parsed.seed = env_seed
+        return parsed
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=_seed_default(),
-                        help="master seed (falls back to PBL_SEED, then %(default)s)")
+    parser.add_argument("--seed", type=int,
+                        help=f"master seed (falls back to PBL_SEED, then {exp.DEFAULT_SEED})")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory (default: current directory)")
 
@@ -51,8 +63,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _sine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sigma2", type=float, default=exp.SINE_SIGMA2)
     parser.add_argument("--sigma-pi2", type=float, default=exp.SINE_SIGMA_PI2)
-    parser.add_argument("--degrees", type=int, nargs="+",
-                        default=list(exp.DEFAULT_DEGREES))
+    parser.add_argument("--degrees", type=int, nargs="+", default=exp.DEFAULT_DEGREES)
     parser.add_argument("--n", type=int, default=exp.SINE_N)
 
 
@@ -82,10 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--delta", type=float, default=exp.DEFAULT_DELTA)
     p_c.add_argument("--sigma2", type=float, default=exp.LINREG_SIGMA2)
     p_c.add_argument("--sigma-pi2", type=float, default=exp.LINREG_SIGMA_PI2)
-    p_c.add_argument("--n-grid", type=int, nargs="+",
-                     default=list(exp.DEFAULT_N_GRID))
+    p_c.add_argument("--n-grid", type=int, nargs="+", default=exp.DEFAULT_N_GRID)
     p_c.add_argument("--crop", type=float, nargs=2, metavar=("A", "B"),
-                     default=list(exp.DEFAULT_CROP))
+                     default=exp.DEFAULT_CROP)
 
     p_v = sub.add_parser("validate", help="bound coverage study and MGF check")
     _add_common(p_v)
@@ -107,7 +117,7 @@ def _require_positive(args, *flags, low=1) -> None:
     """Reject a count flag, or any value of a list flag, below `low`, naming the flag."""
     for flag in flags:
         value = getattr(args, flag[2:].replace("-", "_"))
-        for v in value if isinstance(value, list) else [value]:
+        for v in value if isinstance(value, (list, tuple)) else [value]:
             if v < low:
                 raise ValueError(f"{flag} must be at least {low}, got {v}")
 
@@ -133,7 +143,7 @@ def cmd_fig_a(args) -> int:
     exp.write_csv(out / "fig_a.csv", ("degree", "x", "mean_prediction"), rows,
                   {**_sine_meta(args), "grid_size": args.grid_size})
     exp.write_csv(out / "train.csv", ("x_0", "y"),
-                  zip(dataset.raw_inputs, dataset.labels), _sine_meta(args))
+                  zip(dataset.raw_inputs.tolist(), dataset.labels.tolist()), _sine_meta(args))
     print(f"wrote {out / 'fig_a.csv'} and {out / 'train.csv'}")
     return 0
 
@@ -199,11 +209,17 @@ def cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call in this process, built on the first."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     handlers = {"fig-a": cmd_fig_a, "fig-b": cmd_fig_b, "fig-c": cmd_fig_c,
                 "validate": cmd_validate}
     try:
-        args = build_parser().parse_args(argv)  # reads PBL_SEED
+        args = _parser().parse_args(argv)  # reads PBL_SEED
         _require_positive(args, "--seed", low=0)
         args.out.mkdir(parents=True, exist_ok=True)
         return handlers[args.command](args)

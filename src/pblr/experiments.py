@@ -1,11 +1,13 @@
 """Reproductions of the two synthetic studies, emitting plot-ready tables.
 
 fig_a / fig_b: polynomial models of degree 1..7 fitted to 15 noisy sine
-samples, with the evidence split per degree. `_polynomial_fits` fits the top
-degree once, for one sample or a stack, and each degree is a column prefix of
-that fit; the fig-b seed scan (`selected_degrees`) passes it the `blr.stack_blocks`
-of n*(top degree + 1) design entries per seed, so each seed's evidence has the
-bits of its own fit.
+samples, with the evidence split per degree. `_polynomial_fits` checks and fits
+the top degree's design once, for one sample or a stack, and each degree is a
+column prefix of that design and fit; the fig-b seed scan (`selected_degrees`)
+draws each of its `blr.stack_blocks` of n*(top degree + 1) design entries per
+seed as one `tasks.gen_sine_stack`, so each seed's sample and evidence have the
+bits of its own draw and fit. `write_csv` formats each distinct float once per
+file.
 fig_c: bound values against training-set size for the 20-dimensional
 Gaussian linear task. validate: coverage of the bounds over repeated draws
 plus the MGF envelope check.
@@ -16,13 +18,13 @@ import math
 import numpy as np
 
 from . import __version__, rng
-from .blr import ModelConfig, evidence_decomposition, fit_prefixes, stack_blocks
+from .blr import ModelConfig, fit_prefixes, prefix_evidences, stack_blocks
 from .losses import LossSpec, empirical_gibbs_risk
 from .mc import gibbs_generalization_risk, run_validity_study, sample_bounds
 from .subgamma import (dominated, empirical_mgf_check, nll_subgamma_params,
                        squared_loss_subgamma_params)
-from .tasks import (TWO_PI, DesignMatrix, LinearTaskSpec, SineTaskSpec, gen_sine_task,
-                    polynomial_features)
+from .tasks import (TWO_PI, DesignMatrix, LinearTaskSpec, SineTaskSpec, gen_sine_stack,
+                    gen_sine_task, polynomial_features)
 
 DEFAULT_SEED = 1
 
@@ -56,13 +58,19 @@ def write_csv(path, columns, rows, metadata) -> None:
     """CSV with '#'-prefixed metadata lines before the header; LF endings.
 
     Raises ValueError, before the file is opened, if any float cell is not finite.
+    Each distinct float is formatted once per file.
     """
+    texts = {}
+
     def cell(col, val) -> str:
         if not isinstance(val, float):
             return str(val)
-        if not math.isfinite(val):
-            raise ValueError(f"{path}: {col} = {val!r} is not finite")
-        return repr(float(val))
+        text = texts.get(val)
+        if text is None or not val:  # 0.0 and -0.0 share a key; NaN and inf are never kept
+            if not math.isfinite(val):
+                raise ValueError(f"{path}: {col} = {val!r} is not finite")
+            text = texts[val] = repr(float(val))
+        return text
     lines = [f"# tool_version = {__version__}",
              *(f"# {key} = {val}" for key, val in metadata.items()), ",".join(columns),
              *(",".join(map(cell, columns, row)) for row in rows)]
@@ -88,9 +96,7 @@ def _polynomial_fits(xs, labels, sigma2, sigma_pi2, degrees) -> list:
     design = DesignMatrix(polynomial_features(xs, max(degrees)), labels)
     posts = fit_prefixes(design, cfg, [degree + 1 for degree in degrees])
     # each report checks the evidence identity on construction
-    return [(degree, post, evidence_decomposition(
-        post, DesignMatrix(design.phi[..., :degree + 1], design.labels), cfg))
-        for degree, post in zip(degrees, posts)]
+    return list(zip(degrees, posts, prefix_evidences(posts, design, cfg)))
 
 
 def run_fig_a(seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2, sigma_pi2=SINE_SIGMA_PI2,
@@ -100,8 +106,9 @@ def run_fig_a(seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2, sigma_pi2=SINE_SI
     fits = _polynomial_fits(dataset.raw_inputs, dataset.labels, sigma2, sigma_pi2, degrees)
     grid = np.linspace(0.0, TWO_PI, grid_size)
     grid_phi = polynomial_features(grid, max(degree for degree, _, _ in fits))
-    rows = [(degree, float(x), float(p)) for degree, post, _ in fits
-            for x, p in zip(grid, grid_phi[:, :degree + 1] @ post.mean)]
+    xs = grid.tolist()
+    rows = [(degree, x, p) for degree, post, _ in fits
+            for x, p in zip(xs, (grid_phi[:, :degree + 1] @ post.mean).tolist())]
     return dataset, rows
 
 
@@ -133,9 +140,10 @@ def selected_degrees(seeds, seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2,
                      sigma_pi2=SINE_SIGMA_PI2, degrees=DEFAULT_DEGREES) -> np.ndarray:
     """The highest-evidence degree of each of the sine samples seed, ..., seed + seeds - 1.
 
-    Draws the same samples as `polynomial_family` and fits them in the
-    `stack_blocks` of n*(top degree + 1) design entries per seed, so each
-    evidence has the bits of `polynomial_family`'s. Keeps the first of tied
+    Draws the same samples as `polynomial_family`, one `gen_sine_stack` per
+    `stack_blocks` block of n*(top degree + 1) design entries per seed, and
+    fits each block at once, so each evidence has the bits of
+    `polynomial_family`'s. Keeps the first of tied
     evidences, so the degree listed first wins a tie. A block fails as a
     whole, with the error of its first failing check.
     """
@@ -144,11 +152,9 @@ def selected_degrees(seeds, seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2,
     degrees = _checked_degrees(degrees)
     best = []
     for block in stack_blocks(seeds, n * (max(degrees) + 1)):
-        samples = [gen_sine_task(SineTaskSpec(n=n, noise_var=SINE_NOISE_VAR, seed=seed + s))
-                   for s in block]
-        fits = _polynomial_fits(np.stack([sample.raw_inputs for sample in samples]),
-                                np.stack([sample.labels for sample in samples]),
-                                sigma2, sigma_pi2, degrees)
+        xs, labels = gen_sine_stack(
+            SineTaskSpec(n=n, noise_var=SINE_NOISE_VAR, seed=seed + block.start), len(block))
+        fits = _polynomial_fits(xs, labels, sigma2, sigma_pi2, degrees)
         nle = np.stack([report.neg_log_evidence for _, _, report in fits], axis=1)
         best.append(np.asarray(degrees)[np.argmin(nle, axis=1)])
     return np.concatenate(best)

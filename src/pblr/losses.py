@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .blr import GaussianPosterior, scalar_or_stack
+from .blr import GaussianPosterior, scalar_or_stack, stack_blocks
 from .tasks import DesignMatrix
 
 # Variance floor of the cropped expectation: a zero variance is the limit of
@@ -87,7 +87,9 @@ def _expected_cropped(spec: LossSpec, mu, var):
     half-normal: with alpha = t_a / sd and beta = t_b / sd the expectation is
     a (1 - 2 Phi(-alpha)) + 2 b Phi(-beta) + 2 (c0 + var / denom) (Phi(-alpha)
     - Phi(-beta)) + (2 var / denom) (alpha phi(alpha) - beta phi(beta)),
-    two Phi and two phi per point instead of four of each.
+    two Phi and two phi per point instead of four of each. Where c0 >= a
+    (the default crop), t_a = 0: alpha is then the scalar 0, and the general
+    form's edges -t_a and t_a share one z, phi and Phi, with the same bits.
     """
     # Imported here, not at the top: scipy.special adds about 0.1 s to
     # `import pblr.cli`, and only cropped losses need it.
@@ -103,7 +105,7 @@ def _expected_cropped(spec: LossSpec, mu, var):
     var = np.maximum(var, _MIN_VAR)
     sd = np.sqrt(var)
     if mu.ndim == 0 and mu == 0.0:
-        alpha, beta = t_a / sd, t_b / sd
+        alpha, beta = t_a / sd if t_a else 0.0, t_b / sd
         with np.errstate(over="ignore"):  # beta^2 overflows as var -> 0, where phi(beta) -> 0
             gauss = alpha * np.exp(-0.5 * alpha * alpha) - beta * np.exp(-0.5 * beta * beta)
         tail_a, tail_b = ndtr(-alpha), ndtr(-beta)
@@ -112,10 +114,13 @@ def _expected_cropped(spec: LossSpec, mu, var):
                 + 2.0 * (c0 + scaled) * (tail_a - tail_b)
                 + math.sqrt(2.0 / math.pi) * scaled * gauss)
     edges = (-t_b, -t_a, t_a, t_b)
-    z = [(t - mu) / sd for t in edges]
+    shared = t_a == 0.0  # -t_a and t_a: one z up to the sign of a zero, so one phi and Phi
+    z = [(t - mu) / sd for t in ((-t_b, t_a, t_b) if shared else edges)]
     with np.errstate(over="ignore"):
         pdf = [np.exp(-0.5 * zi * zi) / math.sqrt(2.0 * math.pi) for zi in z]
     cdf = [ndtr(zi) for zi in z]
+    if shared:
+        z, pdf, cdf = ([v[0], v[1], v[1], v[2]] for v in (z, pdf, cdf))
     low = cdf[2] - cdf[1]
     high = cdf[0] + ndtr(-z[3])
     mid = (cdf[1] - cdf[0]) + (cdf[3] - cdf[2])
@@ -132,10 +137,17 @@ def empirical_gibbs_risk(post: GaussianPosterior, design: DesignMatrix,
     Under the posterior N(mean, A^{-1}) with A = L L', the residual
     y_i - phi_i . w is N(y_i - phi_i . mean, ||L^{-1} phi_i||^2). A stacked
     posterior and design give the array of the S risks, each with the bits of
-    its fit alone.
+    its fit alone. The examples are taken in the `stack_blocks` of their
+    design entries, each block's expected losses written into one array of
+    them all, so the work arrays stay within a block and the mean has the
+    bits of a single pass.
     """
     if design.n == 0:
         raise ValueError("the empirical risk needs at least one example")
-    resid = design.labels - (design.phi @ post.mean[..., None])[..., 0]
-    return scalar_or_stack(np.mean(
-        expected_loss(loss, resid, post.predictive_var(design.phi)), axis=-1))
+    phi, labels = design.phi, design.labels
+    losses = np.empty(labels.shape)
+    for block in stack_blocks(design.n, phi.size // design.n):
+        rows = slice(block.start, block.stop)
+        resid = labels[..., rows] - (phi[..., rows, :] @ post.mean[..., None])[..., 0]
+        losses[..., rows] = expected_loss(loss, resid, post.predictive_var(phi[..., rows, :]))
+    return scalar_or_stack(np.mean(losses, axis=-1))

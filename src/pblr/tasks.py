@@ -2,7 +2,9 @@
 
 Two generative tasks are provided: a noisy sine curve with scalar inputs
 (fitted with polynomial features) and a Gaussian linear task with vector
-inputs (fitted in the input space).
+inputs (fitted in the input space). The sine sample has one definition,
+`gen_sine_stack`, which draws the samples of consecutive seeds into one
+array each for x and y; `gen_sine_task` is its one-seed case.
 """
 
 from dataclasses import dataclass
@@ -139,12 +141,30 @@ def polynomial_design(dataset: Dataset, degree: int) -> DesignMatrix:
                         labels=dataset.labels)
 
 
+def gen_sine_stack(spec: SineTaskSpec, count: int) -> tuple:
+    """Inputs and labels, each (count, n), of the sine samples at seeds spec.seed + s, s < count.
+
+    Seed spec.seed + s fills row s of x on [0, TWO_PI] and of the noise from its
+    own stream, and one np.sin serves the stack, so row s has the bits of that
+    seed's `gen_sine_task`, whatever the count.
+    """
+    xs = np.empty((count, spec.n))
+    eps = np.empty((count, spec.n))
+    sd = np.sqrt(spec.noise_var)
+    for row in range(count):
+        gen = rng.stream(spec.seed + row, rng.SINE_TAG, spec.n)
+        xs[row] = gen.uniform(0.0, TWO_PI, size=spec.n)
+        eps[row] = gen.normal(0.0, sd, size=spec.n)
+    return xs, np.sin(xs) + eps
+
+
 def gen_sine_task(spec: SineTaskSpec) -> Dataset:
-    """Draw a sine-task sample with x on [0, TWO_PI]; bit-identical for equal specs."""
-    gen = rng.stream(spec.seed, rng.SINE_TAG, spec.n)
-    xs = gen.uniform(0.0, TWO_PI, size=spec.n)
-    eps = gen.normal(0.0, np.sqrt(spec.noise_var), size=spec.n)
-    return Dataset(raw_inputs=xs, labels=np.sin(xs) + eps)
+    """Draw a sine-task sample with x on [0, TWO_PI]; bit-identical for equal specs.
+
+    The one-seed case of `gen_sine_stack`.
+    """
+    xs, labels = gen_sine_stack(spec, 1)
+    return Dataset(raw_inputs=xs[0], labels=labels[0])
 
 
 def gen_linear_task(spec: LinearTaskSpec, n: int) -> Dataset:

@@ -10,9 +10,11 @@ expectations, a bootstrap instead of the delta method, and Gauss-Hermite
 quadrature of a closed-form conditional MGF instead of sampling. The
 exceptions are `sample_posterior`, seeded exact posterior draws,
 `squared_log_mgf_given_z`, the conditional MGF the package's MGF check
-also averages, and `mgf_rows_reference`, that check's arithmetic as plain
-array expressions. None is an independent path; `plain_log_mgf_mc` is the
-independent check of the last two. The bound references state the direct
+also averages, `mgf_rows_reference`, that check's arithmetic as plain
+array expressions, and `expected_cropped_four_edges` and `sine_sample_one_seed`,
+earlier forms of the package's cropped expectation and sine draw kept to pin
+their bits. None is an independent path; `plain_log_mgf_mc` is the
+independent check of the two MGF ones. The bound references state the direct
 sub-gamma bound and the evidence-form Catoni bound, the forms the package
 does not compute, for checking the forms it does.
 """
@@ -192,6 +194,54 @@ def cropped_risk_tensor_rule(post, task, loss, k: int) -> float:
     w = post.mean[:, None] + solve_triangular(post.chol, grid, lower=True, trans="T")
     s = task.squared_risk(w.T)
     return float(prob @ expected_loss(loss, np.zeros_like(s), s)) / (2.0 * math.pi) ** (post.d / 2)
+
+
+def expected_cropped_four_edges(spec, mu, var):
+    """E clip(c0 + r^2 / denom, a, b) for r ~ N(mu, var), with all four edges +-t_a, +-t_b.
+
+    The package's cropped expectation before it shared the coinciding edges
+    -t_a = t_a = 0 and took a scalar alpha = 0, line for line.
+    """
+    from scipy.special import ndtr
+
+    mu, var = np.asarray(mu, dtype=float), np.asarray(var, dtype=float)
+    a, b = spec.a, spec.b
+    inner = spec.inner
+    c0, denom = ((0.0, 1.0) if inner.kind == "squared" else
+                 (0.5 * math.log(2.0 * math.pi * inner.sigma2), 2.0 * inner.sigma2))
+    t_a = math.sqrt(max(a - c0, 0.0) * denom)
+    t_b = math.sqrt(max(b - c0, 0.0) * denom)
+    var = np.maximum(var, 1e-300)
+    sd = np.sqrt(var)
+    if mu.ndim == 0 and mu == 0.0:
+        alpha, beta = t_a / sd, t_b / sd
+        with np.errstate(over="ignore"):
+            gauss = alpha * np.exp(-0.5 * alpha * alpha) - beta * np.exp(-0.5 * beta * beta)
+        tail_a, tail_b = ndtr(-alpha), ndtr(-beta)
+        scaled = var / denom
+        return (a * (1.0 - 2.0 * tail_a) + 2.0 * b * tail_b
+                + 2.0 * (c0 + scaled) * (tail_a - tail_b)
+                + math.sqrt(2.0 / math.pi) * scaled * gauss)
+    edges = (-t_b, -t_a, t_a, t_b)
+    z = [(t - mu) / sd for t in edges]
+    with np.errstate(over="ignore"):
+        pdf = [np.exp(-0.5 * zi * zi) / math.sqrt(2.0 * math.pi) for zi in z]
+    cdf = [ndtr(zi) for zi in z]
+    low = cdf[2] - cdf[1]
+    high = cdf[0] + ndtr(-z[3])
+    mid = (cdf[1] - cdf[0]) + (cdf[3] - cdf[2])
+    mid_sq = (mu * mu + var) * mid + sd * (
+        (mu + edges[0]) * pdf[0] - (mu + edges[1]) * pdf[1]
+        + (mu + edges[2]) * pdf[2] - (mu + edges[3]) * pdf[3])
+    return a * low + b * high + c0 * mid + mid_sq / denom
+
+
+def sine_sample_one_seed(seed: int, n: int, noise_var: float) -> tuple:
+    """(xs, labels) of one sine-task sample, drawn and labelled as one-seed vectors."""
+    gen = rng.stream(seed, rng.SINE_TAG, n)
+    xs = gen.uniform(0.0, 2.0 * np.pi, size=n)
+    eps = gen.normal(0.0, np.sqrt(noise_var), size=n)
+    return xs, np.sin(xs) + eps
 
 
 def bootstrap_log_mgf_se(v: np.ndarray, lams, reps: int, seed: int) -> np.ndarray:

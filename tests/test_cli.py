@@ -322,6 +322,29 @@ def test_explicit_seed_overrides_env(monkeypatch):
     assert args.seed == 5
 
 
+def metadata(path):
+    return {l[2:].split(" = ")[0]: l.split(" = ")[1]
+            for l in path.read_text(encoding="utf-8").split("\n") if l.startswith("# ")}
+
+
+def test_each_call_reads_pbl_seed(tmp_path, monkeypatch):
+    # main keeps one parser per process; the seed still comes from this call's PBL_SEED
+    for seed in ("7", "8"):
+        monkeypatch.setenv("PBL_SEED", seed)
+        assert run(["fig-b", "--out", tmp_path / seed]) == 0
+    monkeypatch.delenv("PBL_SEED")
+    assert run(["fig-b", "--out", tmp_path / "unset"]) == 0
+    assert [metadata(tmp_path / out / "fig_b.csv")["seed"] for out in ("7", "8", "unset")] == \
+        ["7", "8", str(exp.DEFAULT_SEED)]
+
+
+def test_list_flags_do_not_leak_into_the_next_call(tmp_path):
+    assert run(["fig-b", "--degrees", 3, 1, "--out", tmp_path / "given"]) == 0
+    assert run(["fig-b", "--out", tmp_path / "default"]) == 0
+    assert metadata(tmp_path / "given" / "fig_b.csv")["degrees"] == "3 1"
+    assert metadata(tmp_path / "default" / "fig_b.csv")["degrees"] == "1 2 3 4 5 6 7"
+
+
 def test_tiny_sigma2_names_the_flag(tmp_path, capsys):
     assert run(["fig-c", "--sigma2", "1e-320", "--n-grid", 10, "--out", tmp_path]) == 1
     err = capsys.readouterr().err.strip().split("\n")

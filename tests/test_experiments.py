@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +99,25 @@ def test_write_csv_rejects_nonfinite_before_opening(tmp_path, bad):
     path = tmp_path / "table.csv"
     with pytest.raises(ValueError, match="b = "):
         exp.write_csv(path, ("a", "b"), [(1, 0.5), (2, bad)], {"seed": 7})
+    assert not path.exists()
+
+
+def test_write_csv_keeps_signed_zeros_and_repeats(tmp_path):
+    # each distinct float is formatted once, but 0.0 and -0.0 compare and hash equal
+    path = tmp_path / "table.csv"
+    values = [0.0, -0.0, 0.1, 0.0, np.float64(0.1), -0.0, 1e-300, np.float64(-0.0), 0.1]
+    exp.write_csv(path, ("i", "v"), list(enumerate(values)), {})
+    lines = path.read_text(encoding="utf-8").strip().split("\n")
+    assert lines[1:] == ["i,v", "0,0.0", "1,-0.0", "2,0.1", "3,0.0", "4,0.1", "5,-0.0",
+                         "6,1e-300", "7,-0.0", "8,0.1"]
+
+
+@pytest.mark.parametrize("bad", [math.nan, np.float64(math.nan), math.inf, -math.inf])
+def test_write_csv_rejects_nonfinite_after_repeated_values(tmp_path, bad):
+    path = tmp_path / "table.csv"
+    rows = [(0.5, 0.0), (0.5, -0.0), (0.5, bad), (0.5, bad)]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: b = {bad!r} is not finite')}$"):
+        exp.write_csv(path, ("a", "b"), rows, {"seed": 7})
     assert not path.exists()
 
 

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from pblr import blr
 from pblr.blr import GaussianPosterior, ModelConfig, evidence_decomposition, \
     fit_posterior
 from pblr.losses import LossSpec, empirical_gibbs_risk, expected_loss
 from pblr.tasks import DesignMatrix
 
-from oracles import empirical_risk_mc, loss_of_residual, posterior_draws
+from oracles import (empirical_risk_mc, expected_cropped_four_edges, loss_of_residual,
+                     posterior_draws)
 
 LOSSES = {
     "nll": LossSpec.nll(0.9),
@@ -162,6 +164,36 @@ def test_zero_mean_cropped_form_edge_cases():
         at_zero = np.clip(loss_of_residual(spec.inner, np.zeros(1)), spec.a, spec.b)
         assert expected_loss(spec, 0.0, 0.0) == at_zero[0]
         assert expected_loss(spec, 0.0, np.zeros(3)).tolist() == [at_zero[0]] * 3
+
+
+@pytest.mark.parametrize("spec", [
+    LossSpec.cropped(LossSpec.nll(2.0), 1.0, 4.0),
+    LossSpec.cropped(LossSpec.nll(2.0), 2.0, 4.0),
+    LossSpec.cropped(LossSpec.squared(), 0.2, 1.0),
+    LossSpec.cropped(LossSpec.nll(2.0), -1e9, 1e9),
+], ids=["default-t_a-0", "nll-t_a-positive", "squared-t_a-positive", "inactive-t_a-0"])
+def test_cropped_expectation_keeps_the_four_edge_bits(spec):
+    # sharing the edges -t_a = t_a = 0, and a scalar alpha = 0, moves no bit
+    gen = np.random.default_rng(5)
+    var = np.concatenate([[0.0, 1e-300, 0.0], np.geomspace(1e-12, 1e2, 300)])
+    mu = np.concatenate([[0.0, -0.0, 1e-300], gen.standard_normal(300) * 3.0])
+    for mu_arg in (0.0, np.zeros_like(var), mu):
+        np.testing.assert_array_equal(expected_loss(spec, mu_arg, var),
+                                      expected_cropped_four_edges(spec, mu_arg, var))
+
+
+@pytest.mark.parametrize("stack", [(), (4,)], ids=["one", "stack"])
+@pytest.mark.parametrize("name", sorted(LOSSES))
+def test_empirical_risk_blocks_keep_the_bits(monkeypatch, stack, name):
+    # 1,003 examples of 5 features: one block, then blocks of 40 examples (and a tail)
+    gen = np.random.default_rng(8)
+    design = DesignMatrix(phi=gen.standard_normal((*stack, 1003, 5)),
+                          labels=gen.standard_normal((*stack, 1003)))
+    post = fit_posterior(design, ModelConfig(noise_var=0.9, prior_var=1.5))
+    whole = empirical_gibbs_risk(post, design, LOSSES[name])
+    monkeypatch.setattr(blr, "STACK_BUDGET", 200 * max(stack, default=1))
+    assert blr.stack_blocks(1003, design.phi.size // 1003)[-1] == range(1000, 1003)
+    np.testing.assert_array_equal(empirical_gibbs_risk(post, design, LOSSES[name]), whole)
 
 
 def test_empirical_risk_needs_an_example():

@@ -4,7 +4,9 @@ import pytest
 from pblr import __version__
 from pblr.cli import main
 from pblr.tasks import (Dataset, DesignMatrix, LinearTaskSpec, SineTaskSpec,
-                        gen_linear_task, gen_sine_task, polynomial_design)
+                        gen_linear_task, gen_sine_stack, gen_sine_task, polynomial_design)
+
+from oracles import sine_sample_one_seed
 
 
 def polynomial_features(x, degree):
@@ -67,6 +69,20 @@ def test_determinism_bit_identical():
     c, d = gen_linear_task(lin, 40), gen_linear_task(lin, 40)
     assert np.array_equal(c.raw_inputs, d.raw_inputs)
     assert np.array_equal(c.labels, d.labels)
+
+
+@pytest.mark.parametrize("count", [1, 7, 200])
+def test_sine_stack_rows_are_the_one_seed_samples(count):
+    spec = SineTaskSpec(n=15, noise_var=0.25, seed=40)
+    xs, labels = gen_sine_stack(spec, count)
+    assert xs.shape == labels.shape == (count, 15)
+    for row in range(count):
+        one = gen_sine_task(SineTaskSpec(n=15, noise_var=0.25, seed=40 + row))
+        np.testing.assert_array_equal(xs[row], one.raw_inputs)
+        np.testing.assert_array_equal(labels[row], one.labels)
+        ref_xs, ref_labels = sine_sample_one_seed(40 + row, 15, 0.25)
+        np.testing.assert_array_equal(xs[row], ref_xs)
+        np.testing.assert_array_equal(labels[row], ref_labels)
 
 
 def test_different_seeds_differ():
