@@ -53,6 +53,8 @@ def hoeffding_psi_bound(lam: float, n: int, a: float, b: float) -> float:
     """Hoeffding upper bound on the moment term for an [a, b]-valued loss."""
     if not lam > 0:
         raise ValueError("lambda must be positive")
+    if not (n >= 1 and a <= b):  # also a NaN end
+        raise ValueError(f"the Hoeffding term needs n >= 1 and a <= b, not n = {n}, [{a}, {b}]")
     return lam * lam * ((b - a) * (b - a)) / (2.0 * n)  # ** 2 raises OverflowError, * gives inf
 
 

@@ -5,6 +5,8 @@ nll = 0.5*log(2*pi*sigma2) + squared / (2*sigma2). Cropping clamps the
 inner loss into [a, b] per example, before any averaging. Every loss is a
 function of the residual r = y - w . phi(x), and under a Gaussian posterior
 (or a Gaussian task) r is Gaussian, so its expected loss has a closed form.
+The cropped one is a single form in the Gaussian tails of |r| beyond the two
+residuals where the loss crosses a and b, clamped into [a, b] like the loss.
 """
 
 import math
@@ -35,16 +37,12 @@ class LossSpec:
         if self.kind == "nll":
             if not (self.sigma2 is not None and self.sigma2 > 0):
                 raise ValueError("nll loss requires sigma2 > 0")
-        elif self.kind == "squared":
-            pass
         elif self.kind == "cropped":
             if self.inner is None or self.inner.kind == "cropped":
                 raise ValueError("cropped loss wraps a plain nll or squared loss")
-            if self.a is None or self.b is None or not (self.a < self.b):
+            if self.a is None or self.b is None or not -math.inf < self.a < self.b < math.inf:
                 raise ValueError("cropped loss requires finite a < b")
-            if not (math.isfinite(self.a) and math.isfinite(self.b)):
-                raise ValueError("cropped loss requires finite a < b")
-        else:
+        elif self.kind != "squared":
             raise ValueError(f"unknown loss kind {self.kind!r}")
 
     @classmethod
@@ -77,24 +75,37 @@ def expected_loss(spec: LossSpec, mu, var):
     return c0 + (mu * mu + var) / denom
 
 
-def _expected_cropped(spec: LossSpec, mu, var):
-    """E clip(c0 + r^2 / denom, a, b) for r ~ N(mu, var), from Phi and phi.
+def _beyond(t: float, mu, second, sd):
+    """(G, M) = (P(|r| > t), E[r^2; |r| > t]) for r ~ N(mu, sd^2), a crop edge t >= 0.
 
-    The inner loss is below a for |r| < t_a and above b for |r| > t_b; in
-    between it is c0 + r^2 / denom, whose truncated-normal second moment on
-    [lo, hi] is (mu^2 + var) P + sd ((mu + lo) phi(z_lo) - (mu + hi) phi(z_hi)).
-    At the scalar mu = 0 (the generalization oracle's case) |r| / sd is
-    half-normal: with alpha = t_a / sd and beta = t_b / sd the expectation is
-    a (1 - 2 Phi(-alpha)) + 2 b Phi(-beta) + 2 (c0 + var / denom) (Phi(-alpha)
-    - Phi(-beta)) + (2 var / denom) (alpha phi(alpha) - beta phi(beta)),
-    two Phi and two phi per point instead of four of each. Where c0 >= a
-    (the default crop), t_a = 0: alpha is then the scalar 0, and the general
-    form's edges -t_a and t_a share one z, phi and Phi, with the same bits.
+    With second = mu^2 + sd^2 and z = (+-mu - t) / sd, P(+-r > t) = Phi(z) and
+    E[r^2; +-r > t] = second Phi(z) + sd (t +- mu) phi(z). At t = 0 (G, M) =
+    (1, second) exactly; at the scalar mu = 0 the two sides share one Phi and phi.
     """
-    # Imported here, not at the top: scipy.special adds about 0.1 s to
-    # `import pblr.cli`, and only cropped losses need it.
+    if t == 0.0:
+        return 1.0, second
+    # Imported here: scipy.special adds about 0.1 s to `import pblr.cli`.
     from scipy.special import ndtr
 
+    def side(z):  # (Phi(z), phi(z))
+        return ndtr(z), np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    with np.errstate(over="ignore"):  # z^2 overflows as var -> 0, where phi(z) -> 0
+        tail_up, pdf_up = side((mu - t) / sd)  # r > t
+        tail_down, pdf_down = ((tail_up, pdf_up) if mu.ndim == 0 and mu == 0.0
+                               else side((-mu - t) / sd))  # r < -t
+    tail = tail_up + tail_down
+    return tail, second * tail + sd * ((t + mu) * pdf_up + (t - mu) * pdf_down)
+
+
+def _expected_cropped(spec: LossSpec, mu, var):
+    """E clip(c0 + r^2 / denom, a, b) for r ~ N(mu, var), clamped into [a, b].
+
+    The loss is below a for |r| < t_a and above b for |r| > t_b, so with G and M
+    of `_beyond` it is base + (c0 - base) G(t_a) + (b - c0) G(t_b) + (M(t_a) -
+    M(t_b)) / denom, base = max(a, c0). The default crop has c0 >= a, so t_a = 0;
+    where c0 >= b it is the constant b. np.clip undoes rounding past a or b, keeping NaN.
+    """
     a, b = spec.a, spec.b
     c0, denom = _affine_in_squared(spec.inner)
     t_a = math.sqrt(max(a - c0, 0.0) * denom)
@@ -102,32 +113,13 @@ def _expected_cropped(spec: LossSpec, mu, var):
     if not math.isfinite(t_b):  # else inf * phi(inf) turns the expectation into NaN
         raise ValueError(f"cropped loss upper end b = {b!r} is too large: "
                          f"the residual where the loss reaches it overflows")
+    if t_b == 0.0:  # every loss is cropped down to b; a NaN mu or var stays NaN
+        return np.where(np.isnan(mu) | np.isnan(var), np.nan, b)[()]
     var = np.maximum(var, _MIN_VAR)
-    sd = np.sqrt(var)
-    if mu.ndim == 0 and mu == 0.0:
-        alpha, beta = t_a / sd if t_a else 0.0, t_b / sd
-        with np.errstate(over="ignore"):  # beta^2 overflows as var -> 0, where phi(beta) -> 0
-            gauss = alpha * np.exp(-0.5 * alpha * alpha) - beta * np.exp(-0.5 * beta * beta)
-        tail_a, tail_b = ndtr(-alpha), ndtr(-beta)
-        scaled = var / denom
-        return (a * (1.0 - 2.0 * tail_a) + 2.0 * b * tail_b
-                + 2.0 * (c0 + scaled) * (tail_a - tail_b)
-                + math.sqrt(2.0 / math.pi) * scaled * gauss)
-    edges = (-t_b, -t_a, t_a, t_b)
-    shared = t_a == 0.0  # -t_a and t_a: one z up to the sign of a zero, so one phi and Phi
-    z = [(t - mu) / sd for t in ((-t_b, t_a, t_b) if shared else edges)]
-    with np.errstate(over="ignore"):
-        pdf = [np.exp(-0.5 * zi * zi) / math.sqrt(2.0 * math.pi) for zi in z]
-    cdf = [ndtr(zi) for zi in z]
-    if shared:
-        z, pdf, cdf = ([v[0], v[1], v[1], v[2]] for v in (z, pdf, cdf))
-    low = cdf[2] - cdf[1]
-    high = cdf[0] + ndtr(-z[3])
-    mid = (cdf[1] - cdf[0]) + (cdf[3] - cdf[2])
-    mid_sq = (mu * mu + var) * mid + sd * (
-        (mu + edges[0]) * pdf[0] - (mu + edges[1]) * pdf[1]
-        + (mu + edges[2]) * pdf[2] - (mu + edges[3]) * pdf[3])
-    return a * low + b * high + c0 * mid + mid_sq / denom
+    second, sd = mu * mu + var, np.sqrt(var)
+    (g_a, m_a), (g_b, m_b) = (_beyond(t, mu, second, sd) for t in (t_a, t_b))
+    base = max(a, c0)
+    return np.clip(base + (c0 - base) * g_a + (b - c0) * g_b + (m_a - m_b) / denom, a, b)
 
 
 def empirical_gibbs_risk(post: GaussianPosterior, design: DesignMatrix,
@@ -140,7 +132,7 @@ def empirical_gibbs_risk(post: GaussianPosterior, design: DesignMatrix,
     its fit alone. The examples are taken in the `stack_blocks` of their
     design entries, each block's expected losses written into one array of
     them all, so the work arrays stay within a block and the mean has the
-    bits of a single pass.
+    bits of a single pass. A cropped loss's mean is clamped into [a, b].
     """
     if design.n == 0:
         raise ValueError("the empirical risk needs at least one example")
@@ -150,4 +142,5 @@ def empirical_gibbs_risk(post: GaussianPosterior, design: DesignMatrix,
         rows = slice(block.start, block.stop)
         resid = labels[..., rows] - (phi[..., rows, :] @ post.mean[..., None])[..., 0]
         losses[..., rows] = expected_loss(loss, resid, post.predictive_var(phi[..., rows, :]))
-    return scalar_or_stack(np.mean(losses, axis=-1))
+    risk = np.mean(losses, axis=-1)  # of values in [a, b], but it can round past b
+    return scalar_or_stack(np.clip(risk, loss.a, loss.b) if loss.kind == "cropped" else risk)

@@ -29,13 +29,15 @@ class SubGammaParams:
     def __post_init__(self):
         if not (np.isfinite(self.s2) and self.s2 >= 0):
             raise ValueError("s2 must be finite and non-negative")
-        if self.c < 0:
+        if not self.c >= 0:  # also a NaN c
             raise ValueError("c must be non-negative")
 
 
 def _check_lambda(lam: float, c: float) -> None:
     if not lam > 0:
         raise ValueError("lambda must be positive")
+    if not c >= 0:
+        raise ValueError("c must be non-negative")
     if c > 0 and lam >= 1.0 / c:
         raise ValueError(f"lambda {lam} outside the sub-gamma range (0, {1.0 / c})")
 

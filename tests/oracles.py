@@ -11,9 +11,10 @@ quadrature of a closed-form conditional MGF instead of sampling. The
 exceptions are `sample_posterior`, seeded exact posterior draws,
 `squared_log_mgf_given_z`, the conditional MGF the package's MGF check
 also averages, `mgf_rows_reference`, that check's arithmetic as plain
-array expressions, and `expected_cropped_four_edges` and `sine_sample_one_seed`,
-earlier forms of the package's cropped expectation and sine draw kept to pin
-their bits. None is an independent path; `plain_log_mgf_mc` is the
+array expressions, `sine_sample_one_seed`, an earlier form of the package's sine
+draw kept to pin its bits, and `expected_cropped_four_edges`, the earlier
+region-by-region cropped expectation that the package's one form is checked
+against. None is an independent path; `plain_log_mgf_mc` is the
 independent check of the two MGF ones. The bound references state the direct
 sub-gamma bound and the evidence-form Catoni bound, the forms the package
 does not compute, for checking the forms it does.
@@ -199,8 +200,11 @@ def cropped_risk_tensor_rule(post, task, loss, k: int) -> float:
 def expected_cropped_four_edges(spec, mu, var):
     """E clip(c0 + r^2 / denom, a, b) for r ~ N(mu, var), with all four edges +-t_a, +-t_b.
 
-    The package's cropped expectation before it shared the coinciding edges
-    -t_a = t_a = 0 and took a scalar alpha = 0, line for line.
+    The reference for the package's one form in the tails beyond t_a and t_b:
+    a P(|r| < t_a) + b P(|r| > t_b) plus c0 P and the truncated second moment
+    of t_a <= |r| <= t_b over denom, each probability from Phi at its own
+    edges, and at the scalar mu = 0 the half-normal form of the same sum. It
+    is the package's earlier form, line for line, and it is not clamped.
     """
     from scipy.special import ndtr
 

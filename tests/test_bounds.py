@@ -95,6 +95,12 @@ def test_hoeffding_psi_values():
     assert hoeffding_psi_bound(3.0, 7, 1.5, 1.5) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("args", [(1.0, 0, 1.0, 4.0), (1.0, 5, 4.0, 1.0)], ids=["n-0", "a-above-b"])
+def test_hoeffding_psi_rejects_a_bad_sample_size_or_range(args):
+    with pytest.raises(ValueError):
+        hoeffding_psi_bound(*args)
+
+
 def test_alquier_lambda_n_reduction():
     emp, kl, n, delta, a, b = 0.7, 2.0, 40, 0.1, 0.0, 1.5
     psi = hoeffding_psi_bound(float(n), n, a, b)
@@ -229,6 +235,8 @@ NAN_CASES = {  # (function, argument) -> a call with that one argument NaN
     ("alquier_bound", "lam"): lambda: alquier_bound(0.5, 1.0, 10, 0.05, NAN, 0.5),
     ("alquier_bound", "psi_bound"): lambda: alquier_bound(0.5, 1.0, 10, 0.05, 3.0, NAN),
     ("hoeffding_psi_bound", "lam"): lambda: hoeffding_psi_bound(NAN, 10, 1.0, 4.0),
+    ("hoeffding_psi_bound", "a"): lambda: hoeffding_psi_bound(3.0, 10, NAN, 4.0),
+    ("hoeffding_psi_bound", "b"): lambda: hoeffding_psi_bound(3.0, 10, 1.0, NAN),
     ("subgamma_bound", "emp"): lambda: subgamma_bound(NAN, 1.0, 10, 0.05, 0.3, 0.1),
     ("subgamma_bound", "kl"): lambda: subgamma_bound(0.5, NAN, 10, 0.05, 0.3, 0.1),
     ("subgamma_evidence_bound", "s2"): lambda: subgamma_evidence_bound(

@@ -55,6 +55,18 @@ def test_fig_c_small_grid_structure():
         assert abs(emp - gen) < 0.5
 
 
+@pytest.mark.parametrize("sigma2, crop", [
+    (10.0, (2.0702310797116956, 2.0702310797117955)),
+    (2.0, (1.2655121234746454, 1.2655121234846454)),
+], ids=["sigma2-10-width-1e-13", "sigma2-2-width-1e-11"])
+def test_fig_c_narrow_crop_around_c0_is_accepted(sigma2, crop):
+    # c0 = 0.5 ln(2 pi sigma2) lies in the crop; rounding used to put the
+    # cropped empirical risk just outside it, and catoni_bound refused it
+    rows, meta = exp.run_fig_c(seed=1, n_grid=(10, 1000), sigma2=sigma2, crop_interval=crop)
+    assert (meta["crop_a"], meta["crop_b"]) == crop
+    assert all(math.isfinite(value) for row in rows for value in row)
+
+
 def test_fig_c_bound_columns_are_sample_bounds():
     rows, _ = exp.run_fig_c(seed=1, n_grid=(10, 100))
     task, model, cropped = exp._linear_setup(1, exp.LINREG_D, exp.LINREG_SIGMA2,

@@ -143,7 +143,7 @@ def test_mc_gibbs_risk_constant_cropped_loss():
     LossSpec.cropped(LossSpec.nll(2.0), 2.0, 4.0),
 ], ids=["default", "squared", "nll-0.9", "nll-2-above-c0"])
 def test_zero_mean_cropped_form_matches_the_general_one(spec):
-    # the scalar mu = 0 takes the half-normal form; an array of zeros the general one
+    # at the scalar mu = 0 the edges t and -t share one Phi and phi; an array of zeros takes both
     var = np.geomspace(1e-12, 1e2, 600)
     np.testing.assert_allclose(expected_loss(spec, 0.0, var),
                                expected_loss(spec, np.zeros_like(var), var), rtol=1e-13, atol=0.0)
@@ -168,18 +168,31 @@ def test_zero_mean_cropped_form_edge_cases():
 
 @pytest.mark.parametrize("spec", [
     LossSpec.cropped(LossSpec.nll(2.0), 1.0, 4.0),
+    LossSpec.cropped(LossSpec.squared(), 0.2, 1.0),
+    LossSpec.cropped(LossSpec.nll(2.0), 0.5, 1.0),  # c0 >= b: the constant b
+], ids=["default", "squared", "above-c0"])
+def test_cropped_expectation_keeps_a_nan(spec):
+    # clamping into [a, b] must not turn a NaN residual or variance into a number
+    got = expected_loss(spec, np.array([np.nan, 0.5, 0.5]), np.array([1.0, np.nan, 1.0]))
+    assert np.isnan(got[:2]).all() and spec.a <= got[2] <= spec.b
+    assert np.isnan(expected_loss(spec, np.nan, 1.0))
+
+
+@pytest.mark.parametrize("spec", [
+    LossSpec.cropped(LossSpec.nll(2.0), 1.0, 4.0),
     LossSpec.cropped(LossSpec.nll(2.0), 2.0, 4.0),
     LossSpec.cropped(LossSpec.squared(), 0.2, 1.0),
     LossSpec.cropped(LossSpec.nll(2.0), -1e9, 1e9),
 ], ids=["default-t_a-0", "nll-t_a-positive", "squared-t_a-positive", "inactive-t_a-0"])
-def test_cropped_expectation_keeps_the_four_edge_bits(spec):
-    # sharing the edges -t_a = t_a = 0, and a scalar alpha = 0, moves no bit
+def test_cropped_expectation_agrees_with_the_four_edge_form(spec):
+    # the one form in the tails beyond t_a and t_b, against the form in all four edges
     gen = np.random.default_rng(5)
     var = np.concatenate([[0.0, 1e-300, 0.0], np.geomspace(1e-12, 1e2, 300)])
     mu = np.concatenate([[0.0, -0.0, 1e-300], gen.standard_normal(300) * 3.0])
     for mu_arg in (0.0, np.zeros_like(var), mu):
-        np.testing.assert_array_equal(expected_loss(spec, mu_arg, var),
-                                      expected_cropped_four_edges(spec, mu_arg, var))
+        np.testing.assert_allclose(expected_loss(spec, mu_arg, var),
+                                   expected_cropped_four_edges(spec, mu_arg, var),
+                                   rtol=2e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("stack", [(), (4,)], ids=["one", "stack"])
@@ -194,6 +207,14 @@ def test_empirical_risk_blocks_keep_the_bits(monkeypatch, stack, name):
     monkeypatch.setattr(blr, "STACK_BUDGET", 200 * max(stack, default=1))
     assert blr.stack_blocks(1003, design.phi.size // 1003)[-1] == range(1000, 1003)
     np.testing.assert_array_equal(empirical_gibbs_risk(post, design, LOSSES[name]), whole)
+
+
+def test_cropped_empirical_risk_is_clamped_to_the_crop():
+    # every loss is cropped down to b = 0.1, whose mean over 3 examples rounds to 0.1 + 1 ulp
+    design = DesignMatrix(phi=np.ones((3, 1)), labels=np.full(3, 5.0))
+    spec = LossSpec.cropped(LossSpec.squared(), 0.05, 0.1)
+    assert np.mean(np.full(3, 0.1)) > 0.1
+    assert empirical_gibbs_risk(make_posterior([0.0], 1e16), design, spec) == 0.1
 
 
 def test_empirical_risk_needs_an_example():
@@ -240,7 +261,7 @@ def tol(*values):
 def test_cropped_value_lies_in_interval(inner, a, width, mu, var):
     spec = crop_of(inner, a, width)
     value = float(expected_loss(spec, mu, var))
-    assert spec.a - tol(spec.a) <= value <= spec.b + tol(spec.b)
+    assert spec.a <= value <= spec.b
 
 
 @settings(max_examples=200, deadline=None)

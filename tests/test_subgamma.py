@@ -88,6 +88,10 @@ def test_params_validation():
     with pytest.raises(ValueError):
         SubGammaParams(s2=-0.1, c=0.0)
     with pytest.raises(ValueError):
+        SubGammaParams(s2=1.0, c=float("nan"))
+    with pytest.raises(ValueError):
+        subgamma_envelope(0.5, 1.0, float("nan"))
+    with pytest.raises(ValueError):
         squared_loss_subgamma_params(1.0, 1.0, 0, 0.0, 0.1)
 
 
