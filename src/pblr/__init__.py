@@ -4,4 +4,4 @@ __version__ = "0.1.0"
 
 from .blr import ModelConfig, evidence_decomposition, fit_posterior
 from .bounds import subgamma_evidence_bound
-from .tasks import SineTaskSpec, gen_sine_task, polynomial_design
+from .tasks import DesignMatrix, SineTaskSpec, gen_sine_task, polynomial_features

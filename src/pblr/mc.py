@@ -4,16 +4,16 @@ The generalization risk is exact for every loss: closed form for the
 squared and NLL losses, a self-checking tensor Gauss-Hermite rule over the
 posterior for the cropped one, refined from 8 nodes per axis in steps of about
 sqrt(2) (d <= 5). Both take one posterior or a stack of them.
-`sample_bounds` turns a stack of linear-task samples, one per seed, into
-their stacked posterior, evidence report and bounds, with one fit for the
-stack; fig-c calls it with one seed per sample size. The coverage study
-plays the frequentist game the bounds are stated for: draw many
-independent training samples, pass them to `sample_bounds` in blocks of
-`blr.stack_blocks` (at most blr.STACK_BUDGET design entries, n*d per trial),
-and count how often the true Gibbs risk exceeds each bound.
+`sample_bounds` draws the linear-task samples of its seeds as one
+`tasks.gen_linear_stack` and turns them into their stacked posterior, evidence
+report and bounds, with one fit for the stack; fig-c calls it with one seed per
+sample size. The coverage study plays the frequentist game the bounds are
+stated for: draw many independent training samples, pass their seeds to
+`sample_bounds` in blocks of `blr.stack_blocks` (at most blr.STACK_BUDGET
+design entries, n*d per trial), and count how often the true Gibbs risk
+exceeds each bound.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +24,7 @@ from .blr import (GaussianPosterior, ModelConfig, evidence_decomposition,
                   fit_posterior, scalar_or_stack, stack_blocks)
 from .losses import LossSpec, empirical_gibbs_risk, expected_loss
 from .subgamma import nll_subgamma_params
-from .tasks import DesignMatrix, LinearTaskSpec, gen_linear_task
+from .tasks import DesignMatrix, LinearTaskSpec, gen_linear_stack
 
 # Nodes per axis of the successive cropped-loss rules. Steps of about sqrt(2), not 2,
 # make the rule that confirms a converged one about 2^(d/2), not 2^d, times as large
@@ -97,15 +97,6 @@ def gibbs_generalization_risk(post: GaussianPosterior, task: LinearTaskSpec,
 FAMILIES = ("subgamma", "catoni", "alquier_sqrtn")  # checked by the coverage study
 
 
-def _stacked_draws(task: LinearTaskSpec, n: int, seeds) -> DesignMatrix:
-    """The design of n draws of the task at each seed, stacked: phi (S, n, d), labels (S, n)."""
-    draws = [gen_linear_task(dataclasses.replace(task, seed=seed), n) for seed in seeds]
-    if len(draws) == 1:  # a view, not a copy: fig-c's sample at n = 1e6 holds 160 MB
-        return DesignMatrix(phi=draws[0].raw_inputs[None], labels=draws[0].labels[None])
-    return DesignMatrix(phi=np.stack([draw.raw_inputs for draw in draws]),
-                        labels=np.stack([draw.labels for draw in draws]))
-
-
 def sample_bounds(task: LinearTaskSpec, model: ModelConfig, n: int,
                   cropped: LossSpec, delta: float, seeds) -> tuple:
     """Fit the posterior to n draws of the task at each of the S seeds and bound its risk.
@@ -120,9 +111,11 @@ def sample_bounds(task: LinearTaskSpec, model: ModelConfig, n: int,
     """
     if getattr(cropped, "kind", None) != "cropped":
         raise ValueError("the catoni and alquier families need a cropped loss")
+    if not len(seeds):
+        raise ValueError("sample_bounds needs at least one seed")
     params = nll_subgamma_params(model.noise_var, task.input_var, model.prior_var,
                                  task.d, task.w_star_sq_norm, task.noise_var)
-    design = _stacked_draws(task, n, seeds)
+    design = DesignMatrix(*gen_linear_stack(task, n, seeds))
     post = fit_posterior(design, model)
     report = evidence_decomposition(post, design, model)  # identity checked inline
     emp_crop = empirical_gibbs_risk(post, design, cropped)

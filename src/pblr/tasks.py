@@ -1,10 +1,12 @@
-"""Synthetic regression tasks, dataset containers, and feature maps.
+"""Synthetic regression tasks, the design matrix, and the polynomial feature map.
 
 Two generative tasks are provided: a noisy sine curve with scalar inputs
 (fitted with polynomial features) and a Gaussian linear task with vector
-inputs (fitted in the input space). The sine sample has one definition,
-`gen_sine_stack`, which draws the samples of consecutive seeds into one
-array each for x and y; `gen_sine_task` is its one-seed case.
+inputs (fitted in the input space). Each task's sample has one definition, a
+stack generator that fills one array each for x and y with the samples of
+several seeds, each from its own stream: `gen_sine_stack` (consecutive seeds)
+and `gen_linear_stack` (any seeds). `gen_sine_task` and `gen_linear_task` are
+their one-seed cases, kept as a plain `Dataset` for the benchmark's oracle.
 """
 
 from dataclasses import dataclass
@@ -18,22 +20,10 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class Dataset:
-    """Raw inputs and labels, before any feature mapping.
-
-    ``raw_inputs`` has shape (n,) for scalar tasks and (n, d) for vector
-    tasks; ``labels`` always has shape (n,).
-    """
+    """One seed's sample from a task generator: raw inputs (n,) or (n, d), labels (n,)."""
 
     raw_inputs: np.ndarray
     labels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "raw_inputs", np.asarray(self.raw_inputs, dtype=float))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=float))
-        if self.labels.ndim != 1:
-            raise ValueError("labels must be a vector")
-        if self.raw_inputs.shape[0] != self.labels.shape[0]:
-            raise ValueError("labels length must equal number of inputs")
 
     @property
     def n(self) -> int:
@@ -85,8 +75,8 @@ class SineTaskSpec:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("n must be non-negative")
-        if not self.noise_var > 0:
-            raise ValueError("noise_var must be positive")
+        if not 0 < self.noise_var < np.inf:
+            raise ValueError(f"noise_var must be positive and finite, got {self.noise_var!r}")
 
 
 @dataclass(frozen=True)
@@ -100,10 +90,11 @@ class LinearTaskSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "w_star", np.asarray(self.w_star, dtype=float))
-        if self.w_star.ndim != 1 or self.w_star.shape[0] < 1:
-            raise ValueError("w_star must be a vector of dimension >= 1")
-        if not (self.input_var > 0 and self.noise_var > 0):
-            raise ValueError("variances must be positive")
+        if self.w_star.ndim != 1 or self.w_star.shape[0] < 1 or not np.isfinite(self.w_star).all():
+            raise ValueError("w_star must be a finite vector of dimension >= 1")
+        for name, v in (("input_var", self.input_var), ("noise_var", self.noise_var)):
+            if not 0 < v < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
     @property
     def d(self) -> int:
@@ -133,14 +124,6 @@ def polynomial_features(xs: np.ndarray, degree: int) -> np.ndarray:
         return np.asarray(xs, dtype=float)[..., None] ** np.arange(degree + 1)
 
 
-def polynomial_design(dataset: Dataset, degree: int) -> DesignMatrix:
-    """Build the n x (degree+1) design matrix [1, x, ..., x^degree] for scalar inputs."""
-    if dataset.raw_inputs.ndim != 1:
-        raise ValueError("polynomial features need scalar inputs")
-    return DesignMatrix(phi=polynomial_features(dataset.raw_inputs, degree),
-                        labels=dataset.labels)
-
-
 def gen_sine_stack(spec: SineTaskSpec, count: int) -> tuple:
     """Inputs and labels, each (count, n), of the sine samples at seeds spec.seed + s, s < count.
 
@@ -167,11 +150,29 @@ def gen_sine_task(spec: SineTaskSpec) -> Dataset:
     return Dataset(raw_inputs=xs[0], labels=labels[0])
 
 
-def gen_linear_task(spec: LinearTaskSpec, n: int) -> Dataset:
-    """Draw n examples from the Gaussian linear task."""
+def gen_linear_stack(spec: LinearTaskSpec, n: int, seeds) -> tuple:
+    """Inputs (S, n, d) and labels (S, n) of n draws of the linear task at each of the S seeds.
+
+    Seed seeds[s] (not spec.seed) fills row s of the inputs, then of the noise, from its
+    own stream with standard normals scaled in place, so row s has the bits of that
+    seed's `gen_linear_task`, whatever the stack.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
-    gen = rng.stream(spec.seed, rng.LINEAR_TAG, n)
-    xs = gen.normal(0.0, np.sqrt(spec.input_var), size=(n, spec.d))
-    eps = gen.normal(0.0, np.sqrt(spec.noise_var), size=n)
-    return Dataset(raw_inputs=xs, labels=xs @ spec.w_star + eps)
+    inputs = np.empty((len(seeds), n, spec.d))
+    labels = np.empty((len(seeds), n))
+    input_sd, noise_sd = np.sqrt(spec.input_var), np.sqrt(spec.noise_var)
+    for row, seed in enumerate(seeds):
+        gen = rng.stream(seed, rng.LINEAR_TAG, n)
+        gen.standard_normal(out=inputs[row])
+        inputs[row] *= input_sd
+        gen.standard_normal(out=labels[row])
+        labels[row] *= noise_sd
+        labels[row] += inputs[row] @ spec.w_star
+    return inputs, labels
+
+
+def gen_linear_task(spec: LinearTaskSpec, n: int) -> Dataset:
+    """Draw n examples from the Gaussian linear task: the one-seed case of `gen_linear_stack`."""
+    inputs, labels = gen_linear_stack(spec, n, [spec.seed])
+    return Dataset(raw_inputs=inputs[0], labels=labels[0])

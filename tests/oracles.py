@@ -11,11 +11,12 @@ quadrature of a closed-form conditional MGF instead of sampling. The
 exceptions are `sample_posterior`, seeded exact posterior draws,
 `squared_log_mgf_given_z`, the conditional MGF the package's MGF check
 also averages, `mgf_rows_reference`, that check's arithmetic as plain
-array expressions, `sine_sample_one_seed`, an earlier form of the package's sine
-draw kept to pin its bits, and `expected_cropped_four_edges`, the earlier
-region-by-region cropped expectation that the package's one form is checked
-against. None is an independent path; `plain_log_mgf_mc` is the
-independent check of the two MGF ones. The bound references state the direct
+array expressions, `sine_sample_one_seed` and `linear_sample_one_seed`,
+earlier forms of the package's sine and linear draws kept to pin their
+bits, and `expected_cropped_four_edges`, the earlier region-by-region
+cropped expectation that the package's one form is checked against. None
+is an independent path; `plain_log_mgf_mc` is the independent check of the
+two MGF ones. The bound references state the direct
 sub-gamma bound and the evidence-form Catoni bound, the forms the package
 does not compute, for checking the forms it does.
 """
@@ -246,6 +247,14 @@ def sine_sample_one_seed(seed: int, n: int, noise_var: float) -> tuple:
     xs = gen.uniform(0.0, 2.0 * np.pi, size=n)
     eps = gen.normal(0.0, np.sqrt(noise_var), size=n)
     return xs, np.sin(xs) + eps
+
+
+def linear_sample_one_seed(seed: int, n: int, spec) -> tuple:
+    """(inputs, labels) of one linear-task sample, drawn with normal(0, sd) and labelled xs @ w."""
+    gen = rng.stream(seed, rng.LINEAR_TAG, n)
+    xs = gen.normal(0.0, np.sqrt(spec.input_var), size=(n, spec.d))
+    eps = gen.normal(0.0, np.sqrt(spec.noise_var), size=n)
+    return xs, xs @ spec.w_star + eps
 
 
 def bootstrap_log_mgf_se(v: np.ndarray, lams, reps: int, seed: int) -> np.ndarray:

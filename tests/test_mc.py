@@ -176,6 +176,13 @@ def test_study_config_validation():
         run_validity_study(**study_args(trials=0))
 
 
+def test_sample_bounds_needs_a_seed():
+    args = study_args()
+    task, model, n, cropped, delta = (args[k] for k in ("task", "model", "n", "cropped", "delta"))
+    with pytest.raises(ValueError, match="at least one seed"):
+        sample_bounds(task, model, n, cropped, delta, [])
+
+
 def fake_block(values, bad_trial=0):
     """A stand-in for mc._block_bounds_and_risks: subgamma (bound, risk) = values at
     bad_trial, and the finite, covered (1.0, 0.5) at every other trial."""

@@ -1,17 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pblr import __version__
+from pblr import __version__, rng, tasks
 from pblr.cli import main
-from pblr.tasks import (Dataset, DesignMatrix, LinearTaskSpec, SineTaskSpec,
-                        gen_linear_task, gen_sine_stack, gen_sine_task, polynomial_design)
+from pblr.tasks import (DesignMatrix, LinearTaskSpec, SineTaskSpec, gen_linear_stack,
+                        gen_linear_task, gen_sine_stack, gen_sine_task)
 
-from oracles import sine_sample_one_seed
+from oracles import linear_sample_one_seed, sine_sample_one_seed
 
 
 def polynomial_features(x, degree):
-    """The polynomial_design row of a single scalar input."""
-    return polynomial_design(Dataset(raw_inputs=[x], labels=[0.0]), degree).phi[0]
+    """The design-matrix row of a single scalar input."""
+    return DesignMatrix(tasks.polynomial_features([x], degree), [0.0]).phi[0]
 
 
 def test_polynomial_features_powers_of_two():
@@ -85,6 +87,38 @@ def test_sine_stack_rows_are_the_one_seed_samples(count):
         np.testing.assert_array_equal(labels[row], ref_labels)
 
 
+@pytest.mark.parametrize("d", [3, 20])
+@pytest.mark.parametrize("count", [1, 3, 10])
+def test_linear_stack_rows_are_the_one_seed_samples(count, d):
+    spec = LinearTaskSpec(w_star=np.linspace(-1.0, 1.0, d), input_var=0.7, noise_var=0.2,
+                          seed=3)
+    seeds = [rng.derive_seed(spec.seed, rng.TRIAL_TAG, trial, 0) for trial in range(count)]
+    inputs, labels = gen_linear_stack(spec, 20, seeds)
+    assert inputs.shape == (count, 20, d) and labels.shape == (count, 20)
+    for row, seed in enumerate(seeds):
+        one = gen_linear_task(dataclasses.replace(spec, seed=seed), 20)
+        ref_inputs, ref_labels = linear_sample_one_seed(seed, 20, spec)
+        for got, want in ((inputs[row], one.raw_inputs), (labels[row], one.labels),
+                          (inputs[row], ref_inputs), (labels[row], ref_labels)):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("w_star", [np.nan, 1.0]), ("w_star", [1.0, np.inf]), ("input_var", np.inf),
+    ("noise_var", np.inf), ("input_var", np.nan), ("noise_var", 0.0),
+])
+def test_linear_spec_rejects_non_finite_parameters(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+        LinearTaskSpec(**{"w_star": [1.0, 2.0], field: value})
+
+
+@pytest.mark.parametrize("noise_var", [np.inf, np.nan, 0.0, -1.0])
+def test_sine_spec_rejects_non_finite_noise(noise_var):
+    with pytest.raises(ValueError, match="noise_var must be positive and finite"):
+        SineTaskSpec(n=3, noise_var=noise_var)
+
+
 def test_different_seeds_differ():
     a = gen_sine_task(SineTaskSpec(n=10, noise_var=0.25, seed=0))
     b = gen_sine_task(SineTaskSpec(n=10, noise_var=0.25, seed=1))
@@ -131,7 +165,7 @@ def test_linear_task_input_means():
 
 def test_polynomial_design_rows_match_feature_map():
     ds = gen_sine_task(SineTaskSpec(n=6, noise_var=0.25, seed=0))
-    design = polynomial_design(ds, 3)
+    design = DesignMatrix(tasks.polynomial_features(ds.raw_inputs, 3), ds.labels)
     assert design.d == 4
     for i in range(6):
         assert np.allclose(design.phi[i], ds.raw_inputs[i] ** np.arange(4))
