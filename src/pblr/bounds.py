@@ -46,7 +46,8 @@ def catoni_bound(emp: float, kl: float, n: int, delta: float,
     exponent = -emp + a - (kl - math.log(delta)) / n  # <= 0, or NaN when a = emp = -inf
     if math.isnan(exponent):
         raise ValueError("Catoni bound is not finite (exponent nan)")
-    return a + (b - a) / (1.0 - math.exp(a - b)) * (1.0 - math.exp(exponent))
+    # -expm1(a - b) stays positive where 1 - exp(a - b) is 0: b - a below about 1e-16
+    return a + (b - a) / -math.expm1(a - b) * (1.0 - math.exp(exponent))
 
 
 def hoeffding_psi_bound(lam: float, n: int, a: float, b: float) -> float:

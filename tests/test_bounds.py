@@ -60,6 +60,22 @@ def test_catoni_value_range_invariant():
         assert a <= val <= ceiling
 
 
+def test_catoni_narrow_crop_is_finite():
+    # 1 - exp(a - b) rounds to 0 for b - a below about 1e-16; expm1 keeps b - a
+    for a, b in [(1e-300, 2e-300), (1.0, 1.0 + 2.0 ** -52), (0.0, 1e-20)]:
+        val = catoni_bound(a, 1.0, 10, 0.05, a, b)
+        assert math.isfinite(val) and val >= a
+
+
+def test_catoni_keeps_its_bits_at_ordinary_crops():
+    # the old denominator 1 - exp(a - b), bit for bit, at the crops the figures use
+    for a, b in [(1.0, 4.0), (3.0, 5.0), (2.0, 4.0), (0.2, 1.0)]:
+        emp, kl, n, delta = (a + b) / 2.0, 3.0, 100, 0.05
+        exponent = -emp + a - (kl - math.log(delta)) / n
+        old = a + (b - a) / (1.0 - math.exp(a - b)) * (1.0 - math.exp(exponent))
+        assert catoni_bound(emp, kl, n, delta, a, b) == old
+
+
 def test_catoni_evidence_trivial_case():
     # Z = e^{-n a} at delta=1 makes the root e^a (Z delta)^{1/n} equal one
     for a, b, n in [(0.0, 1.0, 4), (1.0, 4.0, 11)]:

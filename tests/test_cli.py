@@ -256,6 +256,15 @@ def test_huge_crop_fails_closed(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_narrow_crop_gives_finite_bounds(tmp_path):
+    # 1 - exp(a - b) is 0 at this crop, which divided the Catoni bound by zero
+    assert run(["fig-c", "--n-grid", 10, "--crop", "1e-300", "2e-300", "--out", tmp_path]) == 0
+    lines = (tmp_path / "fig_c.csv").read_text(encoding="utf-8").strip().split("\n")
+    rows = [l for l in lines if not l.startswith("#")][1:]
+    assert len(rows) == 1
+    assert all(math.isfinite(float(v)) for v in rows[0].split(","))
+
+
 def test_hidden_mc_weights_flag_is_ignored(tmp_path, capsys):
     # perfbench's coverage workload still passes --mc-weights
     with pytest.raises(SystemExit):
@@ -367,11 +376,13 @@ def test_seed_scan_selects_fig_b_evidence_argmin(tmp_path):
     assert {int(d): int(w) for d, w in (l.split(",") for l in table)} == expected
 
 
-def test_sine_commands_load_no_scipy(tmp_path):
+def test_commands_load_no_scipy(tmp_path):
     # a fresh interpreter, since the test oracles load scipy into this one
     code = ("import sys\n"
             "import pblr.cli\n"
-            "for argv in (['fig-a'], ['fig-b'], ['fig-b', '--seeds', '50']):\n"
+            "for argv in (['fig-a'], ['fig-b'], ['fig-b', '--seeds', '50'],\n"
+            "             ['fig-c', '--n-grid', '10', '1000'],\n"
+            "             ['validate', '--trials', '20', '--mgf-m', '10000']):\n"
             f"    assert pblr.cli.main([*argv, '--out', {str(tmp_path)!r}]) == 0\n"
             "leaked = sorted(name for name in sys.modules if name.startswith('scipy'))\n"
             "assert not leaked, leaked\n")
@@ -382,4 +393,5 @@ def test_sine_commands_load_no_scipy(tmp_path):
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "fig_a.csv", "fig_b.csv", "fig_b_selection.csv", "train.csv"]
+        "coverage.json", "fig_a.csv", "fig_b.csv", "fig_b_selection.csv", "fig_c.csv",
+        "mgf.csv", "train.csv"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pblr import blr
+from pblr import blr, losses
 from pblr.blr import GaussianPosterior, ModelConfig, evidence_decomposition, \
     fit_posterior
 from pblr.losses import LossSpec, empirical_gibbs_risk, expected_loss
@@ -193,6 +193,45 @@ def test_cropped_expectation_agrees_with_the_four_edge_form(spec):
         np.testing.assert_allclose(expected_loss(spec, mu_arg, var),
                                    expected_cropped_four_edges(spec, mu_arg, var),
                                    rtol=2e-14, atol=0.0)
+
+
+# |z| bands and the relative gap allowed there between the numpy Phi and
+# scipy.special.ndtr; beyond |z| = 4 most of the gap is ndtr's own error (against
+# 40-digit values it is off by up to 9.2e-15 on [4, 8) and 2.2e-13 past 20).
+PHI_BANDS = [(0.0, 1.0, 1e-15), (1.0, 4.0, 4e-15), (4.0, 8.0, 1.5e-14), (8.0, 38.6, 3e-13)]
+
+
+def test_normal_cdf_agrees_with_ndtr():
+    from scipy.special import ndtr
+
+    z = np.linspace(-38.6, 38.6, 772_001)
+    cdf, e = losses._normal(z)
+    with np.errstate(over="ignore"):
+        np.testing.assert_array_equal(e, np.exp(-0.5 * z * z))  # phi keeps its bits
+    for low, high, rtol in PHI_BANDS:
+        band = (np.abs(z) >= low) & (np.abs(z) < high)
+        # ndtr underflows a little before Phi does: 1e-307 covers the subnormal tail
+        np.testing.assert_allclose(cdf[band], ndtr(z[band]), rtol=rtol, atol=1e-307)
+    special = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300, -1e300])
+    cdf, e = losses._normal(special)
+    np.testing.assert_array_equal(cdf, [1.0, 0.0, np.nan, 0.5, 0.5, 1.0, 0.0])
+    np.testing.assert_array_equal(e, [0.0, 0.0, np.nan, 1.0, 1.0, 0.0, 0.0])
+
+
+def test_normal_cdf_is_exactly_symmetric():
+    z = np.linspace(0.0, 38.6, 386_001)
+    assert losses._normal(np.array([0.0]))[0][0] == 0.5
+    np.testing.assert_array_equal(losses._normal(z)[0] + losses._normal(-z)[0], 1.0)
+
+
+def test_erfcx_coefficients_reproduce_erfcx():
+    # a mistyped digit in the table moves erfcx by far more than this somewhere on
+    # [0, 27]; scipy's erfcx is itself off by up to 8.9e-16 from 40-digit values near 0
+    from scipy.special import erfcx
+
+    x = np.linspace(0.0, 27.0, 270_001)
+    np.testing.assert_allclose(losses._erfcx(x), erfcx(x), rtol=1e-15, atol=0.0)
+    assert losses._erfcx(np.zeros(1))[0] == 1.0
 
 
 @pytest.mark.parametrize("stack", [(), (4,)], ids=["one", "stack"])
