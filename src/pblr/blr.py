@@ -50,6 +50,9 @@ class ModelConfig:
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
+        if not math.isfinite(math.log(2.0 * math.pi * float(self.noise_var))):
+            raise ValueError(f"noise_var must keep log(2*pi*noise_var) finite, "
+                             f"got {self.noise_var!r}")
 
 
 def _inverse_factor(low: np.ndarray) -> np.ndarray:

@@ -4,9 +4,9 @@ Each subcommand writes CSV/JSON files into --out; every file starts with
 '#'-prefixed metadata lines (seed, parameters, tool version) so a rerun
 with the same flags reproduces identical bytes. The exit code is nonzero
 whenever an inline invariant check fails. `main` builds its parser on its
-first call and reuses it for every later call in the process; the parser
-reads PBL_SEED at each parse, and its list defaults are tuples, so no parse
-sees another's seed or values.
+first call and reuses it for every later call in the process; its list
+defaults are tuples, so no parse sees another's values. An omitted --seed is
+taken from PBL_SEED as it is at that call, and PBL_SEED is read only then.
 """
 
 import argparse
@@ -43,14 +43,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValueError(message)
-
-    def parse_args(self, args=None, namespace=None):
-        """Parse, with an omitted --seed taken from PBL_SEED as it is at this call."""
-        env_seed = _seed_default()  # a malformed PBL_SEED fails every parse
-        parsed = super().parse_args(args, namespace)
-        if parsed.seed is None:
-            parsed.seed = env_seed
-        return parsed
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -219,7 +211,9 @@ def main(argv=None) -> int:
     handlers = {"fig-a": cmd_fig_a, "fig-b": cmd_fig_b, "fig-c": cmd_fig_c,
                 "validate": cmd_validate}
     try:
-        args = _parser().parse_args(argv)  # reads PBL_SEED
+        args = _parser().parse_args(argv)
+        if args.seed is None:
+            args.seed = _seed_default()
         _require_positive(args, "--seed", low=0)
         args.out.mkdir(parents=True, exist_ok=True)
         return handlers[args.command](args)

@@ -6,8 +6,8 @@ the top degree's design once, for one sample or a stack, and each degree is a
 column prefix of that design and fit; the fig-b seed scan (`selected_degrees`)
 draws each of its `blr.stack_blocks` of n*(top degree + 1) design entries per
 seed as one `tasks.gen_sine_stack`, so each seed's sample and evidence have the
-bits of its own draw and fit. `write_csv` formats each distinct float once per
-file.
+bits of its own draw and fit. `write_csv` checks and formats a table one column
+at a time.
 fig_c: bound values against training-set size for the 20-dimensional
 Gaussian linear task. validate: coverage of the bounds over repeated draws
 plus the MGF envelope check.
@@ -57,23 +57,21 @@ MGF_M = 1_000_000
 def write_csv(path, columns, rows, metadata) -> None:
     """CSV with '#'-prefixed metadata lines before the header; LF endings.
 
-    Raises ValueError, before the file is opened, if any float cell is not finite.
-    Each distinct float is formatted once per file.
+    Each column holds one type: a float column is written as float's repr, any
+    other with str. Raises ValueError, before the file is opened, naming the
+    first non-finite float cell in row order.
     """
-    texts = {}
-
-    def cell(col, val) -> str:
-        if not isinstance(val, float):
-            return str(val)
-        text = texts.get(val)
-        if text is None or not val:  # 0.0 and -0.0 share a key; NaN and inf are never kept
-            if not math.isfinite(val):
-                raise ValueError(f"{path}: {col} = {val!r} is not finite")
-            text = texts[val] = repr(float(val))
-        return text
+    cols = list(zip(*rows))
+    is_float = [isinstance(col[0], float) for col in cols]
+    if not all(all(map(math.isfinite, col)) for col, f in zip(cols, is_float) if f):
+        name, val = next((name, val) for row in zip(*cols)
+                         for name, val, f in zip(columns, row, is_float)
+                         if f and not math.isfinite(val))
+        raise ValueError(f"{path}: {name} = {val!r} is not finite")
+    cells = (map(float.__repr__, col) if f else map(str, col) for col, f in zip(cols, is_float))
     lines = [f"# tool_version = {__version__}",
              *(f"# {key} = {val}" for key, val in metadata.items()), ",".join(columns),
-             *(",".join(map(cell, columns, row)) for row in rows)]
+             *map(",".join, zip(*cells))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -50,8 +50,10 @@ class LossSpec:
 
     def __post_init__(self):
         if self.kind == "nll":
-            if not (self.sigma2 is not None and self.sigma2 > 0):
-                raise ValueError("nll loss requires sigma2 > 0")
+            if not (self.sigma2 is not None and self.sigma2 > 0
+                    and math.isfinite(math.log(2.0 * math.pi * float(self.sigma2)))):
+                raise ValueError("nll loss requires sigma2 > 0 with log(2*pi*sigma2) finite, "
+                                 f"got {self.sigma2!r}")
         elif self.kind == "cropped":
             if self.inner is None or self.inner.kind == "cropped":
                 raise ValueError("cropped loss wraps a plain nll or squared loss")

@@ -2,10 +2,10 @@
 
 import numpy as np
 
-# Tags keep streams for different purposes disjoint even under equal seeds.
+# Tags keep streams for different purposes disjoint even under equal seeds;
+# tests/oracles.py draws its posterior samples under tag 3.
 SINE_TAG = 1
 LINEAR_TAG = 2
-POSTERIOR_TAG = 3
 TEST_SET_TAG = 4
 MGF_TAG = 5
 TRIAL_TAG = 6

@@ -31,6 +31,9 @@ from scipy.linalg import solve_triangular
 
 from pblr import rng
 
+# the stream tag of `sample_posterior`, beside the package's tags in pblr.rng
+POSTERIOR_TAG = 3
+
 
 def nle_full_covariance(phi: np.ndarray, y: np.ndarray, sigma2: float,
                         prior_var: float) -> float:
@@ -154,7 +157,7 @@ def sample_posterior(post, m: int, seed: int) -> np.ndarray:
     """
     if m < 1:
         raise ValueError("need at least one sample")
-    gen = rng.stream(seed, rng.POSTERIOR_TAG)
+    gen = rng.stream(seed, POSTERIOR_TAG)
     z = gen.standard_normal((post.d, m))
     return post.mean[None, :] + solve_triangular(post.chol, z, lower=True, trans="T").T
 

@@ -36,6 +36,14 @@ def test_model_config_validation():
         ModelConfig(noise_var=1.0, prior_var=-1.0)
 
 
+@pytest.mark.parametrize("noise_var", [1e308, np.float64(2.9e307)])
+def test_model_config_rejects_noise_var_whose_log_constant_overflows(noise_var):
+    # 2*pi*noise_var overflows above about 2.86e307: the NLL constant would be inf
+    with pytest.raises(ValueError, match="^noise_var must keep log"):
+        ModelConfig(noise_var=noise_var, prior_var=1.0)
+    ModelConfig(noise_var=2.8e307, prior_var=1.0)
+
+
 def test_empty_sample_recovers_prior():
     design = DesignMatrix(phi=np.zeros((0, 2)), labels=np.zeros(0))
     post = fit_posterior(design, UNIT_CFG)

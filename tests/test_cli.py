@@ -181,6 +181,31 @@ def test_help_and_version_still_exit_zero():
         assert exc.value.code == 0
 
 
+@pytest.mark.parametrize("argv", [["--version"], ["fig-a", "--help"]],
+                         ids=["version", "fig-a-help"])
+def test_malformed_seed_env_leaves_help_and_version_alone(monkeypatch, argv):
+    monkeypatch.setenv("PBL_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+
+
+def test_malformed_seed_env_is_not_read_when_seed_is_given(tmp_path, monkeypatch):
+    monkeypatch.setenv("PBL_SEED", "abc")
+    assert run(["fig-a", "--seed", 3, "--grid-size", 2, "--out", tmp_path]) == 0
+    assert metadata(tmp_path / "fig_a.csv")["seed"] == "3"
+
+
+@pytest.mark.parametrize("argv", [["fig-a"], ["fig-b"], ["fig-c", "--n-grid", 10]],
+                         ids=["fig-a", "fig-b", "fig-c"])
+def test_sigma2_whose_log_constant_overflows_names_noise_var(tmp_path, capsys, argv):
+    # 2*pi*1e308 overflows, so the NLL constant log(2*pi*sigma2) would be inf
+    assert run([*argv, "--sigma2", "1e308", "--out", tmp_path]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and "noise_var" in err[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_subgamma_scale_error_names_c_and_variances(tmp_path, capsys):
     assert run(["fig-c", "--n-grid", 10, "--sigma-pi2", 100, "--out", tmp_path]) == 1
     err = capsys.readouterr().err.strip().split("\n")
@@ -316,13 +341,14 @@ def test_validate_smoke_run_is_fast(tmp_path):
     assert "lambda,psi_hat,envelope,band" in mgf_lines
 
 
-def test_seed_env_fallback(monkeypatch):
+def test_seed_env_fallback(tmp_path, monkeypatch):
+    # main takes an omitted --seed from PBL_SEED, and without it from DEFAULT_SEED
     monkeypatch.setenv("PBL_SEED", "99")
-    args = build_parser().parse_args(["fig-a"])
-    assert args.seed == 99
+    assert run(["fig-a", "--grid-size", 2, "--out", tmp_path / "env"]) == 0
     monkeypatch.delenv("PBL_SEED")
-    args = build_parser().parse_args(["fig-a"])
-    assert args.seed != 99
+    assert run(["fig-a", "--grid-size", 2, "--out", tmp_path / "unset"]) == 0
+    assert [metadata(tmp_path / out / "fig_a.csv")["seed"] for out in ("env", "unset")] == \
+        ["99", str(exp.DEFAULT_SEED)]
 
 
 def test_explicit_seed_overrides_env(monkeypatch):

@@ -115,7 +115,7 @@ def test_write_csv_rejects_nonfinite_before_opening(tmp_path, bad):
 
 
 def test_write_csv_keeps_signed_zeros_and_repeats(tmp_path):
-    # each distinct float is formatted once, but 0.0 and -0.0 compare and hash equal
+    # float cells, np.float64 ones included, keep the sign of zero and format alike on repeats
     path = tmp_path / "table.csv"
     values = [0.0, -0.0, 0.1, 0.0, np.float64(0.1), -0.0, 1e-300, np.float64(-0.0), 0.1]
     exp.write_csv(path, ("i", "v"), list(enumerate(values)), {})
@@ -129,6 +129,14 @@ def test_write_csv_rejects_nonfinite_after_repeated_values(tmp_path, bad):
     path = tmp_path / "table.csv"
     rows = [(0.5, 0.0), (0.5, -0.0), (0.5, bad), (0.5, bad)]
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: b = {bad!r} is not finite')}$"):
+        exp.write_csv(path, ("a", "b"), rows, {"seed": 7})
+    assert not path.exists()
+
+
+def test_write_csv_names_the_first_nonfinite_cell_in_row_order(tmp_path):
+    path = tmp_path / "table.csv"
+    rows = [(0.5, 0.0), (0.5, math.inf), (math.nan, 1.0), (0.5, -math.inf)]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: b = inf is not finite')}$"):
         exp.write_csv(path, ("a", "b"), rows, {"seed": 7})
     assert not path.exists()
 

@@ -90,6 +90,13 @@ def test_loss_spec_validation():
         LossSpec(kind="huber")
 
 
+@pytest.mark.parametrize("sigma2", [1e308, np.float64(2.9e307), math.inf])
+def test_nll_rejects_sigma2_whose_log_constant_overflows(sigma2):
+    with pytest.raises(ValueError, match="log\\(2\\*pi\\*sigma2\\) finite"):
+        LossSpec.nll(sigma2)
+    assert math.isfinite(expected_loss(LossSpec.nll(2.8e307), 0.0, 0.0))
+
+
 def test_expected_loss_at_zero_variance_is_the_loss():
     resid = np.random.default_rng(2).standard_normal((4, 5)) * 2.0
     for spec in LOSSES.values():
