@@ -21,8 +21,7 @@ from . import __version__, rng
 from .blr import ModelConfig, fit_prefixes, prefix_evidences, stack_blocks
 from .losses import LossSpec, empirical_gibbs_risk
 from .mc import gibbs_generalization_risk, run_validity_study, sample_bounds
-from .subgamma import (dominated, empirical_mgf_check, nll_subgamma_params,
-                       squared_loss_subgamma_params)
+from .subgamma import dominated, empirical_mgf_check, nll_subgamma_params
 from .tasks import (TWO_PI, DesignMatrix, LinearTaskSpec, SineTaskSpec, gen_sine_stack,
                     gen_sine_task, polynomial_features)
 
@@ -215,10 +214,6 @@ def run_validate(seed=DEFAULT_SEED, trials=100, delta=DEFAULT_DELTA, mgf_m=MGF_M
     coverage = run_coverage(seed=seed, trials=trials, delta=delta)
     slack = delta + 2.0 * math.sqrt(delta * (1.0 - delta) / trials)
     coverage_ok = all(fam["rate"] <= slack for fam in coverage["families"])
-    params = squared_loss_subgamma_params(
-        MGF_TASK.input_var, MGF_PRIOR_VAR, MGF_TASK.d,
-        MGF_TASK.w_star_sq_norm, MGF_TASK.noise_var)
-    mgf = empirical_mgf_check(MGF_TASK, MGF_PRIOR_VAR, LossSpec.squared(),
-                              params, MGF_LAMBDAS, mgf_m,
-                              rng.derive_seed(seed, rng.MGF_TAG))
+    mgf = empirical_mgf_check(MGF_TASK, MGF_PRIOR_VAR, LossSpec.squared(), MGF_LAMBDAS,
+                              mgf_m, rng.derive_seed(seed, rng.MGF_TAG))
     return coverage, mgf, coverage_ok and all(map(dominated, mgf))

@@ -8,20 +8,22 @@ function of the residual r = y - w . phi(x), and under a Gaussian posterior
 The cropped one is a single form in the Gaussian tails of |r| beyond the two
 residuals where the loss crosses a and b, clamped into [a, b] like the loss.
 
-Those tails take the standard normal CDF Phi, computed here with numpy alone.
-For |z| < 1 it is 1/2 + z Q(z^2), Q the Taylor series of the integral of phi
-through its w^14 term; elsewhere Phi(-|z|) = erfcx(x) e / 2 with x = |z| / sqrt(2)
-and e = exp(-z^2 / 2), the exponential phi(z) shares, and Phi(z) = 1 - Phi(-|z|)
-for z > 0. erfcx is Weideman's (SIAM J. Numer. Anal. 31, 1994) rational form:
-(x + 4) erfcx(x) is a degree-24 polynomial in t = (x - 4) / (x + 4),
-interpolated at 25 Chebyshev nodes in t from 50-digit values of erfcx (mpmath)
-and converted to powers of t, whose coefficients stay below 1.1. Both tables
-hold their exact values rounded to double. The rational form is within 5.6e-16
-relative of erfcx on [0, 27] and gives erfcx(0) = 1.0 exactly; past |z| = 38.6,
-e underflows to 0 and so does Phi(-|z|). Against 40-digit values Phi(-|z|) is
-within 1.6e-15 relative below |z| = 8 and 5.7e-14 out to 37, where
-scipy.special.ndtr is off by up to 9.2e-15 and 2.2e-13; the two agree within
-7e-16 for |z| < 1, 3.3e-15 below 4 and 1.2e-14 on [4, 8).
+Those tails take the standard normal CDF Phi, computed here with numpy alone;
+each call puts every z in one of three branches, once. For |z| < 1 Phi is
+1/2 + z Q(z^2), Q the Taylor series of the integral of phi through its w^14 term.
+Past |z| = 38.6, e = exp(-z^2 / 2) underflows to 0 and so does Phi(-|z|), so Phi
+is 0 or 1 and neither is computed. Elsewhere, NaN included, Phi(-|z|) =
+erfcx(x) e / 2 with x = |z| / sqrt(2) and e the exponential phi(z) shares, and
+Phi(z) = 1 - Phi(-|z|) for z > 0. erfcx is Weideman's (SIAM J. Numer. Anal. 31,
+1994) rational form: (x + 4) erfcx(x) is a degree-24 polynomial in
+t = (x - 4) / (x + 4), interpolated at 25 Chebyshev nodes in t from 50-digit
+values of erfcx (mpmath) and converted to powers of t, whose coefficients stay
+below 1.1. Both tables hold their exact values rounded to double. The rational
+form is within 5.6e-16 relative of erfcx on [0, 27] and gives erfcx(0) = 1.0
+exactly. Against 40-digit values Phi(-|z|) is within 1.6e-15 relative below
+|z| = 8 and 5.7e-14 out to 37, where scipy.special.ndtr is off by up to 9.2e-15
+and 2.2e-13; the two agree within 7e-16 for |z| < 1, 3.3e-15 below 4 and 1.2e-14
+on [4, 8).
 """
 
 import math
@@ -155,43 +157,31 @@ def _cdf_far(z, e):
     return acc
 
 
-def _cdf(z, e):
-    """Phi(z) for an array z with e = exp(-z^2 / 2) > 0, or NaN.
-
-    Each branch of the module docstring's form takes only its own elements, and
-    an array wholly in one branch is not gathered.
-    """
-    near = np.abs(z) < 1.0
-    n_near = np.count_nonzero(near)
-    if n_near == 0:
-        return _cdf_far(z, e)
-    if n_near == near.size:
-        return _cdf_near(z)
-    cdf = np.empty_like(z)
-    cdf[near] = _cdf_near(z[near])
-    far = ~near
-    cdf[far] = _cdf_far(z[far], e[far])
-    return cdf
-
-
 def _normal(z):
     """(Phi(z), exp(-z^2 / 2)) for an array z; the second is sqrt(2 pi) phi(z).
 
-    Where the exponential underflows to 0, Phi is 0 or 1, and neither is computed.
+    Each branch of the module docstring's partition takes only its own elements,
+    and a block wholly in the erfcx branch is not gathered.
     """
     with np.errstate(over="ignore"):  # z^2 overflows as |z| -> inf, where e -> 0
         e = z * -0.5
         e *= z
-    dead = e < _EXP_ZERO  # a NaN z stays live, and NaN
-    if not np.count_nonzero(dead):
+    live = ~(e < _EXP_ZERO)  # a NaN z stays live, and NaN
+    if live.all():
         np.exp(e, out=e)
-        return _cdf(z, e), e
-    live = ~dead
-    cdf = (z > 0.0).astype(float)
-    e_live = np.exp(e[live])
-    cdf[live] = _cdf(z[live], e_live)
-    e[dead] = 0.0
-    e[live] = e_live
+    else:
+        e_live = np.exp(e[live])
+        e.fill(0.0)
+        e[live] = e_live
+    near = np.abs(z) < 1.0  # within live
+    far = live ^ near
+    if far.all():
+        return _cdf_far(z, e), e
+    cdf = (z > 0.0).astype(float)  # Phi where e underflows
+    if near.any():
+        cdf[near] = _cdf_near(z[near])
+    if far.any():
+        cdf[far] = _cdf_far(z[far], e[far])
     return cdf, e
 
 

@@ -78,21 +78,24 @@ def dominated(row) -> bool:
 
 
 def empirical_mgf_check(task: LinearTaskSpec, prior_var: float, loss: LossSpec,
-                        params: SubGammaParams, lambda_grid: Sequence[float],
-                        m: int, seed: int) -> list:
+                        lambda_grid: Sequence[float], m: int, seed: int) -> list:
     """The rows (lambda, psi_hat, envelope, band) of the log-MGF check, one per lambda.
 
     Given w the residual y - w.x is sqrt(s(w)) Z with s(w) = risk(w) and Z
     standard normal, so the squared-loss V = s(w) (1 - Z^2). Given Z, the
     prior expectation e = E_w exp(lambda V) is a noncentral chi-square MGF in
     closed form; psi_hat = log mean e over m draws of Z, and its band is the
-    delta-method SE sd(e) / (sqrt(m) mean(e)). As 1 - Z^2 <= 1, e is bounded
-    for every lambda < 1/c.
+    delta-method SE sd(e) / (sqrt(m) mean(e)). The envelope and c are the loss's
+    own (s^2, c) for this task and prior, the squared loss's or the NLL's at its
+    sigma2; as 1 - Z^2 <= 1, e is bounded for every lambda < 1/c.
     """
     if loss.kind not in ("squared", "nll"):
         raise ValueError("MGF check supports the squared and nll losses")
     if m < 10_000:
         raise ValueError("MGF estimation needs at least 1e4 samples")
+    setting = (task.input_var, prior_var, task.d, task.w_star_sq_norm, task.noise_var)
+    params = (squared_loss_subgamma_params(*setting) if loss.kind == "squared"
+              else nll_subgamma_params(loss.sigma2, *setting))
     for lam in lambda_grid:
         _check_lambda(lam, params.c)
     u = rng.stream(seed, rng.MGF_TAG).standard_normal(m)
@@ -106,7 +109,7 @@ def empirical_mgf_check(task: LinearTaskSpec, prior_var: float, loss: LossSpec,
     for lam in lambda_grid:
         np.multiply(lam * scale * task.input_var, u, out=t)
         np.subtract(1.0, np.multiply(2.0 * prior_var, t, out=r), out=r)
-        if not r.min() > 0:  # params.c is below the scale of this task and prior
+        if not r.min() > 0:  # only by rounding, at a lambda just below 1/c
             raise ValueError(f"lambda {lam} is not below 1/c for this task and prior")
         np.multiply(lam * scale * task.noise_var, u, out=log_e)
         np.divide(np.multiply(t, task.w_star_sq_norm, out=t), r, out=t)

@@ -15,8 +15,7 @@ from pblr import experiments as exp
 from pblr.blr import ModelConfig, evidence_decomposition, fit_posterior
 from pblr.losses import LossSpec
 from pblr.bounds import hierarchical_bound, model_selection_bounds
-from pblr.subgamma import empirical_mgf_check, nll_subgamma_params, \
-    squared_loss_subgamma_params
+from pblr.subgamma import empirical_mgf_check, nll_subgamma_params
 from pblr.tasks import DesignMatrix
 
 from oracles import nle_sequential_1d, sample_posterior
@@ -173,11 +172,8 @@ def test_criterion_7_bound_coverage():
 
 def test_criterion_8_mgf_envelope_domination():
     start = time.monotonic()
-    params = squared_loss_subgamma_params(
-        exp.MGF_TASK.input_var, exp.MGF_PRIOR_VAR, exp.MGF_TASK.d,
-        exp.MGF_TASK.w_star_sq_norm, exp.MGF_TASK.noise_var)
     rows = empirical_mgf_check(exp.MGF_TASK, exp.MGF_PRIOR_VAR,
-                               LossSpec.squared(), params, exp.MGF_LAMBDAS,
+                               LossSpec.squared(), exp.MGF_LAMBDAS,
                                1_000_000, seed=8)
     clauses = [
         (psi_hat <= envelope + 3.0 * band,

@@ -231,6 +231,39 @@ def test_normal_cdf_is_exactly_symmetric():
     np.testing.assert_array_equal(losses._normal(z)[0] + losses._normal(-z)[0], 1.0)
 
 
+def _underflow_edge():
+    """The two adjacent z > 0 on either side of -z^2 / 2 = _EXP_ZERO, live one first."""
+    def live(x):
+        return not x * -0.5 * x < losses._EXP_ZERO
+
+    z = math.sqrt(-2.0 * losses._EXP_ZERO)
+    while not live(z):
+        z = math.nextafter(z, 0.0)
+    while live(math.nextafter(z, math.inf)):
+        z = math.nextafter(z, math.inf)
+    return z, math.nextafter(z, math.inf)
+
+
+def test_normal_classes_each_element_as_if_alone():
+    # every branch and each boundary in one block: the series, erfcx (NaN too) and
+    # the underflowed tail, each element with the bits it has in a block of its own
+    below_one = math.nextafter(1.0, 0.0)
+    edges = [0.0, below_one, 1.0, *_underflow_edge(), 38.0, 40.0, math.inf]
+    z = np.array([*edges, *(-x for x in edges), math.nan])
+    dead = z * -0.5 * z < losses._EXP_ZERO
+    assert dead.sum() == 6  # +-(past the edge), +-40, +-inf
+    cdf, e = losses._normal(z)
+    np.testing.assert_array_equal(cdf[dead], z[dead] > 0.0)
+    np.testing.assert_array_equal(e[dead], 0.0)
+    assert np.isnan(cdf[-1]) and np.isnan(e[-1]) and cdf[0] == 0.5
+    for block in (z, np.tile(z, (3, 7)), np.concatenate([z, np.full(500, 2.5)])):
+        cdf, e = losses._normal(block)
+        alone = [losses._normal(np.array([x])) for x in block.ravel()]
+        for got, want in ((cdf, [c[0] for c, _ in alone]), (e, [p[0] for _, p in alone])):
+            np.testing.assert_array_equal(got.ravel().view(np.uint64),
+                                          np.array(want).view(np.uint64))
+
+
 def test_erfcx_coefficients_reproduce_erfcx():
     # a mistyped digit in the table moves erfcx by far more than this somewhere on
     # [0, 27]; scipy's erfcx is itself off by up to 8.9e-16 from 40-digit values near 0

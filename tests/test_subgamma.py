@@ -102,17 +102,15 @@ def small_variance_params():
 
 
 def test_mgf_mean_zero_deviation_at_small_lambda():
-    params = small_variance_params()
     [(lam, psi_hat, _, band)] = empirical_mgf_check(
-        SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(), params, [0.01], 50_000, seed=3)
+        SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(), [0.01], 50_000, seed=3)
     # psi(lambda)/lambda -> E[V] = 0; psi_hat itself is O(lambda^2)
     assert abs(psi_hat) <= 4.0 * band + 1e-3 * lam
 
 
 def test_mgf_envelope_dominates_on_default_grid():
-    params = small_variance_params()
     rows = empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
-                               params, [0.25, 0.5, 1.0], 100_000, seed=4)
+                               [0.25, 0.5, 1.0], 100_000, seed=4)
     assert all(map(dominated, rows))
     for _, psi_hat, envelope, band in rows:
         assert psi_hat <= envelope + 3.0 * band
@@ -121,38 +119,40 @@ def test_mgf_envelope_dominates_on_default_grid():
 def test_mgf_nll_uses_affine_map():
     # identical draws: nll deviations are squared deviations / (2 sigma2),
     # so psi_nll(lambda) = psi_sq(lambda / (2 sigma2))
-    params = small_variance_params()
     sigma2 = 2.0
     lam_nll = 0.25
     [(_, psi_sq, _, _)] = empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
-                                              params, [lam_nll / (2.0 * sigma2)], 20_000,
-                                              seed=5)
-    nll_params = SubGammaParams(s2=params.s2 / (2.0 * sigma2) ** 2,
-                                c=params.c / (2.0 * sigma2))
+                                              [lam_nll / (2.0 * sigma2)], 20_000, seed=5)
     [(_, psi_nll, _, _)] = empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR,
-                                               LossSpec.nll(sigma2), nll_params, [lam_nll],
-                                               20_000, seed=5)
+                                               LossSpec.nll(sigma2), [lam_nll], 20_000, seed=5)
     assert psi_nll == pytest.approx(psi_sq, rel=1e-10)
+
+
+def test_mgf_nll_envelope_uses_the_nll_params():
+    # the envelope comes from the NLL's own (s2, c), whatever the squared loss's are
+    params = nll_subgamma_params(2.0, SMALL_TASK.input_var, SMALL_PRIOR_VAR, SMALL_TASK.d,
+                                 SMALL_TASK.w_star_sq_norm, SMALL_TASK.noise_var)
+    lams = [0.25, 1.0, 0.99 / params.c]
+    rows = empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.nll(2.0), lams,
+                               20_000, seed=6)
+    assert [envelope for _, _, envelope, _ in rows] == \
+        [subgamma_envelope(lam, params.s2, params.c) for lam in lams]
 
 
 def test_mgf_grid_validation():
     params = small_variance_params()
     with pytest.raises(ValueError):
         empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
-                            params, [1.0], 100, seed=0)  # m too small
+                            [1.0], 100, seed=0)  # m too small
     inv_c = 1.0 / params.c
     with pytest.raises(ValueError):
         empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
-                            params, [inv_c * 1.01], 20_000, seed=0)
-    # a c below the task's own scale admits a lambda past the task's 1/c
-    with pytest.raises(ValueError, match="not below 1/c for this task"):
-        empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
-                            SubGammaParams(s2=params.s2, c=0.1 * params.c),
-                            [1.5 * inv_c], 20_000, seed=0)
+                            [inv_c * 1.01], 20_000, seed=0)
+    # (the check derives c from the task and prior, so a c below the task's own, which
+    # admitted a lambda past the task's 1/c, can no longer be passed)
     # the conditional MGF is bounded on all of (0, 1/c): a finite band up to 1/c
     rows = empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
-                               params, [0.6 * inv_c, 0.9 * inv_c, 0.99 * inv_c],
-                               20_000, seed=0)
+                               [0.6 * inv_c, 0.9 * inv_c, 0.99 * inv_c], 20_000, seed=0)
     for _, psi_hat, _, band in rows:
         assert np.isfinite(psi_hat) and 0.0 < band < np.inf
 
@@ -163,11 +163,12 @@ def test_mgf_rows_keep_their_bits(loss):
     # the in-place pass computes each row with the operations of plain array code
     params = small_variance_params()
     if loss.kind == "nll":
-        params = SubGammaParams(s2=params.s2 / 16.0, c=params.c / 4.0)
+        params = nll_subgamma_params(loss.sigma2, SMALL_TASK.input_var, SMALL_PRIOR_VAR,
+                                     SMALL_TASK.d, SMALL_TASK.w_star_sq_norm,
+                                     SMALL_TASK.noise_var)
     lams = [0.25, 0.5, 1.0, 0.99 / params.c]
     for seed in range(5):
-        assert empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, loss, params, lams,
-                                   20_000, seed) == \
+        assert empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, loss, lams, 20_000, seed) == \
             mgf_rows_reference(SMALL_TASK, SMALL_PRIOR_VAR, loss, params, lams, 20_000, seed)
 
 
@@ -177,10 +178,9 @@ MGF_CHECK_M = 20_000
 
 
 def mgf_check_rows():
-    params = small_variance_params()
     for seed in MGF_CHECK_SEEDS:
         yield seed, empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, LossSpec.squared(),
-                                        params, MGF_CHECK_LAMBDAS, MGF_CHECK_M, seed)
+                                        MGF_CHECK_LAMBDAS, MGF_CHECK_M, seed)
 
 
 def test_mgf_band_matches_bootstrap_on_same_draws():
