@@ -76,8 +76,8 @@ def subgamma_evidence_bound(neg_log_evidence: float, n: int, delta: float,
                             s2: float, c: float) -> float:
     """s^2/(2(1-c)) - (1/n) ln(Z delta), with Z = exp(-neg_log_evidence)."""
     _check_common(0.0, n, delta)
-    if math.isnan(neg_log_evidence):
-        raise ValueError("neg_log_evidence must not be NaN")
+    if not math.isfinite(neg_log_evidence):  # -inf would win np.argmin as a bound of -inf
+        raise ValueError(f"neg_log_evidence must be finite, got {neg_log_evidence!r}")
     if not s2 >= 0:
         raise ValueError("s2 must be non-negative")
     if not 0 <= c < 1:
@@ -104,6 +104,9 @@ def hierarchical_bound(neg_log_evidences, n: int, delta: float, s2: float,
     """Bound for uniform model averaging: the evidence bound of sum_i Z_i at delta/L."""
     count = _count(neg_log_evidences)
     log_zs = -np.asarray(neg_log_evidences, dtype=float)
+    if not np.isfinite(log_zs).all():
+        raise ValueError(f"neg_log_evidences must be finite, got {(-log_zs).tolist()}")
     top = float(log_zs.max())
-    log_sum_z = top + math.log(float(np.sum(np.exp(log_zs - top))))
+    with np.errstate(over="ignore"):  # a difference below -1.8e308 is -inf, whose exp is 0
+        log_sum_z = top + math.log(float(np.sum(np.exp(log_zs - top))))
     return subgamma_evidence_bound(-log_sum_z, n, delta / count, s2, c)

@@ -4,9 +4,10 @@ Two generative tasks are provided: a noisy sine curve with scalar inputs
 (fitted with polynomial features) and a Gaussian linear task with vector
 inputs (fitted in the input space). Each task's sample has one definition, a
 stack generator that fills one array each for x and y with the samples of
-several seeds, each from its own stream: `gen_sine_stack` (consecutive seeds)
-and `gen_linear_stack` (any seeds). `gen_sine_task` and `gen_linear_task` are
-their one-seed cases, kept as a plain `Dataset` for the benchmark's oracle.
+several seeds: `gen_sine_stack` (consecutive seeds) and `gen_linear_stack`
+(any seeds). A stack is seeded as one block (`rng.streams`), and each row
+keeps the bits of its own seed's stream. `gen_sine_task` and `gen_linear_task`
+are their one-seed cases, kept as a plain `Dataset` for the benchmark's oracle.
 """
 
 from dataclasses import dataclass
@@ -127,17 +128,21 @@ def polynomial_features(xs: np.ndarray, degree: int) -> np.ndarray:
 def gen_sine_stack(spec: SineTaskSpec, count: int) -> tuple:
     """Inputs and labels, each (count, n), of the sine samples at seeds spec.seed + s, s < count.
 
-    Seed spec.seed + s fills row s of x on [0, TWO_PI] and of the noise from its
-    own stream, and one np.sin serves the stack, so row s has the bits of that
-    seed's `gen_sine_task`, whatever the count.
+    The block of seeds is seeded at once (`rng.streams`). Seed spec.seed + s fills
+    row s of the uniforms and of the standard normals from its own stream; one
+    scaling per array and one np.sin serve the stack, so row s has the bits of
+    that seed's `gen_sine_task`, whatever the count.
     """
     xs = np.empty((count, spec.n))
     eps = np.empty((count, spec.n))
-    sd = np.sqrt(spec.noise_var)
-    for row in range(count):
-        gen = rng.stream(spec.seed + row, rng.SINE_TAG, spec.n)
-        xs[row] = gen.uniform(0.0, TWO_PI, size=spec.n)
-        eps[row] = gen.normal(0.0, sd, size=spec.n)
+    for row, gen in enumerate(rng.streams(range(spec.seed, spec.seed + count),
+                                          rng.SINE_TAG, spec.n)):
+        gen.random(out=xs[row])
+        gen.standard_normal(out=eps[row])
+    # uniform(0, 2 pi) is 0.0 + 2 pi U, the same bits for U >= +0; normal(0, sd) is
+    # 0.0 + sd Z, whose zero's sign sin(x) + eps absorbs
+    xs *= TWO_PI
+    eps *= np.sqrt(spec.noise_var)
     return xs, np.sin(xs) + eps
 
 
@@ -162,8 +167,7 @@ def gen_linear_stack(spec: LinearTaskSpec, n: int, seeds) -> tuple:
     inputs = np.empty((len(seeds), n, spec.d))
     labels = np.empty((len(seeds), n))
     input_sd, noise_sd = np.sqrt(spec.input_var), np.sqrt(spec.noise_var)
-    for row, seed in enumerate(seeds):
-        gen = rng.stream(seed, rng.LINEAR_TAG, n)
+    for row, gen in enumerate(rng.streams(seeds, rng.LINEAR_TAG, n)):
         gen.standard_normal(out=inputs[row])
         inputs[row] *= input_sd
         gen.standard_normal(out=labels[row])

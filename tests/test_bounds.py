@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -245,7 +246,7 @@ def test_catoni_evidence_overflow_is_a_value_error():
 
 
 NAN = math.nan
-NAN_CASES = {  # (function, argument) -> a call with that one argument NaN
+NAN_CASES = {  # (function, argument) -> a call with that one argument NaN, or the inf named
     ("alquier_bound", "emp"): lambda: alquier_bound(NAN, 1.0, 10, 0.05, 3.0, 0.5),
     ("alquier_bound", "kl"): lambda: alquier_bound(0.5, NAN, 10, 0.05, 3.0, 0.5),
     ("alquier_bound", "lam"): lambda: alquier_bound(0.5, 1.0, 10, 0.05, NAN, 0.5),
@@ -263,6 +264,18 @@ NAN_CASES = {  # (function, argument) -> a call with that one argument NaN
         [NAN, 1.0], 10, 0.05, 0.3, 0.1),
     ("hierarchical_bound", "neg_log_evidences"): lambda: hierarchical_bound(
         [NAN, 1.0], 10, 0.05, 0.3, 0.1),
+    ("subgamma_evidence_bound", "neg_log_evidence=inf"): lambda: subgamma_evidence_bound(
+        math.inf, 10, 0.05, 0.3, 0.1),
+    ("subgamma_evidence_bound", "neg_log_evidence=-inf"): lambda: subgamma_evidence_bound(
+        -math.inf, 10, 0.05, 0.3, 0.1),
+    ("model_selection_bounds", "neg_log_evidences=-inf"): lambda: model_selection_bounds(
+        [-math.inf, 1.0], 10, 0.05, 0.3, 0.1),
+    ("model_selection_bounds", "neg_log_evidences=inf"): lambda: model_selection_bounds(
+        [1.0, math.inf], 10, 0.05, 0.3, 0.1),
+    ("hierarchical_bound", "neg_log_evidences=-inf"): lambda: hierarchical_bound(
+        [-math.inf, 1.0], 10, 0.05, 0.3, 0.1),
+    ("hierarchical_bound", "neg_log_evidences=inf,inf"): lambda: hierarchical_bound(
+        [math.inf, math.inf], 10, 0.05, 0.3, 0.1),
 }
 
 
@@ -271,6 +284,15 @@ def test_nan_argument_is_refused(case):
     # a NaN bound would otherwise pass every comparison and win np.argmin
     with pytest.raises(ValueError):
         NAN_CASES[case]()
+
+
+def test_hierarchical_bound_of_far_apart_evidences_is_finite():
+    # log_zs - top overflows to -inf for the smaller evidence, whose share is then 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = hierarchical_bound([1e308, -1e308], 10, 0.05, 0.3, 0.1)
+    assert bound == subgamma_evidence_bound(-1e308, 10, 0.025, 0.3, 0.1)
+    assert math.isfinite(bound)
 
 
 # ---------------------------------------------------------------- properties

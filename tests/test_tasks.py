@@ -73,28 +73,34 @@ def test_determinism_bit_identical():
     assert np.array_equal(c.labels, d.labels)
 
 
-@pytest.mark.parametrize("count", [1, 7, 200])
-def test_sine_stack_rows_are_the_one_seed_samples(count):
-    spec = SineTaskSpec(n=15, noise_var=0.25, seed=40)
+# the last block's seeds have one and two entropy words (rng.streams hashes both)
+@pytest.mark.parametrize("count, start", [(1, 40), (7, 40), (200, 40), (7, 2**32 - 2)],
+                         ids=["1", "7", "200", "7-from-2**32-2"])
+def test_sine_stack_rows_are_the_one_seed_samples(count, start):
+    spec = SineTaskSpec(n=15, noise_var=0.25, seed=start)
     xs, labels = gen_sine_stack(spec, count)
     assert xs.shape == labels.shape == (count, 15)
     for row in range(count):
-        one = gen_sine_task(SineTaskSpec(n=15, noise_var=0.25, seed=40 + row))
+        one = gen_sine_task(SineTaskSpec(n=15, noise_var=0.25, seed=start + row))
         np.testing.assert_array_equal(xs[row], one.raw_inputs)
         np.testing.assert_array_equal(labels[row], one.labels)
-        ref_xs, ref_labels = sine_sample_one_seed(40 + row, 15, 0.25)
+        ref_xs, ref_labels = sine_sample_one_seed(start + row, 15, 0.25)
         np.testing.assert_array_equal(xs[row], ref_xs)
         np.testing.assert_array_equal(labels[row], ref_labels)
 
 
+def trial_seeds(count):
+    return [rng.derive_seed(3, rng.TRIAL_TAG, trial, 0) for trial in range(count)]
+
+
 @pytest.mark.parametrize("d", [3, 20])
-@pytest.mark.parametrize("count", [1, 3, 10])
-def test_linear_stack_rows_are_the_one_seed_samples(count, d):
+@pytest.mark.parametrize("seeds", [pytest.param(trial_seeds(c), id=str(c)) for c in (1, 3, 10)]
+                         + [pytest.param([2**32 - 1, 2**32, 2**70], id="2**32-1,2**32,2**70")])
+def test_linear_stack_rows_are_the_one_seed_samples(seeds, d):
     spec = LinearTaskSpec(w_star=np.linspace(-1.0, 1.0, d), input_var=0.7, noise_var=0.2,
                           seed=3)
-    seeds = [rng.derive_seed(spec.seed, rng.TRIAL_TAG, trial, 0) for trial in range(count)]
     inputs, labels = gen_linear_stack(spec, 20, seeds)
-    assert inputs.shape == (count, 20, d) and labels.shape == (count, 20)
+    assert inputs.shape == (len(seeds), 20, d) and labels.shape == (len(seeds), 20)
     for row, seed in enumerate(seeds):
         one = gen_linear_task(dataclasses.replace(spec, seed=seed), 20)
         ref_inputs, ref_labels = linear_sample_one_seed(seed, 20, spec)
