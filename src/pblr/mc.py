@@ -1,9 +1,12 @@
 """Oracles: exact generalization risk, the per-sample bounds, coverage study.
 
 The generalization risk is exact for every loss: closed form for the
-squared and NLL losses, a self-checking tensor Gauss-Hermite rule over the
-posterior for the cropped one, refined from 8 nodes per axis in steps of about
-sqrt(2) (d <= 5). Both take one posterior or a stack of them.
+squared and NLL losses, a self-checking tensor Gauss-Hermite rule for the
+cropped one, refined from 8 nodes per axis in steps of about sqrt(2) (d <= 5).
+That rule runs over the posterior's whitened coordinates z, w = mean + L^{-T} z;
+its grid of residual variances is broadcast from per-axis terms, and a stack's
+posteriors go through it in blocks of k^d grid points each. Both take one
+posterior or a stack of them.
 `sample_bounds` draws the linear-task samples of its seeds as one
 `tasks.gen_linear_stack` and turns them into their stacked posterior, evidence
 report and bounds, with one fit for the stack; fig-c calls it with one seed per
@@ -33,18 +36,38 @@ _HERMITE_NODES = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
 _MAX_POINTS = 2 ** 18  # points of the largest rule: 64 nodes per axis in d = 3
 
 
-def _rule(mean: np.ndarray, inv_chol: np.ndarray, nodes: np.ndarray, prob: np.ndarray,
-          task: LinearTaskSpec, loss: LossSpec) -> np.ndarray:
-    """sum_j prob_j E loss at the weights mean + L^{-T} z_j, per posterior (rows of mean).
+def _rule(mean: np.ndarray, inv_chol: np.ndarray, k: int, task: LinearTaskSpec,
+          loss: LossSpec) -> np.ndarray:
+    """The k-node rule's sum of prob * E loss over the grid of z, per posterior (rows of mean).
 
-    The z_j are the columns of nodes; the posteriors go in `stack_blocks` of
-    points*d weight entries each, so memory stays flat in the stack size and the
-    ladder's height. Each value has the same bits in any stack.
+    r_i = (w* - mean)_i - sum_{j >= i} L^{-1}_{ji} z_j spans grid axes i..d-1 only, so
+    s = noise_var + input_var sum_i r_i^2 is built from the last axis up, and only r_0
+    spans the whole (B, k, ..., k) grid. Each value has the same bits in any stack: the
+    grid is reduced row by row with np.sum, not by a matrix product, whose tail
+    handling can tie a row's bits to the stack size.
     """
+    d = mean.shape[1]
+    nodes, weights = np.polynomial.hermite_e.hermegauss(k)
+    prob = weights
+    for _ in range(d - 1):
+        prob = np.multiply.outer(prob, weights)
+    prob = prob.ravel() / (2.0 * math.pi) ** (d / 2.0)
+    scale = math.sqrt(task.input_var)  # s = noise_var + sum_i (scale r_i)^2
+    diff = scale * (task.w_star - mean)
+    terms = (scale * inv_chol)[..., None] * nodes  # [., j, i, :]: L^{-1}_{ji} z_j, scaled
+    axis = [(1,) * j + (k,) + (1,) * (d - 1 - j) for j in range(d)]  # grid axis j
     values = []
-    for block in stack_blocks(len(mean), nodes.size):
-        weights = mean[block, None, :] + nodes.T @ inv_chol[block]
-        values.append(np.sum(expected_loss(loss, 0.0, task.squared_risk(weights)) * prob,
+    for block in stack_blocks(len(mean), prob.size):
+        rows = slice(block.start, block.stop)
+        s = task.noise_var
+        for i in reversed(range(d)):  # r_i spans axes i..d-1, a superset of s's
+            r = diff[rows, i].reshape((-1,) + (1,) * d)
+            for j in reversed(range(i, d)):
+                r = r - terms[rows, j, i].reshape((-1,) + axis[j])
+            r *= r
+            r += s
+            s = r
+        values.append(np.sum(expected_loss(loss, 0.0, s).reshape(len(block), -1) * prob,
                              axis=-1))
     return np.concatenate(values)
 
@@ -59,9 +82,12 @@ def gibbs_generalization_risk(post: GaussianPosterior, task: LinearTaskSpec,
     rule (Golub & Welsch 1969) with k nodes on each axis of z in w = mean + L^{-T} z,
     k climbing from 8 in steps of about sqrt(2) (8, 12, 16, 24, ...) until two
     successive rules agree within 1e-10 relative; the first two fit _MAX_POINTS up
-    to d = 5. Each rule is built once and evaluated for every posterior of the stack
-    that has not yet converged. When some posterior has no such pair within
-    _MAX_POINTS points it raises ValueError.
+    to d = 5. As L^{-1} is lower triangular, coordinate i of w* - w is a sum of
+    per-axis terms in z_i, ..., z_{d-1}, so each rule's (k, ..., k) grid of s(w) is
+    broadcast from them, with no grid of weights. Each rule is evaluated for every
+    posterior of the stack that has not yet converged, in `stack_blocks` of k^d
+    points per posterior. When some posterior has no such pair within _MAX_POINTS
+    points it raises ValueError.
     """
     if loss.kind != "cropped":
         s = task.squared_risk(post.mean) + task.input_var * post.cov_trace
@@ -77,11 +103,7 @@ def gibbs_generalization_risk(post: GaussianPosterior, task: LinearTaskSpec,
     live = np.arange(len(mean))  # posteriors still on the ladder
     value = None
     for k in ladder:
-        nodes, weights = np.polynomial.hermite_e.hermegauss(k)
-        index = np.indices((k,) * d).reshape(d, -1)
-        prob = np.prod(weights[index], axis=0) / (2.0 * math.pi) ** (d / 2.0)
-        previous, value = value, _rule(mean[live], inv_chol[live], nodes[index], prob,
-                                       task, loss)
+        previous, value = value, _rule(mean[live], inv_chol[live], k, task, loss)
         if previous is not None:
             gap = np.abs(value - previous)
             done = gap <= 1e-10 * np.abs(value)  # NaN never converges
@@ -105,7 +127,8 @@ def sample_bounds(task: LinearTaskSpec, model: ModelConfig, n: int,
     GaussianPosterior, their EvidenceReport of (S,) arrays, and bounds
     mapping subgamma (the evidence form, on the NLL loss), catoni,
     alquier_sqrtn and alquier_n (on the cropped loss) to (S,) arrays of their
-    values at confidence 1 - delta. One fit, one evidence split and one
+    values at confidence 1 - delta; catoni is capped at the crop's top b, which
+    the cropped risk never exceeds. One fit, one evidence split and one
     empirical cropped risk serve the stack, so entry s has the bits of a
     stack of one at seeds[s]; the scalar bound formulas run once per sample.
     """
@@ -122,7 +145,7 @@ def sample_bounds(task: LinearTaskSpec, model: ModelConfig, n: int,
     a, b = cropped.a, cropped.b
     lams = (math.sqrt(n), float(n))  # alquier_sqrtn, alquier_n
     rows = [(bnd.subgamma_evidence_bound(nle, n, delta, params.s2, params.c),
-             bnd.catoni_bound(emp, kl, n, delta, a, b),
+             min(b, bnd.catoni_bound(emp, kl, n, delta, a, b)),
              *(bnd.alquier_bound(emp, kl, n, delta, lam, bnd.hoeffding_psi_bound(lam, n, a, b))
                for lam in lams))
             for nle, kl, emp in zip(report.neg_log_evidence.tolist(), report.kl.tolist(),

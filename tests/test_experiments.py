@@ -67,6 +67,12 @@ def test_fig_c_narrow_crop_around_c0_is_accepted(sigma2, crop):
     assert all(math.isfinite(value) for row in rows for value in row)
 
 
+def test_fig_c_catoni_column_stops_at_the_crop_top():
+    # at n = 10 the Catoni formula gives 0.2672 for a loss in [1e-300, 2e-300]
+    rows, _ = exp.run_fig_c(seed=1, n_grid=(10,), crop_interval=(1e-300, 2e-300))
+    assert rows[0][exp.FIG_C_COLUMNS.index("bound_catoni_cropped")] == 2e-300
+
+
 def test_fig_c_bound_columns_are_sample_bounds():
     rows, _ = exp.run_fig_c(seed=1, n_grid=(10, 100))
     task, model, cropped = exp._linear_setup(1, exp.LINREG_D, exp.LINREG_SIGMA2,

@@ -5,7 +5,7 @@ import pytest
 
 from pblr.blr import GaussianPosterior, ModelConfig, fit_posterior
 from pblr.losses import LossSpec
-from pblr import blr, mc, rng as streams
+from pblr import blr, experiments as exp, mc, rng as streams
 from pblr.mc import gibbs_generalization_risk, run_validity_study, sample_bounds
 from pblr.tasks import DesignMatrix, LinearTaskSpec, gen_linear_task
 
@@ -319,3 +319,42 @@ def test_stacked_cropped_oracle_fails_closed():
     zero = spd_posterior(np.zeros(20), 1.0)
     with pytest.raises(ValueError, match="d = 20 needs over"):
         gibbs_generalization_risk(stacked_posterior(zero, zero), task20, cropped)
+
+
+@pytest.mark.parametrize("d, n, noise_var, prior_var, k, finer", [
+    (1, 40, 0.9, 1.4, 16, 24),
+    (2, 40, 0.9, 1.4, 16, 24),
+    (5, 200, 0.9, 1.4, 8, 12),
+    # n = 2 in d = 3: the prior's axis has about 740 times the narrowest one's variance
+    (3, 2, 0.001, 0.05, 32, 48),
+], ids=["d1", "d2", "d5", "anisotropic"])
+def test_cropped_rule_matches_the_tensor_reference(d, n, noise_var, prior_var, k, finer):
+    # the per-axis grid against the reference's weights mean + L^{-T} z, at a node count
+    # where the reference has converged
+    rng = np.random.default_rng(13)
+    design = DesignMatrix(phi=rng.standard_normal((n, d)), labels=rng.standard_normal(n))
+    post = fit_posterior(design, ModelConfig(noise_var=noise_var, prior_var=prior_var))
+    task = LinearTaskSpec(w_star=np.array([0.5, -0.3, 0.2, 0.1, -0.4])[:d], input_var=0.7,
+                          noise_var=0.3, seed=12)
+    cropped = LossSpec.cropped(LossSpec.nll(0.9), 1.0, 1.5)
+    ref = cropped_risk_tensor_rule(post, task, cropped, k)
+    assert ref == pytest.approx(cropped_risk_tensor_rule(post, task, cropped, finer),
+                                rel=1e-13, abs=0.0)
+    value = mc._rule(post.mean[None], post.inv_chol[None], k, task, cropped)[0]
+    assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_validate_oracle_stops_at_the_12_node_rule(monkeypatch):
+    # each of validate's first 10 trials (seed 1) converges on the 8- and 12-node rules:
+    # one more rung would cost 2.4 times the points
+    evaluated = []
+    real = mc.expected_loss
+
+    def counting(loss, mu, var):
+        if loss.kind == "cropped":
+            evaluated.append(np.size(var))
+        return real(loss, mu, var)
+
+    monkeypatch.setattr(mc, "expected_loss", counting)
+    exp.run_coverage(seed=1, trials=10)
+    assert sum(evaluated) == 10 * (8 ** 3 + 12 ** 3)
