@@ -7,14 +7,17 @@ likelihood splits exactly into the posterior-averaged empirical negative
 log-likelihood plus the posterior-prior KL divergence. One numpy routine
 fits one design or a stack of them: the Cholesky factor L of A, its
 inverse L^{-1} from one solve of L' against the identity, and z = L^{-1} phi'y.
-The leading k columns of the design take the leading k x k blocks of L and
-L^{-1} and the mean L_k^{-T} z[:k] / noise_var, so one fit serves every
-column prefix, and `prefix_evidences` splits each prefix's evidence on a view
-of the one checked design. A stacked design (S, n, d) gives a
-`GaussianPosterior` and an `EvidenceReport` that carry the S fits as arrays,
-entry by entry with the bits of fitting that design alone. The log determinant comes from diag(L);
-tr(A^{-1}) = ||L^{-1}||_F^2 and the quadratic forms phi' A^{-1} phi =
-||L^{-1} phi||^2 come from L^{-1}. A^{-1} itself is never formed.
+The leading k columns of the design have the leading k x k blocks of L and
+L^{-1} as factors, so every quantity of the width-k model is a prefix sum over
+the whitened coordinate i < k, and one cumulative sum gives it at every width:
+the mean (sum_i L^{-1}_ij z_i / noise_var), ln det A_k (sum_i 2 ln L_ii),
+tr(A_k^{-1}) (sum_i ||row i of L^{-1}||^2) and, with v = L^{-1} phi,
+phi' A_k^{-1} phi (sum_i v_i^2). `fit_prefixes` returns the means of any list
+of widths and one `EvidenceReport` with a trailing width axis, checked once;
+`fit_posterior` and `evidence_decomposition` are its one-width case. A stacked
+design (S, n, d) gives a `GaussianPosterior` and an `EvidenceReport` that
+carry the S fits as arrays, entry by entry with the bits of fitting that design
+alone. A^{-1} itself is never formed.
 Every stacked pass (seed scan, coverage study, cropped oracle) runs in the
 ranges of `stack_blocks`, each of at most STACK_BUDGET array entries.
 """
@@ -67,14 +70,33 @@ def _inverse_factor(low: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.linalg.solve(np.swapaxes(low, -1, -2), eye), -1, -2)
 
 
-def _logdet(low: np.ndarray):
-    """ln det A = 2 sum ln diag(L), per factor of a stack."""
-    return 2.0 * np.sum(np.log(np.diagonal(low, axis1=-2, axis2=-1)), axis=-1)
+def _leading_sums(terms: np.ndarray, widths) -> np.ndarray:
+    """Rows sum_{i<k} terms[..., i, :] for each k in widths, as (..., K, m); zero at k = 0.
+
+    One cumulative sum serves every width, with the same bits whatever the other widths.
+    """
+    sums = np.zeros(terms.shape[:-2] + (terms.shape[-2] + 1, terms.shape[-1]))
+    np.add.accumulate(terms, axis=-2, out=sums[..., 1:, :])
+    return sums[..., list(widths), :]
 
 
-def _frobenius_sq(inv_l: np.ndarray):
-    """tr(A^{-1}) = ||L^{-1}||_F^2, per factor of a stack."""
-    return np.sum(inv_l * inv_l, axis=(-2, -1))
+def _logdets(low: np.ndarray, widths):
+    """ln det A_k = sum_{i<k} 2 ln L_ii for each width k: (..., K)."""
+    return _leading_sums(2.0 * np.log(np.diagonal(low, axis1=-2, axis2=-1))[..., None],
+                         widths)[..., 0]
+
+
+def _traces(inv_l: np.ndarray, widths):
+    """tr(A_k^{-1}) = sum_{i<k} ||row i of L^{-1}||^2 for each width k: (..., K)."""
+    return _leading_sums(np.add.reduce(inv_l * inv_l, axis=-1)[..., None], widths)[..., 0]
+
+
+def _predict(means: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """phi_j . mean_k for the rows of phi (..., m, d) and of means (..., K, d): (..., K, m).
+
+    One matrix-vector product per mean, so a row has the same bits whatever the other means.
+    """
+    return (phi[..., None, :, :] @ means[..., None])[..., 0]
 
 
 def scalar_or_stack(value):
@@ -109,12 +131,12 @@ class GaussianPosterior:
 
     @cached_property  # computed on first use, once per posterior
     def logdet_precision(self):
-        return scalar_or_stack(_logdet(self.chol))
+        return scalar_or_stack(_logdets(self.chol, [self.d])[..., 0])
 
     @cached_property
     def cov_trace(self):
         """tr(A^{-1}) = ||L^{-1}||_F^2; computed once."""
-        return scalar_or_stack(_frobenius_sq(self.inv_chol))
+        return scalar_or_stack(_traces(self.inv_chol, [self.d])[..., 0])
 
     def predictive_var(self, phi: np.ndarray) -> np.ndarray:
         """phi_i' A^{-1} phi_i for each row phi_i of phi: the row norms of phi L^{-T}."""
@@ -144,7 +166,8 @@ def _checked_kl(neg_log_evidence, gibbs_emp_risk_total, kl):
 class EvidenceReport:
     """Exact split of the negative log evidence into risk and complexity.
 
-    Each field is a float, or an array of one value per fit of a stack.
+    Each field is a float, or an array of one value per fit of a stack
+    (and, from `fit_prefixes`, per width).
     """
 
     neg_log_evidence: float
@@ -180,46 +203,44 @@ def _fit(phi: np.ndarray, labels: np.ndarray, cfg: ModelConfig) -> tuple:
     return low, inv_l, inv_l @ (phi_t @ labels[..., None])  # L^{-1} phi'y is 0 when n = 0
 
 
-def fit_prefixes(design: DesignMatrix, cfg: ModelConfig, widths) -> list:
-    """The posterior of each leading column block phi[..., :k], k in widths, from one fit.
+def _split(means, logdets, traces, phi, labels, cfg: ModelConfig, widths) -> tuple:
+    """(neg log evidence, Gibbs total, KL) of each width's posterior: three (..., K) arrays.
 
-    The precision of phi[..., :k] is A's leading k x k block, so its factors are
-    the leading blocks of L and L^{-1} (Golub & Van Loan, Matrix Computations,
-    4.2). Raises ValueError as `_fit`, for a non-finite mean or a width not in 0..d.
+    means (..., K, d), logdets and traces (..., K) are those of the leading
+    column blocks of phi (..., n, d) of widths. n*NLL(mean) is the empirical
+    NLL total of the posterior mean predictor. The Gibbs total is n*NLL(mean) +
+    tr(phi'phi A^{-1})/(2 noise_var); the trace term is evaluated as
+    k/2 - tr(A^{-1})/(2 prior_var), which is the same quantity by the definition
+    of A and stays accurate for ill-conditioned designs.
     """
-    if not all(0 <= k <= design.d for k in widths):
-        raise ValueError(f"column widths {widths} are not within 0..{design.d}")
+    k = np.asarray(widths, dtype=float)
+    resid = labels[..., None, :] - _predict(means, phi)  # empty when n = 0, so its norm is 0.0
+    nll_at_mean = (0.5 * phi.shape[-2] * math.log(2.0 * math.pi * cfg.noise_var)
+                   + np.add.reduce(resid * resid, axis=-1) / (2.0 * cfg.noise_var))
+    mean_sq = np.add.reduce(means * means, axis=-1)
+    k_log_prior = k * math.log(cfg.prior_var)
+    return (nll_at_mean + mean_sq / (2.0 * cfg.prior_var) + 0.5 * logdets + 0.5 * k_log_prior,
+            nll_at_mean + (0.5 * k - traces / (2.0 * cfg.prior_var)),
+            0.5 * (traces / cfg.prior_var + mean_sq / cfg.prior_var - k
+                   + logdets + k_log_prior))
+
+
+def _posterior(design: DesignMatrix, cfg: ModelConfig, widths) -> tuple:
+    """(the posterior of design, the means (..., K, d) of its leading column blocks of widths).
+
+    Block k's mean L_k^{-T} z[:k] / noise_var is sum_{i<k} L^{-1}_ij z_i / noise_var:
+    zero past entry k, as L^{-1} is lower triangular.
+    """
     low, inv_l, z = _fit(design.phi, design.labels, cfg)
-    return [GaussianPosterior(  # the mean's check raises on a non-finite mean
-        mean=(np.swapaxes(inv_l[..., :k, :k], -1, -2) @ z[..., :k, :])[..., 0] / cfg.noise_var,
-        chol=low[..., :k, :k], inv_chol=inv_l[..., :k, :k]) for k in widths]
+    means = _leading_sums(inv_l * (z / cfg.noise_var), [*widths, design.d])
+    # the check of the whole design's mean covers every block: a running sum that
+    # is inf or NaN at some row stays so at every later row
+    return GaussianPosterior(mean=means[..., -1, :], chol=low, inv_chol=inv_l), means[..., :-1, :]
 
 
 def fit_posterior(design: DesignMatrix, cfg: ModelConfig) -> GaussianPosterior:
     """Posterior precision A = phi'phi/noise_var + I/prior_var and mean A^{-1}phi'y/noise_var."""
-    return fit_prefixes(design, cfg, [design.d])[0]
-
-
-def _report(post: GaussianPosterior, phi, labels, cfg: ModelConfig) -> EvidenceReport:
-    """The evidence split of a posterior fitted to (phi, labels), for one fit or a stack.
-
-    n*NLL(mean) is the empirical NLL total of the posterior mean predictor.
-    The Gibbs total is n*NLL(mean) + tr(phi'phi A^{-1})/(2 noise_var); the
-    trace term is evaluated as d/2 - tr(A^{-1})/(2 prior_var), which is the
-    same quantity by the definition of A and stays accurate for
-    ill-conditioned designs.
-    """
-    n, d = phi.shape[-2:]
-    mean, logdet_precision, cov_trace = post.mean, post.logdet_precision, post.cov_trace
-    resid = labels - (phi @ mean[..., None])[..., 0]  # empty when n = 0, so its norm is 0.0
-    nll_at_mean = (0.5 * n * math.log(2.0 * math.pi * cfg.noise_var)
-                   + np.sum(resid * resid, axis=-1) / (2.0 * cfg.noise_var))
-    mean_sq = np.sum(mean * mean, axis=-1)
-    return EvidenceReport(nll_at_mean + mean_sq / (2.0 * cfg.prior_var)
-                          + 0.5 * logdet_precision + 0.5 * d * math.log(cfg.prior_var),
-                          nll_at_mean + (0.5 * d - cov_trace / (2.0 * cfg.prior_var)),
-                          0.5 * (cov_trace / cfg.prior_var + mean_sq / cfg.prior_var - d
-                                 + logdet_precision + d * math.log(cfg.prior_var)))
+    return _posterior(design, cfg, [])[0]
 
 
 def evidence_decomposition(post: GaussianPosterior, design: DesignMatrix,
@@ -227,14 +248,48 @@ def evidence_decomposition(post: GaussianPosterior, design: DesignMatrix,
     """Negative log evidence and its exact (risk, KL) split for a posterior fitted to design."""
     if post.d != design.d:
         raise ValueError(f"posterior has {post.d} weights, design {design.d} features")
-    return _report(post, design.phi, design.labels, cfg)
+    terms = _split(post.mean[..., None, :], np.asarray(post.logdet_precision)[..., None],
+                   np.asarray(post.cov_trace)[..., None], design.phi, design.labels, cfg,
+                   [post.d])
+    return EvidenceReport(*(term[..., 0] for term in terms))
 
 
-def prefix_evidences(posts, design: DesignMatrix, cfg: ModelConfig) -> list:
-    """`evidence_decomposition` of each posterior of `fit_prefixes(design, cfg, widths)`.
+@dataclass(frozen=True)
+class PrefixFits:
+    """The posteriors of the leading column blocks phi[..., :k], k in widths, of one fit.
 
-    Each is split on its own leading columns of design, a view of the checked
-    design rather than a new DesignMatrix, so the checks run once.
+    post is the posterior of the whole design. means (..., K, d) holds block k's
+    mean, zero past entry k; report is one EvidenceReport of (..., K) fields.
     """
-    return [_report(post, design.phi[..., :post.d], design.labels, cfg) for post in posts]
 
+    post: GaussianPosterior
+    widths: tuple
+    means: np.ndarray
+    report: EvidenceReport
+
+    def predict(self, phi: np.ndarray) -> np.ndarray:
+        """phi_j . mean_k for the rows phi_j of phi (..., m, d): (..., K, m)."""
+        return _predict(self.means, phi)
+
+    def predictive_var(self, phi: np.ndarray) -> np.ndarray:
+        """phi_j' A_k^{-1} phi_j = sum_{i<k} v_i^2, v = L^{-1} phi_j, for the rows of phi: (..., K, m)."""
+        v = phi @ np.swapaxes(self.post.inv_chol, -1, -2)
+        return _leading_sums(np.swapaxes(v * v, -1, -2), self.widths)
+
+
+def fit_prefixes(design: DesignMatrix, cfg: ModelConfig, widths) -> PrefixFits:
+    """The posterior and evidence split of each leading column block phi[..., :k], k in widths.
+
+    The precision of phi[..., :k] is A's leading k x k block, so its factors are
+    the leading blocks of L and L^{-1} (Golub & Van Loan, Matrix Computations,
+    4.2): one fit serves every width, and the evidence report is built, and
+    checked, once. Raises ValueError as `_fit`, for a non-finite mean or a
+    width not in 0..d.
+    """
+    widths = tuple(int(k) for k in widths)
+    if not all(0 <= k <= design.d for k in widths):
+        raise ValueError(f"column widths {list(widths)} are not within 0..{design.d}")
+    post, means = _posterior(design, cfg, widths)
+    return PrefixFits(post, widths, means, EvidenceReport(*_split(
+        means, _logdets(post.chol, widths), _traces(post.inv_chol, widths),
+        design.phi, design.labels, cfg, widths)))

@@ -3,11 +3,14 @@
 fig_a / fig_b: polynomial models of degree 1..7 fitted to 15 noisy sine
 samples, with the evidence split per degree. `_polynomial_fits` checks and fits
 the top degree's design once, for one sample or a stack, and each degree is a
-column prefix of that design and fit; the fig-b seed scan (`selected_degrees`)
-draws each of its `blr.stack_blocks` of n*(top degree + 1) design entries per
-seed as one `tasks.gen_sine_stack`, so each seed's sample and evidence have the
-bits of its own draw and fit. `write_csv` checks and formats a table one column
-at a time.
+column prefix of that design and fit (`blr.fit_prefixes`): one report holds
+every degree's evidence split, fig_a predicts every degree with one product of
+the grid powers and the means, and fig_b's test risk of every degree is one
+`expected_loss` over (degree, test point). The fig-b seed scan
+(`selected_degrees`) draws each of its `blr.stack_blocks` of n*(top degree + 1)
+design entries per seed as one `tasks.gen_sine_stack` and takes the argmin
+along the degree axis, so each seed's sample and evidence have the bits of its
+own draw and fit. `write_csv` checks and formats a table one column at a time.
 fig_c: bound values against training-set size for the 20-dimensional
 Gaussian linear task. validate: coverage of the bounds over repeated draws
 plus the MGF envelope check.
@@ -18,8 +21,8 @@ import math
 import numpy as np
 
 from . import __version__, rng
-from .blr import ModelConfig, fit_prefixes, prefix_evidences, stack_blocks
-from .losses import LossSpec, empirical_gibbs_risk
+from .blr import EvidenceReport, ModelConfig, fit_prefixes, stack_blocks
+from .losses import LossSpec, expected_loss
 from .mc import gibbs_generalization_risk, run_validity_study, sample_bounds
 from .subgamma import dominated, empirical_mgf_check, nll_subgamma_params
 from .tasks import (TWO_PI, DesignMatrix, LinearTaskSpec, SineTaskSpec, gen_sine_stack,
@@ -82,30 +85,30 @@ def _checked_degrees(degrees) -> tuple:
     return degrees
 
 
-def _polynomial_fits(xs, labels, sigma2, sigma_pi2, degrees) -> list:
-    """One (degree, posterior, EvidenceReport) per degree, in order.
+def _polynomial_fits(xs, labels, sigma2, sigma_pi2, degrees) -> tuple:
+    """(degrees, blr.PrefixFits of the widths degree + 1, in the order of degrees).
 
     xs and labels are one sine sample, shape (n,), or a stack of S samples,
-    shape (S, n); a stack gives posteriors and reports of S fits each.
+    shape (S, n); a stack gives means and report fields with a leading S axis.
     """
     degrees = _checked_degrees(degrees)
     cfg = ModelConfig(noise_var=sigma2, prior_var=sigma_pi2)
     design = DesignMatrix(polynomial_features(xs, max(degrees)), labels)
-    posts = fit_prefixes(design, cfg, [degree + 1 for degree in degrees])
-    # each report checks the evidence identity on construction
-    return list(zip(degrees, posts, prefix_evidences(posts, design, cfg)))
+    # the report checks the evidence identity of every degree on construction
+    return degrees, fit_prefixes(design, cfg, [degree + 1 for degree in degrees])
 
 
 def run_fig_a(seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2, sigma_pi2=SINE_SIGMA_PI2,
               degrees=DEFAULT_DEGREES, grid_size=200):
     """Posterior-mean predictions per degree on a dense input grid."""
     dataset = gen_sine_task(SineTaskSpec(n=n, noise_var=SINE_NOISE_VAR, seed=seed))
-    fits = _polynomial_fits(dataset.raw_inputs, dataset.labels, sigma2, sigma_pi2, degrees)
+    degrees, fits = _polynomial_fits(dataset.raw_inputs, dataset.labels, sigma2, sigma_pi2,
+                                     degrees)
     grid = np.linspace(0.0, TWO_PI, grid_size)
-    grid_phi = polynomial_features(grid, max(degree for degree, _, _ in fits))
+    preds = fits.predict(polynomial_features(grid, max(degrees)))  # (degree, grid point)
     xs = grid.tolist()
-    rows = [(degree, x, p) for degree, post, _ in fits
-            for x, p in zip(xs, (grid_phi[:, :degree + 1] @ post.mean).tolist())]
+    rows = [(degree, x, p) for degree, pred in zip(degrees, preds.tolist())
+            for x, p in zip(xs, pred)]
     return dataset, rows
 
 
@@ -115,22 +118,27 @@ def run_fig_b(seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2, sigma_pi2=SINE_SI
     if test_size < 1:
         raise ValueError(f"test_size must be at least 1, got {test_size}")
     train = gen_sine_task(SineTaskSpec(n=n, noise_var=SINE_NOISE_VAR, seed=seed))
-    fits = _polynomial_fits(train.raw_inputs, train.labels, sigma2, sigma_pi2, degrees)
+    degrees, fits = _polynomial_fits(train.raw_inputs, train.labels, sigma2, sigma_pi2, degrees)
     test = gen_sine_task(SineTaskSpec(n=test_size, noise_var=SINE_NOISE_VAR,
                                       seed=rng.derive_seed(seed, rng.TEST_SET_TAG)))
-    test_phi = polynomial_features(test.raw_inputs, max(degree for degree, _, _ in fits))
-    nll = LossSpec.nll(sigma2)
-    return [(degree, report.neg_log_evidence, report.gibbs_emp_risk_total, report.kl,
-             empirical_gibbs_risk(post, DesignMatrix(test_phi[:, :degree + 1], test.labels), nll))
-            for degree, post, report in fits]
+    test_phi = polynomial_features(test.raw_inputs, max(degrees))
+    # every degree's residual mean and variance at once: (degree, test point) arrays
+    risk = np.mean(expected_loss(LossSpec.nll(sigma2), test.labels - fits.predict(test_phi),
+                                 fits.predictive_var(test_phi)), axis=-1)
+    report = fits.report
+    return list(zip(degrees, report.neg_log_evidence.tolist(),
+                    report.gibbs_emp_risk_total.tolist(), report.kl.tolist(), risk.tolist()))
 
 
 def polynomial_family(seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2,
                       sigma_pi2=SINE_SIGMA_PI2, degrees=DEFAULT_DEGREES) -> tuple:
     """(degree, EvidenceReport) pairs in the order of `degrees`, fitted on one sine sample."""
     sample = gen_sine_task(SineTaskSpec(n=n, noise_var=SINE_NOISE_VAR, seed=seed))
-    fits = _polynomial_fits(sample.raw_inputs, sample.labels, sigma2, sigma_pi2, degrees)
-    return tuple((degree, report) for degree, _, report in fits)
+    degrees, fits = _polynomial_fits(sample.raw_inputs, sample.labels, sigma2, sigma_pi2,
+                                     degrees)
+    report = fits.report
+    return tuple((degree, EvidenceReport(*terms)) for degree, *terms in zip(
+        degrees, report.neg_log_evidence, report.gibbs_emp_risk_total, report.kl))
 
 
 def selected_degrees(seeds, seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2,
@@ -151,9 +159,8 @@ def selected_degrees(seeds, seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2,
     for block in stack_blocks(seeds, n * (max(degrees) + 1)):
         xs, labels = gen_sine_stack(
             SineTaskSpec(n=n, noise_var=SINE_NOISE_VAR, seed=seed + block.start), len(block))
-        fits = _polynomial_fits(xs, labels, sigma2, sigma_pi2, degrees)
-        nle = np.stack([report.neg_log_evidence for _, _, report in fits], axis=1)
-        best.append(np.asarray(degrees)[np.argmin(nle, axis=1)])
+        _, fits = _polynomial_fits(xs, labels, sigma2, sigma_pi2, degrees)
+        best.append(np.asarray(degrees)[np.argmin(fits.report.neg_log_evidence, axis=-1)])
     return np.concatenate(best)
 
 

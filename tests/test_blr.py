@@ -265,7 +265,7 @@ def test_posterior_rejects_nonfinite_labels():
 
 def test_posterior_computes_its_trace_once(monkeypatch):
     calls = []
-    for name in ("_inverse_factor", "_frobenius_sq"):  # L^{-1}, then ||L^{-1}||_F^2
+    for name in ("_inverse_factor", "_traces"):  # L^{-1}, then tr(A^{-1}) from its rows
         real = getattr(blr, name)
         monkeypatch.setattr(blr, name, lambda *args, real=real, name=name:
                             calls.append(name) or real(*args))
@@ -274,7 +274,7 @@ def test_posterior_computes_its_trace_once(monkeypatch):
     report = evidence_decomposition(post, design, cfg)
     assert evidence_decomposition(post, design, cfg).kl == report.kl
     post.predictive_var(design.phi)
-    assert calls == ["_inverse_factor", "_frobenius_sq"]
+    assert calls == ["_inverse_factor", "_traces"]
 
 
 def test_inverse_factor_is_lower_triangular_block_by_block():
@@ -291,20 +291,48 @@ def test_inverse_factor_is_lower_triangular_block_by_block():
         assert np.abs(inv_l[:k, :k] - exact).max() <= 1e-13 * np.abs(exact).max(), k
 
 
+def report_fields(report):
+    return report.neg_log_evidence, report.gibbs_emp_risk_total, report.kl
+
+
 @pytest.mark.parametrize("shape", [(30, 6), (4, 30, 6)], ids=["one", "stack"])
 def test_fit_prefixes_match_fitting_each_prefix(cholesky_calls, shape):
     rng = np.random.default_rng(13)
     design = DesignMatrix(phi=rng.standard_normal(shape), labels=rng.standard_normal(shape[:-1]))
     cfg = ModelConfig(noise_var=0.7, prior_var=1.9)
-    widths = [6, 1, 4, 6]
-    posts = blr.fit_prefixes(design, cfg, widths)
+    widths = [6, 0, 1, 4, 6]
+    fits = blr.fit_prefixes(design, cfg, widths)
     assert len(cholesky_calls) == 1
-    np.testing.assert_array_equal(posts[0].mean, fit_posterior(design, cfg).mean)
-    for k, post in zip(widths, posts):
-        alone = fit_posterior(DesignMatrix(design.phi[..., :k], design.labels), cfg)
-        for field in ("mean", "chol", "inv_chol"):
-            np.testing.assert_allclose(getattr(post, field), getattr(alone, field),
-                                       rtol=1e-12, atol=1e-15)
+    logdets, traces = blr._logdets(fits.post.chol, widths), blr._traces(fits.post.inv_chol, widths)
+    assert fits.means.shape == shape[:-2] + (5, 6)
+    assert all(field.shape == shape[:-2] + (5,)
+               for field in (logdets, traces, *report_fields(fits.report)))
+    # the whole design's fit and split, bit for bit
+    post = fit_posterior(design, cfg)
+    np.testing.assert_array_equal(fits.means[..., -1, :], post.mean)
+    np.testing.assert_array_equal(fits.post.mean, post.mean)
+    for got, alone in zip(report_fields(fits.report),
+                          report_fields(evidence_decomposition(post, design, cfg))):
+        np.testing.assert_array_equal(got[..., -1], alone)
+    # width 0 is the zero predictor, not row -1 wrapped around to the full model
+    zero_nll = (0.5 * shape[-2] * math.log(2.0 * math.pi * cfg.noise_var)
+                + np.sum(design.labels ** 2, axis=-1) / (2.0 * cfg.noise_var))
+    assert np.all(fits.means[..., 1, :] == 0.0)
+    assert np.all(logdets[..., 1] == 0.0) and np.all(traces[..., 1] == 0.0)
+    for got, want in zip(report_fields(fits.report), (zero_nll, zero_nll, 0.0)):
+        np.testing.assert_array_equal(got[..., 1], want)
+    for j, k in enumerate(widths):
+        if k == 0:
+            continue
+        prefix = DesignMatrix(design.phi[..., :k], design.labels)
+        alone = fit_posterior(prefix, cfg)
+        np.testing.assert_allclose(fits.means[..., j, :k], alone.mean, rtol=1e-12, atol=1e-15)
+        assert np.all(fits.means[..., j, k:] == 0.0)
+        np.testing.assert_allclose(logdets[..., j], alone.logdet_precision, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(traces[..., j], alone.cov_trace, rtol=1e-12, atol=0.0)
+        for got, want in zip(report_fields(fits.report),
+                             report_fields(evidence_decomposition(alone, prefix, cfg))):
+            np.testing.assert_allclose(got[..., j], want, rtol=1e-12, atol=0.0)
     with pytest.raises(ValueError, match=r"column widths \[2, 7\] are not within 0..6"):
         blr.fit_prefixes(design, cfg, [2, 7])
 

@@ -29,3 +29,26 @@ def test_validate_over_several_trial_blocks(tmp_path):
     pblr("validate", "--trials", 5000, "--mgf-m", 10000, "--out", tmp_path)
     families = json.loads((tmp_path / "coverage.json").read_text(encoding="utf-8"))["families"]
     assert len(families) == 3 and all(f["trials"] == 5000 for f in families), families
+
+
+def scan_wins(path):
+    """{degree: wins} of a fig_b_selection.csv."""
+    rows = [line for line in path.read_text(encoding="utf-8").splitlines()
+            if not line.startswith("#")][1:]
+    return {int(degree): int(wins) for degree, wins in (row.split(",") for row in rows)}
+
+
+def test_seed_scan_of_2000_seeds_selects_degree_1(tmp_path):
+    # README's selection claim: degree 1 has the highest evidence at least 1,990
+    # times, and degree 3 never does
+    pblr("fig-b", "--seeds", 2000, "--out", tmp_path)
+    wins = scan_wins(tmp_path / "fig_b_selection.csv")
+    assert wins.get(1, 0) >= 1990 and 3 not in wins, wins
+
+
+def test_seed_scan_of_20000_seeds_counts_every_seed(tmp_path):
+    # 20 stacked blocks of blr.STACK_BUDGET design entries (1,024 seeds at the
+    # defaults) through the console path
+    pblr("fig-b", "--seeds", 20000, "--out", tmp_path)
+    wins = scan_wins(tmp_path / "fig_b_selection.csv")
+    assert sum(wins.values()) == 20000, wins

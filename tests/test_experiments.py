@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from pblr import blr, experiments as exp
-from pblr.blr import fit_prefixes
+from pblr.blr import GaussianPosterior, fit_prefixes
+from pblr.losses import LossSpec, empirical_gibbs_risk
 from pblr.mc import sample_bounds
 from pblr.subgamma import dominated, nll_subgamma_params
+from pblr.tasks import DesignMatrix
 
 from oracles import subgamma_bound
 
@@ -156,6 +158,34 @@ def test_run_validate_quick():
     assert all(map(dominated, mgf))
 
 
+@pytest.mark.parametrize("degrees", [(3, 1), tuple(range(1, 8))], ids=["3-1", "1-7"])
+def test_fig_b_test_risk_matches_a_fit_per_degree(monkeypatch, degrees):
+    calls, real = [], exp.expected_loss
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(exp, "expected_loss", counting)
+    rows = exp.run_fig_b(degrees=degrees)
+    assert len(calls) == 1  # every degree's test risk from one expected_loss call
+    train = exp.gen_sine_task(exp.SineTaskSpec(n=exp.SINE_N, noise_var=exp.SINE_NOISE_VAR,
+                                               seed=exp.DEFAULT_SEED))
+    test = exp.gen_sine_task(exp.SineTaskSpec(
+        n=1000, noise_var=exp.SINE_NOISE_VAR,
+        seed=exp.rng.derive_seed(exp.DEFAULT_SEED, exp.rng.TEST_SET_TAG)))
+    _, fits = exp._polynomial_fits(train.raw_inputs, train.labels, exp.SINE_SIGMA2,
+                                   exp.SINE_SIGMA_PI2, degrees)
+    test_phi = exp.polynomial_features(test.raw_inputs, max(degrees))
+    assert [row[0] for row in rows] == list(degrees)
+    for j, (degree, *_, test_risk) in enumerate(rows):
+        k = degree + 1  # the degree's posterior as the leading blocks of the one fit
+        post = GaussianPosterior(mean=fits.means[j, :k], chol=fits.post.chol[:k, :k],
+                                 inv_chol=fits.post.inv_chol[:k, :k])
+        alone = empirical_gibbs_risk(post, DesignMatrix(test_phi[:, :k], test.labels),
+                                     LossSpec.nll(exp.SINE_SIGMA2))
+        assert test_risk == pytest.approx(alone, rel=1e-14, abs=0.0), degree
+
+
 def test_fig_b_factors_each_degree_once(cholesky_calls):
     exp.run_fig_b(degrees=tuple(range(1, 8)))
     # one factorization of the degree-7 design; degrees 1-6 are its leading blocks
@@ -198,10 +228,10 @@ def stacked_evidences(seeds, sigma2=exp.SINE_SIGMA2, degrees=exp.DEFAULT_DEGREES
     """(len(seeds), len(degrees)) negative log evidences from one stacked `_polynomial_fits`."""
     samples = [exp.gen_sine_task(exp.SineTaskSpec(n=exp.SINE_N, noise_var=exp.SINE_NOISE_VAR,
                                                   seed=seed)) for seed in seeds]
-    fits = exp._polynomial_fits(np.stack([sample.raw_inputs for sample in samples]),
-                                np.stack([sample.labels for sample in samples]),
-                                sigma2, exp.SINE_SIGMA_PI2, degrees)
-    return np.stack([report.neg_log_evidence for _, _, report in fits], axis=1)
+    _, fits = exp._polynomial_fits(np.stack([sample.raw_inputs for sample in samples]),
+                                   np.stack([sample.labels for sample in samples]),
+                                   sigma2, exp.SINE_SIGMA_PI2, degrees)
+    return fits.report.neg_log_evidence
 
 
 def test_seed_scan_evidence_matches_per_seed_fits():
