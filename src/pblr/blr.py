@@ -8,18 +8,19 @@ log-likelihood plus the posterior-prior KL divergence. One numpy routine
 fits one design or a stack of them: the Cholesky factor L of A, its
 inverse L^{-1} from one solve of L' against the identity, and z = L^{-1} phi'y.
 The leading k columns of the design have the leading k x k blocks of L and
-L^{-1} as factors, so every quantity of the width-k model is a prefix sum over
-the whitened coordinate i < k, and one cumulative sum gives it at every width:
-the mean (sum_i L^{-1}_ij z_i / noise_var), ln det A_k (sum_i 2 ln L_ii),
-tr(A_k^{-1}) (sum_i ||row i of L^{-1}||^2) and, with v = L^{-1} phi,
-phi' A_k^{-1} phi (sum_i v_i^2). `fit_prefixes` returns the means of any list
-of widths and one `EvidenceReport` with a trailing width axis, checked once;
-`fit_posterior` and `evidence_decomposition` are its one-width case. A stacked
-design (S, n, d) gives a `GaussianPosterior` and an `EvidenceReport` that
-carry the S fits as arrays, entry by entry with the bits of fitting that design
-alone. A^{-1} itself is never formed.
-Every stacked pass (seed scan, coverage study, cropped oracle) runs in the
-ranges of `stack_blocks`, each of at most STACK_BUDGET array entries.
+L^{-1} as factors, so every quantity of the width-k model is a sum over the
+whitened coordinate i < k: the mean (sum_i L^{-1}_ij z_i / noise_var), ln det
+A_k (sum_i 2 ln L_ii), tr(A_k^{-1}) (sum_i ||row i of L^{-1}||^2) and, with
+v = L^{-1} phi, phi' A_k^{-1} phi (sum_i v_i^2). `fit_prefixes` returns a
+`PrefixFits`: the means of any list of widths, from one running sum, and one
+`EvidenceReport` with a trailing width axis, checked once. A `GaussianPosterior`
+is the case k = d of the same sums, and `evidence_decomposition` splits it
+with the same formula. A stacked design (S, n, d) gives a `GaussianPosterior`
+and an `EvidenceReport` that carry the S fits as arrays, entry by entry with
+the bits of fitting that design alone. A^{-1} itself is never formed.
+Every stacked pass (seed scan, coverage study, cropped oracle) and every
+empirical risk (`losses.empirical_gibbs_risk`) runs in the ranges of
+`stack_blocks`, each of at most STACK_BUDGET array entries.
 """
 
 import math
@@ -70,33 +71,36 @@ def _inverse_factor(low: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.linalg.solve(np.swapaxes(low, -1, -2), eye), -1, -2)
 
 
-def _leading_sums(terms: np.ndarray, widths) -> np.ndarray:
-    """Rows sum_{i<k} terms[..., i, :] for each k in widths, as (..., K, m); zero at k = 0.
+def _running_sums(terms: np.ndarray) -> np.ndarray:
+    """Row k = sum_{i<k} terms[..., i, :] for k = 0..d, as (..., d + 1, m).
 
-    One cumulative sum serves every width, with the same bits whatever the other widths.
+    One running sum behind a zero row: width 0 is row 0, never row -1 wrapped
+    around, and each width has the same bits whatever the other widths.
     """
     sums = np.zeros(terms.shape[:-2] + (terms.shape[-2] + 1, terms.shape[-1]))
     np.add.accumulate(terms, axis=-2, out=sums[..., 1:, :])
-    return sums[..., list(widths), :]
+    return sums
 
 
-def _logdets(low: np.ndarray, widths):
-    """ln det A_k = sum_{i<k} 2 ln L_ii for each width k: (..., K)."""
-    return _leading_sums(2.0 * np.log(np.diagonal(low, axis1=-2, axis2=-1))[..., None],
-                         widths)[..., 0]
+def _at(sums: np.ndarray, widths=None) -> np.ndarray:
+    """The rows of widths of running sums, as (..., K, m), or without widths the last (..., m)."""
+    return sums[..., -1, :] if widths is None else sums[..., list(widths), :]
 
 
-def _traces(inv_l: np.ndarray, widths):
-    """tr(A_k^{-1}) = sum_{i<k} ||row i of L^{-1}||^2 for each width k: (..., K)."""
-    return _leading_sums(np.add.reduce(inv_l * inv_l, axis=-1)[..., None], widths)[..., 0]
+def _logdets(low: np.ndarray, widths=None):
+    """ln det A_k = sum_{i<k} 2 ln L_ii for each width k: (..., K), or ln det A."""
+    return _at(_running_sums(2.0 * np.log(np.diagonal(low, axis1=-2, axis2=-1))[..., None]),
+               widths)[..., 0]
 
 
-def _predict(means: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """phi_j . mean_k for the rows of phi (..., m, d) and of means (..., K, d): (..., K, m).
+def _traces(inv_l: np.ndarray, widths=None):
+    """tr(A_k^{-1}) = sum_{i<k} ||row i of L^{-1}||^2 for each width k: (..., K), or tr(A^{-1})."""
+    return _at(_running_sums(np.add.reduce(inv_l * inv_l, axis=-1)[..., None]), widths)[..., 0]
 
-    One matrix-vector product per mean, so a row has the same bits whatever the other means.
-    """
-    return (phi[..., None, :, :] @ means[..., None])[..., 0]
+
+def _predict(mean: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """phi_j . mean for the rows phi_j of phi (..., m, d): (..., m); one matrix-vector product."""
+    return (phi @ mean[..., None])[..., 0]
 
 
 def scalar_or_stack(value):
@@ -131,17 +135,30 @@ class GaussianPosterior:
 
     @cached_property  # computed on first use, once per posterior
     def logdet_precision(self):
-        return scalar_or_stack(_logdets(self.chol, [self.d])[..., 0])
+        return scalar_or_stack(_logdets(self.chol))
 
     @cached_property
     def cov_trace(self):
         """tr(A^{-1}) = ||L^{-1}||_F^2; computed once."""
-        return scalar_or_stack(_traces(self.inv_chol, [self.d])[..., 0])
+        return scalar_or_stack(_traces(self.inv_chol))
 
-    def predictive_var(self, phi: np.ndarray) -> np.ndarray:
-        """phi_i' A^{-1} phi_i for each row phi_i of phi: the row norms of phi L^{-T}."""
-        z = phi @ np.swapaxes(self.inv_chol, -1, -2)
-        return np.einsum("...ij,...ij->...i", z, z)
+    def predict(self, phi: np.ndarray) -> np.ndarray:
+        """phi_i . mean for each row phi_i of phi."""
+        return _predict(self.mean, phi)
+
+    def predictive_var(self, phi: np.ndarray, widths=None) -> np.ndarray:
+        """phi_j' A^{-1} phi_j = ||v_j||^2, v_j = L^{-1} phi_j, for the rows phi_j of phi (..., m, d).
+
+        With widths, sum_{i<k} v_ji^2 = phi_j[:k]' A_k^{-1} phi_j[:k] for A's
+        leading block of each width k, as (..., K, m). Each width is one einsum
+        over the leading k rows of L^{-1} phi'. A running sum along i
+        (`_running_sums`) loops over that short axis innermost and took 7 times
+        as long on a (6,144, 20) block of fig-c's empirical risk.
+        """
+        v = self.inv_chol @ np.swapaxes(phi, -1, -2)  # (..., d, m)
+        sums = [np.einsum("...ij,...ij->...j", v[..., :k, :], v[..., :k, :])
+                for k in ([self.d] if widths is None else widths)]
+        return sums[0] if widths is None else np.stack(sums, axis=-2)
 
 
 def _checked_kl(neg_log_evidence, gibbs_emp_risk_total, kl):
@@ -203,21 +220,22 @@ def _fit(phi: np.ndarray, labels: np.ndarray, cfg: ModelConfig) -> tuple:
     return low, inv_l, inv_l @ (phi_t @ labels[..., None])  # L^{-1} phi'y is 0 when n = 0
 
 
-def _split(means, logdets, traces, phi, labels, cfg: ModelConfig, widths) -> tuple:
-    """(neg log evidence, Gibbs total, KL) of each width's posterior: three (..., K) arrays.
+def _split(resid, mean, logdets, traces, k, cfg: ModelConfig) -> tuple:
+    """(neg log evidence, Gibbs total, KL) of posteriors N(mean, A^{-1}) of k weights.
 
-    means (..., K, d), logdets and traces (..., K) are those of the leading
-    column blocks of phi (..., n, d) of widths. n*NLL(mean) is the empirical
-    NLL total of the posterior mean predictor. The Gibbs total is n*NLL(mean) +
+    resid (..., n) holds the labels minus the predictions of mean (..., d) on
+    the design the posterior was fitted to; logdets = ln det A, traces =
+    tr(A^{-1}) and k broadcast against the fields, which have resid's shape
+    without its last axis. n*NLL(mean) is the empirical NLL total of the
+    posterior mean predictor. The Gibbs total is n*NLL(mean) +
     tr(phi'phi A^{-1})/(2 noise_var); the trace term is evaluated as
     k/2 - tr(A^{-1})/(2 prior_var), which is the same quantity by the definition
     of A and stays accurate for ill-conditioned designs.
     """
-    k = np.asarray(widths, dtype=float)
-    resid = labels[..., None, :] - _predict(means, phi)  # empty when n = 0, so its norm is 0.0
-    nll_at_mean = (0.5 * phi.shape[-2] * math.log(2.0 * math.pi * cfg.noise_var)
+    # resid is empty when n = 0, so its norm is 0.0
+    nll_at_mean = (0.5 * resid.shape[-1] * math.log(2.0 * math.pi * cfg.noise_var)
                    + np.add.reduce(resid * resid, axis=-1) / (2.0 * cfg.noise_var))
-    mean_sq = np.add.reduce(means * means, axis=-1)
+    mean_sq = np.add.reduce(mean * mean, axis=-1)
     k_log_prior = k * math.log(cfg.prior_var)
     return (nll_at_mean + mean_sq / (2.0 * cfg.prior_var) + 0.5 * logdets + 0.5 * k_log_prior,
             nll_at_mean + (0.5 * k - traces / (2.0 * cfg.prior_var)),
@@ -225,22 +243,21 @@ def _split(means, logdets, traces, phi, labels, cfg: ModelConfig, widths) -> tup
                    + logdets + k_log_prior))
 
 
-def _posterior(design: DesignMatrix, cfg: ModelConfig, widths) -> tuple:
-    """(the posterior of design, the means (..., K, d) of its leading column blocks of widths).
+def _posterior(design: DesignMatrix, cfg: ModelConfig) -> tuple:
+    """(the posterior of design, the running sums of the terms L^{-1}_ij z_i / noise_var).
 
-    Block k's mean L_k^{-T} z[:k] / noise_var is sum_{i<k} L^{-1}_ij z_i / noise_var:
-    zero past entry k, as L^{-1} is lower triangular.
+    Row k of the running sums is width k's mean; the posterior's is the last.
+    Its check covers every width's, as a running sum that is inf or NaN at
+    some row stays so at every later row.
     """
     low, inv_l, z = _fit(design.phi, design.labels, cfg)
-    means = _leading_sums(inv_l * (z / cfg.noise_var), [*widths, design.d])
-    # the check of the whole design's mean covers every block: a running sum that
-    # is inf or NaN at some row stays so at every later row
-    return GaussianPosterior(mean=means[..., -1, :], chol=low, inv_chol=inv_l), means[..., :-1, :]
+    sums = _running_sums(inv_l * (z / cfg.noise_var))
+    return GaussianPosterior(mean=_at(sums), chol=low, inv_chol=inv_l), sums
 
 
 def fit_posterior(design: DesignMatrix, cfg: ModelConfig) -> GaussianPosterior:
     """Posterior precision A = phi'phi/noise_var + I/prior_var and mean A^{-1}phi'y/noise_var."""
-    return _posterior(design, cfg, [])[0]
+    return _posterior(design, cfg)[0]
 
 
 def evidence_decomposition(post: GaussianPosterior, design: DesignMatrix,
@@ -248,33 +265,31 @@ def evidence_decomposition(post: GaussianPosterior, design: DesignMatrix,
     """Negative log evidence and its exact (risk, KL) split for a posterior fitted to design."""
     if post.d != design.d:
         raise ValueError(f"posterior has {post.d} weights, design {design.d} features")
-    terms = _split(post.mean[..., None, :], np.asarray(post.logdet_precision)[..., None],
-                   np.asarray(post.cov_trace)[..., None], design.phi, design.labels, cfg,
-                   [post.d])
-    return EvidenceReport(*(term[..., 0] for term in terms))
+    return EvidenceReport(*_split(design.labels - post.predict(design.phi), post.mean,
+                                  post.logdet_precision, post.cov_trace, post.d, cfg))
 
 
 @dataclass(frozen=True)
 class PrefixFits:
     """The posteriors of the leading column blocks phi[..., :k], k in widths, of one fit.
 
-    post is the posterior of the whole design. means (..., K, d) holds block k's
-    mean, zero past entry k; report is one EvidenceReport of (..., K) fields.
+    post is the posterior of the whole design. mean (..., K, d) holds block k's
+    mean L_k^{-T} z[:k] / noise_var, zero past entry k as L^{-1} is lower
+    triangular; report is one EvidenceReport of (..., K) fields.
     """
 
     post: GaussianPosterior
     widths: tuple
-    means: np.ndarray
+    mean: np.ndarray
     report: EvidenceReport
 
     def predict(self, phi: np.ndarray) -> np.ndarray:
         """phi_j . mean_k for the rows phi_j of phi (..., m, d): (..., K, m)."""
-        return _predict(self.means, phi)
+        return _predict(self.mean, phi[..., None, :, :])
 
     def predictive_var(self, phi: np.ndarray) -> np.ndarray:
-        """phi_j' A_k^{-1} phi_j = sum_{i<k} v_i^2, v = L^{-1} phi_j, for the rows of phi: (..., K, m)."""
-        v = phi @ np.swapaxes(self.post.inv_chol, -1, -2)
-        return _leading_sums(np.swapaxes(v * v, -1, -2), self.widths)
+        """phi_j' A_k^{-1} phi_j for the rows phi_j of phi (..., m, d): (..., K, m)."""
+        return self.post.predictive_var(phi, self.widths)
 
 
 def fit_prefixes(design: DesignMatrix, cfg: ModelConfig, widths) -> PrefixFits:
@@ -289,7 +304,9 @@ def fit_prefixes(design: DesignMatrix, cfg: ModelConfig, widths) -> PrefixFits:
     widths = tuple(int(k) for k in widths)
     if not all(0 <= k <= design.d for k in widths):
         raise ValueError(f"column widths {list(widths)} are not within 0..{design.d}")
-    post, means = _posterior(design, cfg, widths)
-    return PrefixFits(post, widths, means, EvidenceReport(*_split(
-        means, _logdets(post.chol, widths), _traces(post.inv_chol, widths),
-        design.phi, design.labels, cfg, widths)))
+    post, sums = _posterior(design, cfg)
+    mean = _at(sums, widths)
+    resid = design.labels[..., None, :] - _predict(mean, design.phi[..., None, :, :])
+    return PrefixFits(post, widths, mean, EvidenceReport(*_split(
+        resid, mean, _logdets(post.chol, widths), _traces(post.inv_chol, widths),
+        np.asarray(widths, dtype=float), cfg)))

@@ -4,13 +4,12 @@ fig_a / fig_b: polynomial models of degree 1..7 fitted to 15 noisy sine
 samples, with the evidence split per degree. `_polynomial_fits` checks and fits
 the top degree's design once, for one sample or a stack, and each degree is a
 column prefix of that design and fit (`blr.fit_prefixes`): one report holds
-every degree's evidence split, fig_a predicts every degree with one product of
-the grid powers and the means, and fig_b's test risk of every degree is one
-`expected_loss` over (degree, test point). The fig-b seed scan
-(`selected_degrees`) draws each of its `blr.stack_blocks` of n*(top degree + 1)
-design entries per seed as one `tasks.gen_sine_stack` and takes the argmin
-along the degree axis, so each seed's sample and evidence have the bits of its
-own draw and fit. `write_csv` checks and formats a table one column at a time.
+every degree's evidence split, and fig_a's predictions and fig_b's test risk
+carry a degree axis. The fig-b seed scan (`selected_degrees`) draws each of
+its `blr.stack_blocks` of n*(top degree + 1) design entries per seed as one
+`tasks.gen_sine_stack` and takes the argmin along the degree axis, so each
+seed's sample and evidence have the bits of its own draw and fit. `write_csv`
+checks and formats a table one column at a time.
 fig_c: bound values against training-set size for the 20-dimensional
 Gaussian linear task. validate: coverage of the bounds over repeated draws
 plus the MGF envelope check.
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import __version__, rng
 from .blr import EvidenceReport, ModelConfig, fit_prefixes, stack_blocks
-from .losses import LossSpec, expected_loss
+from .losses import LossSpec, empirical_gibbs_risk
 from .mc import gibbs_generalization_risk, run_validity_study, sample_bounds
 from .subgamma import dominated, empirical_mgf_check, nll_subgamma_params
 from .tasks import (TWO_PI, DesignMatrix, LinearTaskSpec, SineTaskSpec, gen_sine_stack,
@@ -121,10 +120,9 @@ def run_fig_b(seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2, sigma_pi2=SINE_SI
     degrees, fits = _polynomial_fits(train.raw_inputs, train.labels, sigma2, sigma_pi2, degrees)
     test = gen_sine_task(SineTaskSpec(n=test_size, noise_var=SINE_NOISE_VAR,
                                       seed=rng.derive_seed(seed, rng.TEST_SET_TAG)))
-    test_phi = polynomial_features(test.raw_inputs, max(degrees))
-    # every degree's residual mean and variance at once: (degree, test point) arrays
-    risk = np.mean(expected_loss(LossSpec.nll(sigma2), test.labels - fits.predict(test_phi),
-                                 fits.predictive_var(test_phi)), axis=-1)
+    # every degree's risk at once, over (degree, test point) blocks of the test set
+    risk = empirical_gibbs_risk(fits, DesignMatrix(polynomial_features(
+        test.raw_inputs, max(degrees)), test.labels), LossSpec.nll(sigma2))
     report = fits.report
     return list(zip(degrees, report.neg_log_evidence.tolist(),
                     report.gibbs_emp_risk_total.tolist(), report.kl.tolist(), risk.tolist()))

@@ -304,21 +304,27 @@ def test_fit_prefixes_match_fitting_each_prefix(cholesky_calls, shape):
     fits = blr.fit_prefixes(design, cfg, widths)
     assert len(cholesky_calls) == 1
     logdets, traces = blr._logdets(fits.post.chol, widths), blr._traces(fits.post.inv_chol, widths)
-    assert fits.means.shape == shape[:-2] + (5, 6)
+    assert fits.mean.shape == shape[:-2] + (5, 6)
     assert all(field.shape == shape[:-2] + (5,)
                for field in (logdets, traces, *report_fields(fits.report)))
     # the whole design's fit and split, bit for bit
     post = fit_posterior(design, cfg)
-    np.testing.assert_array_equal(fits.means[..., -1, :], post.mean)
+    np.testing.assert_array_equal(fits.mean[..., -1, :], post.mean)
     np.testing.assert_array_equal(fits.post.mean, post.mean)
     for got, alone in zip(report_fields(fits.report),
                           report_fields(evidence_decomposition(post, design, cfg))):
         np.testing.assert_array_equal(got[..., -1], alone)
+    phi = rng.standard_normal(shape[:-2] + (9, 6))  # new inputs
+    preds, variances = fits.predict(phi), fits.predictive_var(phi)
+    assert preds.shape == variances.shape == shape[:-2] + (5, 9)
+    np.testing.assert_array_equal(preds[..., -1, :], post.predict(phi))
+    np.testing.assert_array_equal(variances[..., -1, :], post.predictive_var(phi))
     # width 0 is the zero predictor, not row -1 wrapped around to the full model
     zero_nll = (0.5 * shape[-2] * math.log(2.0 * math.pi * cfg.noise_var)
                 + np.sum(design.labels ** 2, axis=-1) / (2.0 * cfg.noise_var))
-    assert np.all(fits.means[..., 1, :] == 0.0)
+    assert np.all(fits.mean[..., 1, :] == 0.0)
     assert np.all(logdets[..., 1] == 0.0) and np.all(traces[..., 1] == 0.0)
+    assert np.all(preds[..., 1, :] == 0.0) and np.all(variances[..., 1, :] == 0.0)
     for got, want in zip(report_fields(fits.report), (zero_nll, zero_nll, 0.0)):
         np.testing.assert_array_equal(got[..., 1], want)
     for j, k in enumerate(widths):
@@ -326,10 +332,12 @@ def test_fit_prefixes_match_fitting_each_prefix(cholesky_calls, shape):
             continue
         prefix = DesignMatrix(design.phi[..., :k], design.labels)
         alone = fit_posterior(prefix, cfg)
-        np.testing.assert_allclose(fits.means[..., j, :k], alone.mean, rtol=1e-12, atol=1e-15)
-        assert np.all(fits.means[..., j, k:] == 0.0)
+        np.testing.assert_allclose(fits.mean[..., j, :k], alone.mean, rtol=1e-12, atol=1e-15)
+        assert np.all(fits.mean[..., j, k:] == 0.0)
         np.testing.assert_allclose(logdets[..., j], alone.logdet_precision, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(traces[..., j], alone.cov_trace, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(variances[..., j, :], alone.predictive_var(phi[..., :k]),
+                                   rtol=1e-12, atol=0.0)
         for got, want in zip(report_fields(fits.report),
                              report_fields(evidence_decomposition(alone, prefix, cfg))):
             np.testing.assert_allclose(got[..., j], want, rtol=1e-12, atol=0.0)

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from pblr import blr, experiments as exp
+from pblr import blr, experiments as exp, losses
 from pblr.blr import GaussianPosterior, fit_prefixes
 from pblr.losses import LossSpec, empirical_gibbs_risk
 from pblr.mc import sample_bounds
@@ -158,20 +158,28 @@ def test_run_validate_quick():
     assert all(map(dominated, mgf))
 
 
-@pytest.mark.parametrize("degrees", [(3, 1), tuple(range(1, 8))], ids=["3-1", "1-7"])
-def test_fig_b_test_risk_matches_a_fit_per_degree(monkeypatch, degrees):
-    calls, real = [], exp.expected_loss
+@pytest.mark.parametrize("degrees, test_size", [
+    ((3, 1), 1000), (tuple(range(1, 8)), 1000), (tuple(range(1, 8)), 10_000),
+], ids=["3-1", "1-7", "1-7-blocked"])
+def test_fig_b_test_risk_matches_a_fit_per_degree(monkeypatch, degrees, test_size):
+    calls, real = [], losses.expected_loss
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-    monkeypatch.setattr(exp, "expected_loss", counting)
-    rows = exp.run_fig_b(degrees=degrees)
-    assert len(calls) == 1  # every degree's test risk from one expected_loss call
+    def counting(loss, resid, var):
+        calls.append(resid.shape)
+        return real(loss, resid, var)
+    monkeypatch.setattr(losses, "expected_loss", counting)
+    rows = exp.run_fig_b(degrees=degrees, test_size=test_size)
+    # every degree's test risk from one expected_loss call per block of test points,
+    # each block within the budget: 2,194 points of 7 degrees' 8 weights at 10,000
+    widths = len(degrees) * (max(degrees) + 1)
+    assert len(calls) == len(blr.stack_blocks(test_size, widths))
+    assert len(calls) == (1 if test_size == 1000 else 5)
+    assert all(shape[0] == len(degrees) and math.prod(shape) * (max(degrees) + 1)
+               <= blr.STACK_BUDGET for shape in calls)
     train = exp.gen_sine_task(exp.SineTaskSpec(n=exp.SINE_N, noise_var=exp.SINE_NOISE_VAR,
                                                seed=exp.DEFAULT_SEED))
     test = exp.gen_sine_task(exp.SineTaskSpec(
-        n=1000, noise_var=exp.SINE_NOISE_VAR,
+        n=test_size, noise_var=exp.SINE_NOISE_VAR,
         seed=exp.rng.derive_seed(exp.DEFAULT_SEED, exp.rng.TEST_SET_TAG)))
     _, fits = exp._polynomial_fits(train.raw_inputs, train.labels, exp.SINE_SIGMA2,
                                    exp.SINE_SIGMA_PI2, degrees)
@@ -179,7 +187,7 @@ def test_fig_b_test_risk_matches_a_fit_per_degree(monkeypatch, degrees):
     assert [row[0] for row in rows] == list(degrees)
     for j, (degree, *_, test_risk) in enumerate(rows):
         k = degree + 1  # the degree's posterior as the leading blocks of the one fit
-        post = GaussianPosterior(mean=fits.means[j, :k], chol=fits.post.chol[:k, :k],
+        post = GaussianPosterior(mean=fits.mean[j, :k], chol=fits.post.chol[:k, :k],
                                  inv_chol=fits.post.inv_chol[:k, :k])
         alone = empirical_gibbs_risk(post, DesignMatrix(test_phi[:, :k], test.labels),
                                      LossSpec.nll(exp.SINE_SIGMA2))
