@@ -11,16 +11,18 @@ The leading k columns of the design have the leading k x k blocks of L and
 L^{-1} as factors, so every quantity of the width-k model is a sum over the
 whitened coordinate i < k: the mean (sum_i L^{-1}_ij z_i / noise_var), ln det
 A_k (sum_i 2 ln L_ii), tr(A_k^{-1}) (sum_i ||row i of L^{-1}||^2) and, with
-v = L^{-1} phi, phi' A_k^{-1} phi (sum_i v_i^2). `fit_prefixes` returns a
-`PrefixFits`: the means of any list of widths, from one running sum, and one
-`EvidenceReport` with a trailing width axis, checked once. A `GaussianPosterior`
-is the case k = d of the same sums, and `evidence_decomposition` splits it
-with the same formula. A stacked design (S, n, d) gives a `GaussianPosterior`
-and an `EvidenceReport` that carry the S fits as arrays, entry by entry with
-the bits of fitting that design alone. A^{-1} itself is never formed.
-Every stacked pass (seed scan, coverage study, cropped oracle) and every
-empirical risk (`losses.empirical_gibbs_risk`) runs in the ranges of
-`stack_blocks`, each of at most STACK_BUDGET array entries.
+v = L^{-1} phi, phi' A_k^{-1} phi (sum_i v_i^2). `fit_posterior` given widths
+returns the family of those width-k posteriors as one `GaussianPosterior`,
+whose means, properties and predictions carry a leading width axis; without
+widths it is the whole design's posterior, the case k = d of the same sums.
+A stacked design (S, n, d) gives a `GaussianPosterior` and an `EvidenceReport`
+that carry the S fits as arrays, entry by entry with the bits of fitting that
+design alone. A family's width axis comes before the stack axis, so the family
+broadcasts against a design as any stacked posterior does: `predict`,
+`evidence_decomposition` and `losses.empirical_gibbs_risk` take either alike.
+A^{-1} itself is never formed. Every stacked pass (seed scan, coverage study,
+cropped oracle) and every empirical risk (`losses.empirical_gibbs_risk`) runs
+in the ranges of `stack_blocks`, each of at most STACK_BUDGET array entries.
 """
 
 import math
@@ -71,36 +73,28 @@ def _inverse_factor(low: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.linalg.solve(np.swapaxes(low, -1, -2), eye), -1, -2)
 
 
-def _running_sums(terms: np.ndarray) -> np.ndarray:
-    """Row k = sum_{i<k} terms[..., i, :] for k = 0..d, as (..., d + 1, m).
+def _prefix_sums(terms: np.ndarray, axis: int, widths=None) -> np.ndarray:
+    """sum_{i<k} of terms along axis for each width k, the width axis first, or the whole sum.
 
     One running sum behind a zero row: width 0 is row 0, never row -1 wrapped
-    around, and each width has the same bits whatever the other widths.
+    around, and each width has the same bits whatever the other widths. The
+    summed axis is swapped to the front, which is exact for terms of at most
+    one stack axis, as a `DesignMatrix` has; np.moveaxis cost 3 us a call.
     """
-    sums = np.zeros(terms.shape[:-2] + (terms.shape[-2] + 1, terms.shape[-1]))
-    np.add.accumulate(terms, axis=-2, out=sums[..., 1:, :])
-    return sums
-
-
-def _at(sums: np.ndarray, widths=None) -> np.ndarray:
-    """The rows of widths of running sums, as (..., K, m), or without widths the last (..., m)."""
-    return sums[..., -1, :] if widths is None else sums[..., list(widths), :]
+    terms = terms.swapaxes(0, axis)
+    sums = np.zeros((terms.shape[0] + 1,) + terms.shape[1:])
+    np.add.accumulate(terms, axis=0, out=sums[1:])
+    return sums[-1] if widths is None else sums.take(widths, axis=0)
 
 
 def _logdets(low: np.ndarray, widths=None):
-    """ln det A_k = sum_{i<k} 2 ln L_ii for each width k: (..., K), or ln det A."""
-    return _at(_running_sums(2.0 * np.log(np.diagonal(low, axis1=-2, axis2=-1))[..., None]),
-               widths)[..., 0]
+    """ln det A_k = sum_{i<k} 2 ln L_ii for each width k: (K, ...), or ln det A."""
+    return _prefix_sums(2.0 * np.log(low.diagonal(0, -2, -1)), -1, widths)
 
 
 def _traces(inv_l: np.ndarray, widths=None):
-    """tr(A_k^{-1}) = sum_{i<k} ||row i of L^{-1}||^2 for each width k: (..., K), or tr(A^{-1})."""
-    return _at(_running_sums(np.add.reduce(inv_l * inv_l, axis=-1)[..., None]), widths)[..., 0]
-
-
-def _predict(mean: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """phi_j . mean for the rows phi_j of phi (..., m, d): (..., m); one matrix-vector product."""
-    return (phi @ mean[..., None])[..., 0]
+    """tr(A_k^{-1}) = sum_{i<k} ||row i of L^{-1}||^2 for each width k: (K, ...), or tr(A^{-1})."""
+    return _prefix_sums(np.add.reduce(inv_l * inv_l, axis=-1), -1, widths)
 
 
 def scalar_or_stack(value):
@@ -114,12 +108,17 @@ class GaussianPosterior:
     """Gaussian posterior N(mean, A^{-1}) stored as (mean, L) with A = L L'.
 
     A stack of S posteriors has mean (S, d) and chol (S, d, d); its scalar
-    properties are then arrays of S values.
+    properties are then arrays of S values. Given widths k_1..k_K it is the
+    family of the posteriors of the leading column blocks phi[..., :k]: chol is
+    the whole design's factor, whose leading k x k block factors member k, and
+    mean (K, ..., d) holds the members' means, zero past entry k as L^{-1} is
+    lower triangular. Its properties and predictions then lead with a K axis.
     """
 
     mean: np.ndarray
     chol: np.ndarray  # lower triangular Cholesky factor L of the precision A
     inv_chol: np.ndarray = None  # L^{-1}; solved from chol when not given
+    widths: tuple = None  # the family's column block widths; None for one posterior
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -135,30 +134,30 @@ class GaussianPosterior:
 
     @cached_property  # computed on first use, once per posterior
     def logdet_precision(self):
-        return scalar_or_stack(_logdets(self.chol))
+        return scalar_or_stack(_logdets(self.chol, self.widths))
 
     @cached_property
     def cov_trace(self):
         """tr(A^{-1}) = ||L^{-1}||_F^2; computed once."""
-        return scalar_or_stack(_traces(self.inv_chol))
+        return scalar_or_stack(_traces(self.inv_chol, self.widths))
 
     def predict(self, phi: np.ndarray) -> np.ndarray:
-        """phi_i . mean for each row phi_i of phi."""
-        return _predict(self.mean, phi)
+        """phi_j . mean for the rows phi_j of phi (..., m, d); one matrix-vector product."""
+        return (phi @ self.mean[..., None])[..., 0]
 
-    def predictive_var(self, phi: np.ndarray, widths=None) -> np.ndarray:
+    def predictive_var(self, phi: np.ndarray) -> np.ndarray:
         """phi_j' A^{-1} phi_j = ||v_j||^2, v_j = L^{-1} phi_j, for the rows phi_j of phi (..., m, d).
 
-        With widths, sum_{i<k} v_ji^2 = phi_j[:k]' A_k^{-1} phi_j[:k] for A's
-        leading block of each width k, as (..., K, m). Each width is one einsum
-        over the leading k rows of L^{-1} phi'. A running sum along i
-        (`_running_sums`) loops over that short axis innermost and took 7 times
-        as long on a (6,144, 20) block of fig-c's empirical risk.
+        A family's member k has sum_{i<k} v_ji^2 = phi_j[:k]' A_k^{-1} phi_j[:k],
+        for A's leading block A_k, as (K, ..., m). Each width is one einsum over
+        the leading k rows of L^{-1} phi'. A running sum along i (`_prefix_sums`)
+        loops over that short axis innermost and took 7 times as long on a
+        (6,144, 20) block of fig-c's empirical risk.
         """
         v = self.inv_chol @ np.swapaxes(phi, -1, -2)  # (..., d, m)
         sums = [np.einsum("...ij,...ij->...j", v[..., :k, :], v[..., :k, :])
-                for k in ([self.d] if widths is None else widths)]
-        return sums[0] if widths is None else np.stack(sums, axis=-2)
+                for k in ((self.d,) if self.widths is None else self.widths)]
+        return sums[0] if self.widths is None else np.stack(sums)
 
 
 def _checked_kl(neg_log_evidence, gibbs_emp_risk_total, kl):
@@ -183,8 +182,8 @@ def _checked_kl(neg_log_evidence, gibbs_emp_risk_total, kl):
 class EvidenceReport:
     """Exact split of the negative log evidence into risk and complexity.
 
-    Each field is a float, or an array of one value per fit of a stack
-    (and, from `fit_prefixes`, per width).
+    Each field is a float, or an array of one value per fit of a stack and,
+    for a family of widths, per width, the width axis first.
     """
 
     neg_log_evidence: float
@@ -220,93 +219,52 @@ def _fit(phi: np.ndarray, labels: np.ndarray, cfg: ModelConfig) -> tuple:
     return low, inv_l, inv_l @ (phi_t @ labels[..., None])  # L^{-1} phi'y is 0 when n = 0
 
 
-def _split(resid, mean, logdets, traces, k, cfg: ModelConfig) -> tuple:
-    """(neg log evidence, Gibbs total, KL) of posteriors N(mean, A^{-1}) of k weights.
+def fit_posterior(design: DesignMatrix, cfg: ModelConfig, widths=None) -> GaussianPosterior:
+    """Posterior precision A = phi'phi/noise_var + I/prior_var and mean A^{-1}phi'y/noise_var.
 
-    resid (..., n) holds the labels minus the predictions of mean (..., d) on
-    the design the posterior was fitted to; logdets = ln det A, traces =
-    tr(A^{-1}) and k broadcast against the fields, which have resid's shape
-    without its last axis. n*NLL(mean) is the empirical NLL total of the
-    posterior mean predictor. The Gibbs total is n*NLL(mean) +
-    tr(phi'phi A^{-1})/(2 noise_var); the trace term is evaluated as
-    k/2 - tr(A^{-1})/(2 prior_var), which is the same quantity by the definition
-    of A and stays accurate for ill-conditioned designs.
+    Given widths, the family of the posteriors of the leading column blocks
+    phi[..., :k], k in widths. The precision of phi[..., :k] is A's leading
+    k x k block, so its factors are the leading blocks of L and L^{-1} (Golub &
+    Van Loan, Matrix Computations, 4.2): one fit serves every width. Raises
+    ValueError as `_fit`, for a non-finite mean, or for a width that is not an
+    integer in 0..d.
     """
-    # resid is empty when n = 0, so its norm is 0.0
-    nll_at_mean = (0.5 * resid.shape[-1] * math.log(2.0 * math.pi * cfg.noise_var)
-                   + np.add.reduce(resid * resid, axis=-1) / (2.0 * cfg.noise_var))
-    mean_sq = np.add.reduce(mean * mean, axis=-1)
-    k_log_prior = k * math.log(cfg.prior_var)
-    return (nll_at_mean + mean_sq / (2.0 * cfg.prior_var) + 0.5 * logdets + 0.5 * k_log_prior,
-            nll_at_mean + (0.5 * k - traces / (2.0 * cfg.prior_var)),
-            0.5 * (traces / cfg.prior_var + mean_sq / cfg.prior_var - k
-                   + logdets + k_log_prior))
-
-
-def _posterior(design: DesignMatrix, cfg: ModelConfig) -> tuple:
-    """(the posterior of design, the running sums of the terms L^{-1}_ij z_i / noise_var).
-
-    Row k of the running sums is width k's mean; the posterior's is the last.
-    Its check covers every width's, as a running sum that is inf or NaN at
-    some row stays so at every later row.
-    """
+    if widths is not None:
+        widths = tuple(widths)
+        bad = [k for k in widths if not (math.isfinite(k) and k == int(k))]
+        if bad:
+            raise ValueError(f"column width {bad[0]!r} is not an integer")
+        if not all(0 <= k <= design.d for k in widths):
+            raise ValueError(f"column widths {list(widths)} are not within 0..{design.d}")
+        widths = tuple(map(int, widths))
     low, inv_l, z = _fit(design.phi, design.labels, cfg)
-    sums = _running_sums(inv_l * (z / cfg.noise_var))
-    return GaussianPosterior(mean=_at(sums), chol=low, inv_chol=inv_l), sums
-
-
-def fit_posterior(design: DesignMatrix, cfg: ModelConfig) -> GaussianPosterior:
-    """Posterior precision A = phi'phi/noise_var + I/prior_var and mean A^{-1}phi'y/noise_var."""
-    return _posterior(design, cfg)[0]
+    return GaussianPosterior(mean=_prefix_sums(inv_l * (z / cfg.noise_var), -2, widths),
+                             chol=low, inv_chol=inv_l, widths=widths)
 
 
 def evidence_decomposition(post: GaussianPosterior, design: DesignMatrix,
                            cfg: ModelConfig) -> EvidenceReport:
-    """Negative log evidence and its exact (risk, KL) split for a posterior fitted to design."""
+    """Negative log evidence and its exact (risk, KL) split for a posterior fitted to design.
+
+    For a family the fields lead with its width axis, and k below is each
+    member's width. n*NLL(mean) is the empirical NLL total of the posterior
+    mean predictor. The Gibbs total is n*NLL(mean) + tr(phi'phi A^{-1})/(2
+    noise_var); the trace term is evaluated as k/2 - tr(A^{-1})/(2 prior_var),
+    which is the same quantity by the definition of A and stays accurate for
+    ill-conditioned designs.
+    """
     if post.d != design.d:
         raise ValueError(f"posterior has {post.d} weights, design {design.d} features")
-    return EvidenceReport(*_split(design.labels - post.predict(design.phi), post.mean,
-                                  post.logdet_precision, post.cov_trace, post.d, cfg))
-
-
-@dataclass(frozen=True)
-class PrefixFits:
-    """The posteriors of the leading column blocks phi[..., :k], k in widths, of one fit.
-
-    post is the posterior of the whole design. mean (..., K, d) holds block k's
-    mean L_k^{-T} z[:k] / noise_var, zero past entry k as L^{-1} is lower
-    triangular; report is one EvidenceReport of (..., K) fields.
-    """
-
-    post: GaussianPosterior
-    widths: tuple
-    mean: np.ndarray
-    report: EvidenceReport
-
-    def predict(self, phi: np.ndarray) -> np.ndarray:
-        """phi_j . mean_k for the rows phi_j of phi (..., m, d): (..., K, m)."""
-        return _predict(self.mean, phi[..., None, :, :])
-
-    def predictive_var(self, phi: np.ndarray) -> np.ndarray:
-        """phi_j' A_k^{-1} phi_j for the rows phi_j of phi (..., m, d): (..., K, m)."""
-        return self.post.predictive_var(phi, self.widths)
-
-
-def fit_prefixes(design: DesignMatrix, cfg: ModelConfig, widths) -> PrefixFits:
-    """The posterior and evidence split of each leading column block phi[..., :k], k in widths.
-
-    The precision of phi[..., :k] is A's leading k x k block, so its factors are
-    the leading blocks of L and L^{-1} (Golub & Van Loan, Matrix Computations,
-    4.2): one fit serves every width, and the evidence report is built, and
-    checked, once. Raises ValueError as `_fit`, for a non-finite mean or a
-    width not in 0..d.
-    """
-    widths = tuple(int(k) for k in widths)
-    if not all(0 <= k <= design.d for k in widths):
-        raise ValueError(f"column widths {list(widths)} are not within 0..{design.d}")
-    post, sums = _posterior(design, cfg)
-    mean = _at(sums, widths)
-    resid = design.labels[..., None, :] - _predict(mean, design.phi[..., None, :, :])
-    return PrefixFits(post, widths, mean, EvidenceReport(*_split(
-        resid, mean, _logdets(post.chol, widths), _traces(post.inv_chol, widths),
-        np.asarray(widths, dtype=float), cfg)))
+    k = post.d if post.widths is None else np.array(post.widths, dtype=float).reshape(
+        (-1,) + (1,) * (post.mean.ndim - 2))
+    resid = design.labels - post.predict(design.phi)
+    # resid is empty when n = 0, so its norm is 0.0
+    nll_at_mean = (0.5 * design.n * math.log(2.0 * math.pi * cfg.noise_var)
+                   + np.add.reduce(resid * resid, axis=-1) / (2.0 * cfg.noise_var))
+    mean_sq = np.add.reduce(post.mean * post.mean, axis=-1)
+    logdets, traces = post.logdet_precision, post.cov_trace
+    k_log_prior = k * math.log(cfg.prior_var)
+    return EvidenceReport(
+        nll_at_mean + mean_sq / (2.0 * cfg.prior_var) + 0.5 * logdets + 0.5 * k_log_prior,
+        nll_at_mean + (0.5 * k - traces / (2.0 * cfg.prior_var)),
+        0.5 * (traces / cfg.prior_var + mean_sq / cfg.prior_var - k + logdets + k_log_prior))

@@ -3,13 +3,15 @@
 fig_a / fig_b: polynomial models of degree 1..7 fitted to 15 noisy sine
 samples, with the evidence split per degree. `_polynomial_fits` checks and fits
 the top degree's design once, for one sample or a stack, and each degree is a
-column prefix of that design and fit (`blr.fit_prefixes`): one report holds
-every degree's evidence split, and fig_a's predictions and fig_b's test risk
-carry a degree axis. The fig-b seed scan (`selected_degrees`) draws each of
-its `blr.stack_blocks` of n*(top degree + 1) design entries per seed as one
-`tasks.gen_sine_stack` and takes the argmin along the degree axis, so each
-seed's sample and evidence have the bits of its own draw and fit. `write_csv`
-checks and formats a table one column at a time.
+column prefix of that design and fit: `blr.fit_posterior` given the widths
+degree + 1 returns one posterior whose means lead with a degree axis, and one
+report holds every degree's evidence split. fig_a's predictions and fig_b's
+test risk carry the same leading degree axis. The fig-b seed scan
+(`selected_degrees`) draws each of its `blr.stack_blocks` of n*(top degree + 1)
+design entries per seed as one `tasks.gen_sine_stack` and takes the argmin
+along the degree axis, axis 0, so each seed's sample and evidence have the bits
+of its own draw and fit. `write_csv` checks and formats a table one column at a
+time.
 fig_c: bound values against training-set size for the 20-dimensional
 Gaussian linear task. validate: coverage of the bounds over repeated draws
 plus the MGF envelope check.
@@ -20,7 +22,8 @@ import math
 import numpy as np
 
 from . import __version__, rng
-from .blr import EvidenceReport, ModelConfig, fit_prefixes, stack_blocks
+from .blr import (EvidenceReport, ModelConfig, evidence_decomposition, fit_posterior,
+                  stack_blocks)
 from .losses import LossSpec, empirical_gibbs_risk
 from .mc import gibbs_generalization_risk, run_validity_study, sample_bounds
 from .subgamma import dominated, empirical_mgf_check, nll_subgamma_params
@@ -78,33 +81,39 @@ def write_csv(path, columns, rows, metadata) -> None:
 
 
 def _checked_degrees(degrees) -> tuple:
-    degrees = tuple(int(d) for d in degrees)
+    degrees = tuple(degrees)
+    bad = [d for d in degrees if not (math.isfinite(d) and d == int(d))]
+    if bad:
+        raise ValueError(f"polynomial degrees must be integers, got {bad[0]!r}")
+    degrees = tuple(map(int, degrees))
     if not degrees or any(d < 1 for d in degrees):
         raise ValueError("polynomial degrees must be >= 1")
     return degrees
 
 
 def _polynomial_fits(xs, labels, sigma2, sigma_pi2, degrees) -> tuple:
-    """(degrees, blr.PrefixFits of the widths degree + 1, in the order of degrees).
+    """(degrees, the posterior of the widths degree + 1 in the order of degrees, its report).
 
     xs and labels are one sine sample, shape (n,), or a stack of S samples,
-    shape (S, n); a stack gives means and report fields with a leading S axis.
+    shape (S, n); a stack gives means and report fields an S axis after the
+    leading degree axis.
     """
     degrees = _checked_degrees(degrees)
     cfg = ModelConfig(noise_var=sigma2, prior_var=sigma_pi2)
     design = DesignMatrix(polynomial_features(xs, max(degrees)), labels)
+    post = fit_posterior(design, cfg, [degree + 1 for degree in degrees])
     # the report checks the evidence identity of every degree on construction
-    return degrees, fit_prefixes(design, cfg, [degree + 1 for degree in degrees])
+    return degrees, post, evidence_decomposition(post, design, cfg)
 
 
 def run_fig_a(seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2, sigma_pi2=SINE_SIGMA_PI2,
               degrees=DEFAULT_DEGREES, grid_size=200):
     """Posterior-mean predictions per degree on a dense input grid."""
     dataset = gen_sine_task(SineTaskSpec(n=n, noise_var=SINE_NOISE_VAR, seed=seed))
-    degrees, fits = _polynomial_fits(dataset.raw_inputs, dataset.labels, sigma2, sigma_pi2,
-                                     degrees)
+    degrees, post, _ = _polynomial_fits(dataset.raw_inputs, dataset.labels, sigma2,
+                                        sigma_pi2, degrees)
     grid = np.linspace(0.0, TWO_PI, grid_size)
-    preds = fits.predict(polynomial_features(grid, max(degrees)))  # (degree, grid point)
+    preds = post.predict(polynomial_features(grid, max(degrees)))  # (degree, grid point)
     xs = grid.tolist()
     rows = [(degree, x, p) for degree, pred in zip(degrees, preds.tolist())
             for x, p in zip(xs, pred)]
@@ -117,13 +126,13 @@ def run_fig_b(seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2, sigma_pi2=SINE_SI
     if test_size < 1:
         raise ValueError(f"test_size must be at least 1, got {test_size}")
     train = gen_sine_task(SineTaskSpec(n=n, noise_var=SINE_NOISE_VAR, seed=seed))
-    degrees, fits = _polynomial_fits(train.raw_inputs, train.labels, sigma2, sigma_pi2, degrees)
+    degrees, post, report = _polynomial_fits(train.raw_inputs, train.labels, sigma2, sigma_pi2,
+                                             degrees)
     test = gen_sine_task(SineTaskSpec(n=test_size, noise_var=SINE_NOISE_VAR,
                                       seed=rng.derive_seed(seed, rng.TEST_SET_TAG)))
     # every degree's risk at once, over (degree, test point) blocks of the test set
-    risk = empirical_gibbs_risk(fits, DesignMatrix(polynomial_features(
+    risk = empirical_gibbs_risk(post, DesignMatrix(polynomial_features(
         test.raw_inputs, max(degrees)), test.labels), LossSpec.nll(sigma2))
-    report = fits.report
     return list(zip(degrees, report.neg_log_evidence.tolist(),
                     report.gibbs_emp_risk_total.tolist(), report.kl.tolist(), risk.tolist()))
 
@@ -132,9 +141,8 @@ def polynomial_family(seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2,
                       sigma_pi2=SINE_SIGMA_PI2, degrees=DEFAULT_DEGREES) -> tuple:
     """(degree, EvidenceReport) pairs in the order of `degrees`, fitted on one sine sample."""
     sample = gen_sine_task(SineTaskSpec(n=n, noise_var=SINE_NOISE_VAR, seed=seed))
-    degrees, fits = _polynomial_fits(sample.raw_inputs, sample.labels, sigma2, sigma_pi2,
-                                     degrees)
-    report = fits.report
+    degrees, _, report = _polynomial_fits(sample.raw_inputs, sample.labels, sigma2, sigma_pi2,
+                                          degrees)
     return tuple((degree, EvidenceReport(*terms)) for degree, *terms in zip(
         degrees, report.neg_log_evidence, report.gibbs_emp_risk_total, report.kl))
 
@@ -157,8 +165,8 @@ def selected_degrees(seeds, seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2,
     for block in stack_blocks(seeds, n * (max(degrees) + 1)):
         xs, labels = gen_sine_stack(
             SineTaskSpec(n=n, noise_var=SINE_NOISE_VAR, seed=seed + block.start), len(block))
-        _, fits = _polynomial_fits(xs, labels, sigma2, sigma_pi2, degrees)
-        best.append(np.asarray(degrees)[np.argmin(fits.report.neg_log_evidence, axis=-1)])
+        _, _, report = _polynomial_fits(xs, labels, sigma2, sigma_pi2, degrees)
+        best.append(np.asarray(degrees)[np.argmin(report.neg_log_evidence, axis=0)])
     return np.concatenate(best)
 
 

@@ -4,7 +4,9 @@ The NLL loss is an affine transform of the squared loss:
 nll = 0.5*log(2*pi*sigma2) + squared / (2*sigma2). Cropping clamps the
 inner loss into [a, b] per example, before any averaging. Every loss is a
 function of the residual r = y - w . phi(x), and under a Gaussian posterior
-(or a Gaussian task) r is Gaussian, so its expected loss has a closed form.
+(or a Gaussian task) r is Gaussian, so its expected loss has a closed form,
+and so has the posterior's empirical risk (`empirical_gibbs_risk`), alike for
+one posterior, a stack of them and a family of column block widths.
 The cropped one is a single form in the Gaussian tails of |r| beyond the two
 residuals where the loss crosses a and b, clamped into [a, b] like the loss.
 
@@ -32,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .blr import GaussianPosterior, PrefixFits, scalar_or_stack, stack_blocks
+from .blr import GaussianPosterior, scalar_or_stack, stack_blocks
 from .tasks import DesignMatrix
 
 # Variance floor of the cropped expectation: a zero variance is the limit of
@@ -239,25 +241,22 @@ def _expected_cropped(spec: LossSpec, mu, var):
     return np.clip(base + (c0 - base) * g_a + (b - c0) * g_b + (m_a - m_b) / denom, a, b)
 
 
-def empirical_gibbs_risk(post: GaussianPosterior | PrefixFits, design: DesignMatrix,
-                         loss: LossSpec):
+def empirical_gibbs_risk(post: GaussianPosterior, design: DesignMatrix, loss: LossSpec):
     """Exact E_{w~posterior} of the dataset-average loss.
 
     Under the posterior N(mean, A^{-1}) with A = L L', the residual
-    y_i - phi_i . w is N(y_i - phi_i . mean, ||L^{-1} phi_i||^2). post is a
-    `GaussianPosterior`, or a `blr.PrefixFits` of the leading column blocks of
-    design, whose risks then carry a trailing width axis. A stacked posterior
-    and design give the array of the S risks, each with the bits of its fit
-    alone. The examples are taken in the `stack_blocks` of the entries of
-    post's means, each block's expected losses written into one array of them
-    all, so the work arrays stay within a block and the mean has the bits of a
-    single pass. A cropped loss's mean is clamped into [a, b].
+    y_i - phi_i . w is N(y_i - phi_i . mean, ||L^{-1} phi_i||^2). A stacked
+    posterior and design give the array of the S risks, each with the bits of
+    its fit alone; a family of leading column blocks of design
+    (`blr.fit_posterior` given widths) gives its risks a leading width axis.
+    The examples are taken in the `stack_blocks` of the entries of post's
+    means, each block's expected losses written into one array of them all, so
+    the work arrays stay within a block and the mean has the bits of a single
+    pass. A cropped loss's mean is clamped into [a, b].
     """
     if design.n == 0:
         raise ValueError("the empirical risk needs at least one example")
-    phi = design.phi
-    # a PrefixFits predicts every width at once: its labels broadcast over the width axis
-    labels = design.labels[..., None, :] if isinstance(post, PrefixFits) else design.labels
+    phi, labels = design.phi, design.labels
     losses = np.empty(post.mean.shape[:-1] + (design.n,))
     for block in stack_blocks(design.n, post.mean.size):
         rows = slice(block.start, block.stop)

@@ -5,6 +5,7 @@ import pytest
 
 from pblr import blr
 from pblr.blr import EvidenceReport, ModelConfig, evidence_decomposition, fit_posterior
+from pblr.losses import LossSpec, empirical_gibbs_risk, expected_loss
 from pblr.tasks import DesignMatrix, SineTaskSpec, gen_sine_task, polynomial_features
 
 from oracles import (kl_gaussians, lower_inverse_exact, nle_full_covariance, nle_sequential_1d,
@@ -296,53 +297,89 @@ def report_fields(report):
 
 
 @pytest.mark.parametrize("shape", [(30, 6), (4, 30, 6)], ids=["one", "stack"])
-def test_fit_prefixes_match_fitting_each_prefix(cholesky_calls, shape):
+def test_width_family_matches_fitting_each_prefix(cholesky_calls, shape):
     rng = np.random.default_rng(13)
     design = DesignMatrix(phi=rng.standard_normal(shape), labels=rng.standard_normal(shape[:-1]))
     cfg = ModelConfig(noise_var=0.7, prior_var=1.9)
     widths = [6, 0, 1, 4, 6]
-    fits = blr.fit_prefixes(design, cfg, widths)
+    fits = fit_posterior(design, cfg, widths)
+    report = evidence_decomposition(fits, design, cfg)
     assert len(cholesky_calls) == 1
-    logdets, traces = blr._logdets(fits.post.chol, widths), blr._traces(fits.post.inv_chol, widths)
-    assert fits.mean.shape == shape[:-2] + (5, 6)
-    assert all(field.shape == shape[:-2] + (5,)
-               for field in (logdets, traces, *report_fields(fits.report)))
+    logdets, traces = fits.logdet_precision, fits.cov_trace
+    assert fits.mean.shape == (5,) + shape[:-2] + (6,)
+    assert all(field.shape == (5,) + shape[:-2]
+               for field in (logdets, traces, *report_fields(report)))
     # the whole design's fit and split, bit for bit
     post = fit_posterior(design, cfg)
-    np.testing.assert_array_equal(fits.mean[..., -1, :], post.mean)
-    np.testing.assert_array_equal(fits.post.mean, post.mean)
-    for got, alone in zip(report_fields(fits.report),
+    np.testing.assert_array_equal(fits.mean[-1], post.mean)
+    np.testing.assert_array_equal(fits.chol, post.chol)
+    np.testing.assert_array_equal(fits.inv_chol, post.inv_chol)
+    for got, alone in zip(report_fields(report),
                           report_fields(evidence_decomposition(post, design, cfg))):
-        np.testing.assert_array_equal(got[..., -1], alone)
+        np.testing.assert_array_equal(got[-1], alone)
     phi = rng.standard_normal(shape[:-2] + (9, 6))  # new inputs
     preds, variances = fits.predict(phi), fits.predictive_var(phi)
-    assert preds.shape == variances.shape == shape[:-2] + (5, 9)
-    np.testing.assert_array_equal(preds[..., -1, :], post.predict(phi))
-    np.testing.assert_array_equal(variances[..., -1, :], post.predictive_var(phi))
+    assert preds.shape == variances.shape == (5,) + shape[:-2] + (9,)
+    np.testing.assert_array_equal(preds[-1], post.predict(phi))
+    np.testing.assert_array_equal(variances[-1], post.predictive_var(phi))
+    # the risk on new data through the one empirical risk routine, every width at once
+    test = DesignMatrix(phi=phi, labels=rng.standard_normal(shape[:-2] + (9,)))
+    specs = (LossSpec.nll(cfg.noise_var), LossSpec.cropped(LossSpec.nll(cfg.noise_var), 1.0, 2.5))
+    risks = [empirical_gibbs_risk(fits, test, spec) for spec in specs]
+    assert all(risk.shape == (5,) + shape[:-2] for risk in risks)
+    for risk, spec in zip(risks, specs):
+        np.testing.assert_array_equal(risk[-1], empirical_gibbs_risk(post, test, spec))
     # width 0 is the zero predictor, not row -1 wrapped around to the full model
     zero_nll = (0.5 * shape[-2] * math.log(2.0 * math.pi * cfg.noise_var)
                 + np.sum(design.labels ** 2, axis=-1) / (2.0 * cfg.noise_var))
-    assert np.all(fits.mean[..., 1, :] == 0.0)
-    assert np.all(logdets[..., 1] == 0.0) and np.all(traces[..., 1] == 0.0)
-    assert np.all(preds[..., 1, :] == 0.0) and np.all(variances[..., 1, :] == 0.0)
-    for got, want in zip(report_fields(fits.report), (zero_nll, zero_nll, 0.0)):
-        np.testing.assert_array_equal(got[..., 1], want)
+    assert np.all(fits.mean[1] == 0.0)
+    assert np.all(logdets[1] == 0.0) and np.all(traces[1] == 0.0)
+    assert np.all(preds[1] == 0.0) and np.all(variances[1] == 0.0)
+    for got, want in zip(report_fields(report), (zero_nll, zero_nll, 0.0)):
+        np.testing.assert_array_equal(got[1], want)
+    for risk, spec in zip(risks, specs):  # the loss of the label itself, at zero variance
+        zero_risk = np.mean(expected_loss(spec, test.labels, 0.0), axis=-1)
+        np.testing.assert_array_equal(risk[1], zero_risk)
     for j, k in enumerate(widths):
         if k == 0:
             continue
         prefix = DesignMatrix(design.phi[..., :k], design.labels)
         alone = fit_posterior(prefix, cfg)
-        np.testing.assert_allclose(fits.mean[..., j, :k], alone.mean, rtol=1e-12, atol=1e-15)
-        assert np.all(fits.mean[..., j, k:] == 0.0)
-        np.testing.assert_allclose(logdets[..., j], alone.logdet_precision, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(traces[..., j], alone.cov_trace, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(variances[..., j, :], alone.predictive_var(phi[..., :k]),
+        np.testing.assert_allclose(fits.mean[j, ..., :k], alone.mean, rtol=1e-12, atol=1e-15)
+        assert np.all(fits.mean[j, ..., k:] == 0.0)
+        np.testing.assert_allclose(logdets[j], alone.logdet_precision, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(traces[j], alone.cov_trace, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(variances[j], alone.predictive_var(phi[..., :k]),
                                    rtol=1e-12, atol=0.0)
-        for got, want in zip(report_fields(fits.report),
+        for got, want in zip(report_fields(report),
                              report_fields(evidence_decomposition(alone, prefix, cfg))):
-            np.testing.assert_allclose(got[..., j], want, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got[j], want, rtol=1e-12, atol=0.0)
+        test_prefix = DesignMatrix(phi[..., :k], test.labels)
+        for risk, spec in zip(risks, specs):
+            np.testing.assert_allclose(risk[j], empirical_gibbs_risk(alone, test_prefix, spec),
+                                       rtol=1e-12, atol=0.0)
     with pytest.raises(ValueError, match=r"column widths \[2, 7\] are not within 0..6"):
-        blr.fit_prefixes(design, cfg, [2, 7])
+        fit_posterior(design, cfg, [2, 7])
+    # int() would read 4.5 as width 4; a numpy integer is a width
+    with pytest.raises(ValueError, match="column width 4.5 is not an integer"):
+        fit_posterior(design, cfg, [2, 4.5])
+    assert fit_posterior(design, cfg, [np.int64(2), 6]).widths == (2, 6)
+
+
+def test_a_width_has_the_same_bits_whatever_the_other_widths():
+    rng = np.random.default_rng(14)
+    design = DesignMatrix(phi=rng.standard_normal((30, 6)), labels=rng.standard_normal(30))
+    cfg = ModelConfig(noise_var=0.7, prior_var=1.9)
+    phi = rng.standard_normal((9, 6))
+    alone = fit_posterior(design, cfg, [4])
+    among = fit_posterior(design, cfg, [6, 4, 0, 4])
+    for j in (1, 3):
+        np.testing.assert_array_equal(among.mean[j], alone.mean[0])
+        np.testing.assert_array_equal(among.predict(phi)[j], alone.predict(phi)[0])
+        np.testing.assert_array_equal(among.predictive_var(phi)[j], alone.predictive_var(phi)[0])
+        for got, want in zip(report_fields(evidence_decomposition(among, design, cfg)),
+                             report_fields(evidence_decomposition(alone, design, cfg))):
+            np.testing.assert_array_equal(got[j], want[0])
 
 
 def test_evidence_decomposition_rejects_mismatched_posterior():

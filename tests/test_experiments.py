@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pblr import blr, experiments as exp, losses
-from pblr.blr import GaussianPosterior, fit_prefixes
+from pblr.blr import GaussianPosterior, fit_posterior
 from pblr.losses import LossSpec, empirical_gibbs_risk
 from pblr.mc import sample_bounds
 from pblr.subgamma import dominated, nll_subgamma_params
@@ -25,6 +25,17 @@ def test_fig_a_row_count_and_grid():
 def test_fig_a_rejects_degree_zero():
     with pytest.raises(ValueError):
         exp.run_fig_a(degrees=(0, 1, 2))
+
+
+def test_sine_studies_reject_non_integral_degrees():
+    # int() would fit degree 2 and report it as "2", and read 1.9 as degree 1
+    with pytest.raises(ValueError, match="polynomial degrees must be integers, got 2.5"):
+        exp.run_fig_b(degrees=[2.5])
+    with pytest.raises(ValueError, match="polynomial degrees must be integers, got 1.9"):
+        exp.selected_degrees(3, degrees=[1.9, 3])
+    with pytest.raises(ValueError, match="polynomial degrees must be integers, got inf"):
+        exp.run_fig_a(degrees=[math.inf])  # not int()'s OverflowError
+    assert exp.selected_degrees(3, degrees=[np.int64(1), 3]).tolist() == [1, 1, 1]
 
 
 def test_fig_a_dense_noiseless_interpolates_sine(monkeypatch):
@@ -181,14 +192,14 @@ def test_fig_b_test_risk_matches_a_fit_per_degree(monkeypatch, degrees, test_siz
     test = exp.gen_sine_task(exp.SineTaskSpec(
         n=test_size, noise_var=exp.SINE_NOISE_VAR,
         seed=exp.rng.derive_seed(exp.DEFAULT_SEED, exp.rng.TEST_SET_TAG)))
-    _, fits = exp._polynomial_fits(train.raw_inputs, train.labels, exp.SINE_SIGMA2,
-                                   exp.SINE_SIGMA_PI2, degrees)
+    _, fits, _ = exp._polynomial_fits(train.raw_inputs, train.labels, exp.SINE_SIGMA2,
+                                      exp.SINE_SIGMA_PI2, degrees)
     test_phi = exp.polynomial_features(test.raw_inputs, max(degrees))
     assert [row[0] for row in rows] == list(degrees)
     for j, (degree, *_, test_risk) in enumerate(rows):
         k = degree + 1  # the degree's posterior as the leading blocks of the one fit
-        post = GaussianPosterior(mean=fits.mean[j, :k], chol=fits.post.chol[:k, :k],
-                                 inv_chol=fits.post.inv_chol[:k, :k])
+        post = GaussianPosterior(mean=fits.mean[j, :k], chol=fits.chol[:k, :k],
+                                 inv_chol=fits.inv_chol[:k, :k])
         alone = empirical_gibbs_risk(post, DesignMatrix(test_phi[:, :k], test.labels),
                                      LossSpec.nll(exp.SINE_SIGMA2))
         assert test_risk == pytest.approx(alone, rel=1e-14, abs=0.0), degree
@@ -236,10 +247,10 @@ def stacked_evidences(seeds, sigma2=exp.SINE_SIGMA2, degrees=exp.DEFAULT_DEGREES
     """(len(seeds), len(degrees)) negative log evidences from one stacked `_polynomial_fits`."""
     samples = [exp.gen_sine_task(exp.SineTaskSpec(n=exp.SINE_N, noise_var=exp.SINE_NOISE_VAR,
                                                   seed=seed)) for seed in seeds]
-    _, fits = exp._polynomial_fits(np.stack([sample.raw_inputs for sample in samples]),
-                                   np.stack([sample.labels for sample in samples]),
-                                   sigma2, exp.SINE_SIGMA_PI2, degrees)
-    return fits.report.neg_log_evidence
+    _, _, report = exp._polynomial_fits(np.stack([sample.raw_inputs for sample in samples]),
+                                        np.stack([sample.labels for sample in samples]),
+                                        sigma2, exp.SINE_SIGMA_PI2, degrees)
+    return report.neg_log_evidence.T  # the degree axis leads
 
 
 def test_seed_scan_evidence_matches_per_seed_fits():
@@ -269,9 +280,9 @@ def test_seed_scan_raises_a_stacked_failure_that_no_seed_makes(monkeypatch):
     def refuse_stacks(design, cfg, widths):
         if design.phi.ndim == 3:
             raise ValueError("stacked fit refused")
-        return fit_prefixes(design, cfg, widths)
+        return fit_posterior(design, cfg, widths)
     monkeypatch.setattr(blr, "STACK_BUDGET", 16 * exp.SINE_N * 8)
-    monkeypatch.setattr(exp, "fit_prefixes", refuse_stacks)
+    monkeypatch.setattr(exp, "fit_posterior", refuse_stacks)
     with pytest.raises(ValueError, match="stacked fit refused"):
         exp.selected_degrees(seed=30, seeds=20)
 
