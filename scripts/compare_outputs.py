@@ -8,9 +8,12 @@ Each command in COMMANDS runs once per tree, in a fresh interpreter with one
 BLAS thread, and each file it writes is compared byte for byte. A file that
 differs is compared cell by cell: the script prints how many cells moved and,
 per column, the largest relative change with its old and new values and the
-largest absolute change. It exits 1 when any file or file list differs, else
-0; a command that exits nonzero in either tree stops the script with its
-stderr, so a failure shared by both trees is not read as agreement.
+largest absolute change. Each file gets one line that starts with two spaces
+and its name; the detail lines under it start with four. It exits 1 when any
+file differs or is missing from one tree, else 0. A command that exits
+nonzero in either tree stops the script with its stderr and exit status 2, so
+a failure shared by both trees is not read as agreement; so does a revision
+that `git archive` cannot export.
 """
 
 import json
@@ -41,6 +44,7 @@ COMMANDS = {
     "validate-5000": ["validate", "--trials", "5000", "--mgf-m", "10000"],
 }
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+COMMAND_FAILED = 2  # the exit status when pblr fails in either tree; 1 means outputs differ
 
 
 def run(tree: Path, argv, out: Path) -> None:
@@ -50,8 +54,9 @@ def run(tree: Path, argv, out: Path) -> None:
     done = subprocess.run([sys.executable, "-m", "pblr.cli", *argv, "--out", str(out)],
                           cwd=tree, env=env, capture_output=True, text=True, timeout=600)
     if done.returncode != 0:
-        raise SystemExit(f"{tree}: pblr {' '.join(argv)} exited {done.returncode}:\n"
-                         f"{done.stderr}")
+        print(f"{tree}: pblr {' '.join(argv)} exited {done.returncode}:\n{done.stderr}",
+              file=sys.stderr)
+        sys.exit(COMMAND_FAILED)
 
 
 def cells(path: Path) -> dict:
@@ -104,7 +109,7 @@ def compare(old: Path, new: Path) -> list:
             by_rel[column] = (rel, a[key], b[key])
         by_abs[column] = max(by_abs.get(column, 0.0), diff)
     lines = [f"{len(moved)} of {len(a)} cells moved"]
-    lines += [f"  {column}: largest relative change {rel:.3g} ({old_v} -> {new_v}), "
+    lines += [f"    {column}: largest relative change {rel:.3g} ({old_v} -> {new_v}), "
               f"largest absolute change {by_abs[column]:.3g}"
               for column, (rel, old_v, new_v) in by_rel.items()]
     return lines
@@ -117,20 +122,21 @@ def main(argv) -> int:
         tmp = Path(tmp)
         base = tmp / "tree"
         base.mkdir()
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True)
+        if archive.returncode != 0:
+            print(archive.stderr.decode(), file=sys.stderr)
+            return COMMAND_FAILED
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
         for name, command in COMMANDS.items():
             outs = {label: tmp / label / name for label in ("old", "new")}
             for label, tree in (("old", base), ("new", ROOT)):
                 run(tree, command, outs[label])
             print(f"{name}: pblr {' '.join(command)}")
-            files = {label: sorted(p.name for p in out.iterdir()) for label, out in outs.items()}
-            if files["old"] != files["new"]:
-                differs = True
-                print(f"  files {files['old']} -> {files['new']}")
-            for file in sorted(set(files["old"]) & set(files["new"])):
-                lines = compare(outs["old"] / file, outs["new"] / file)
+            files = {label: {p.name for p in out.iterdir()} for label, out in outs.items()}
+            for file in sorted(files["old"] | files["new"]):
+                missing = [label for label in outs if file not in files[label]]
+                lines = ([f"missing from the {missing[0]} tree"] if missing
+                         else compare(outs["old"] / file, outs["new"] / file))
                 differs |= lines != ["identical"]
                 print(f"  {file}: {lines[0]}", *lines[1:], sep="\n")
     return 1 if differs else 0

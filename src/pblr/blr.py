@@ -226,11 +226,13 @@ def fit_posterior(design: DesignMatrix, cfg: ModelConfig, widths=None) -> Gaussi
     phi[..., :k], k in widths. The precision of phi[..., :k] is A's leading
     k x k block, so its factors are the leading blocks of L and L^{-1} (Golub &
     Van Loan, Matrix Computations, 4.2): one fit serves every width. Raises
-    ValueError as `_fit`, for a non-finite mean, or for a width that is not an
-    integer in 0..d.
+    ValueError as `_fit`, for a non-finite mean, for an empty list of widths, or
+    for a width that is not an integer in 0..d.
     """
     if widths is not None:
         widths = tuple(widths)
+        if not widths:
+            raise ValueError("column widths [] are empty: a family needs at least one width")
         bad = [k for k in widths if not (math.isfinite(k) and k == int(k))]
         if bad:
             raise ValueError(f"column width {bad[0]!r} is not an integer")

@@ -2,11 +2,11 @@
 
 `stream(seed, *key)` is numpy's seeding: a `SeedSequence` of [seed, *key] into a
 `PCG64`. `streams(seeds, *key)` yields the same streams for a block of seeds: it
-runs `SeedSequence`'s hash (pool of 4 words) on a (words, S) uint32 array, turns
-each seed's 8 output words into a PCG64 state as `pcg_setseq_128_srandom_r`
-does, and reseeds one generator per seed. The hash has a fixed cost of about
-four seeds of numpy's own path, so a one-seed block goes to `stream` instead.
-`tests/test_rng.py` compares the states with numpy's.
+runs `SeedSequence`'s hash (pool of 4 words) on a (words, S) uint32 array, and
+numpy's `PCG64` seeds a new generator for each seed from that seed's 8 output
+words. The hash has a fixed cost of about four seeds of numpy's own path, so a
+one-seed block goes to `stream` instead. `tests/test_rng.py` compares the states
+with numpy's.
 """
 
 import numpy as np
@@ -19,10 +19,9 @@ TEST_SET_TAG = 4
 MGF_TAG = 5
 TRIAL_TAG = 6
 
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's multiplier
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -75,28 +74,27 @@ def _state_words(words: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.T, dtype="<u4").view("<u8")
 
 
-def streams(seeds, *key: int):
-    """Yield, seed by seed, one generator reseeded to the state of stream(seed, *key).
+class _Hashed(np.random.bit_generator.ISeedSequence):
+    """One seed's SeedSequence state, hashed with its block: the 4 uint64 words PCG64 asks for."""
 
-    Draw from it before the next step. Each call owns its generator, so two
-    iterators may be interleaved.
-    """
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state.view(dtype)[:n_words]
+
+
+def streams(seeds, *key: int):
+    """Yield, seed by seed, a new generator in the state of stream(seed, *key)."""
     if len(seeds) == 1:
         yield stream(seeds[0], *key)
         return
     tail = [w for k in key for w in _words(int(k))]
     # a row of under 4 words hashes as if padded with zeros, so one block per width >= 4
     rows = [row + [0] * (4 - len(row)) for row in (_words(int(s)) + tail for s in seeds)]
-    states = [None] * len(rows)
+    states = np.empty((len(rows), 4), np.uint64)  # native order, as SeedSequence returns it
     for width in {len(row) for row in rows}:
         index = [i for i, row in enumerate(rows) if len(row) == width]
-        words = np.array([rows[i] for i in index], np.uint32)
-        for i, (s0, s1, q0, q1) in zip(index, _state_words(words.T).tolist()):
-            inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
-            states[i] = (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128, inc
-    bit_generator = np.random.PCG64(0)
-    gen = np.random.Generator(bit_generator)
-    for state, inc in states:
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        yield gen
+        states[index] = _state_words(np.array([rows[i] for i in index], np.uint32).T)
+    for state in states:
+        yield np.random.Generator(np.random.PCG64(_Hashed(state)))

@@ -5,9 +5,10 @@ Two generative tasks are provided: a noisy sine curve with scalar inputs
 inputs (fitted in the input space). Each task's sample has one definition, a
 stack generator that fills one array each for x and y with the samples of
 several seeds: `gen_sine_stack` (consecutive seeds) and `gen_linear_stack`
-(any seeds). A stack is seeded as one block (`rng.streams`), and each row
-keeps the bits of its own seed's stream. `gen_sine_task` and `gen_linear_task`
-are their one-seed cases, kept as a plain `Dataset` for the benchmark's oracle.
+(any seeds). A stack's seeds are hashed as one block (`rng.streams`), and each
+row draws from its own generator, so it keeps the bits of its seed's stream.
+`gen_sine_task` and `gen_linear_task` are their one-seed cases, kept as a plain
+`Dataset` for the benchmark's oracle.
 """
 
 from dataclasses import dataclass
@@ -128,8 +129,8 @@ def polynomial_features(xs: np.ndarray, degree: int) -> np.ndarray:
 def gen_sine_stack(spec: SineTaskSpec, count: int) -> tuple:
     """Inputs and labels, each (count, n), of the sine samples at seeds spec.seed + s, s < count.
 
-    The block of seeds is seeded at once (`rng.streams`). Seed spec.seed + s fills
-    row s of the uniforms and of the standard normals from its own stream; one
+    The block's seeds are hashed at once (`rng.streams`). Seed spec.seed + s fills
+    row s of the uniforms and of the standard normals from its own generator; one
     scaling per array and one np.sin serve the stack, so row s has the bits of
     that seed's `gen_sine_task`, whatever the count.
     """
@@ -158,9 +159,10 @@ def gen_sine_task(spec: SineTaskSpec) -> Dataset:
 def gen_linear_stack(spec: LinearTaskSpec, n: int, seeds) -> tuple:
     """Inputs (S, n, d) and labels (S, n) of n draws of the linear task at each of the S seeds.
 
-    Seed seeds[s] (not spec.seed) fills row s of the inputs, then of the noise, from its
-    own stream with standard normals scaled in place, so row s has the bits of that
-    seed's `gen_linear_task`, whatever the stack.
+    The seeds are hashed as one block (`rng.streams`). Seed seeds[s] (not spec.seed)
+    fills row s of the inputs, then of the noise, from its own generator with standard
+    normals scaled in place, so row s has the bits of that seed's `gen_linear_task`,
+    whatever the stack.
     """
     if n < 0:
         raise ValueError("n must be non-negative")

@@ -363,6 +363,9 @@ def test_width_family_matches_fitting_each_prefix(cholesky_calls, shape):
     # int() would read 4.5 as width 4; a numpy integer is a width
     with pytest.raises(ValueError, match="column width 4.5 is not an integer"):
         fit_posterior(design, cfg, [2, 4.5])
+    # an empty family would fit, then fail in predictive_var with numpy's bare stacking error
+    with pytest.raises(ValueError, match=r"column widths \[\] are empty"):
+        fit_posterior(design, cfg, [])
     assert fit_posterior(design, cfg, [np.int64(2), 6]).widths == (2, 6)
 
 

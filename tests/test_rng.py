@@ -1,5 +1,6 @@
 """rng.streams against numpy's own seeding: SeedSequence into PCG64, one seed at a time."""
 
+import numpy as np
 import pytest
 
 from pblr import rng
@@ -47,3 +48,13 @@ def test_two_iterators_interleave():
     one = [gen.random(3).tolist() for gen in rng.streams(range(4), 1, 15)]
     other = [gen.random(3).tolist() for gen in rng.streams(range(10, 14), 1, 15)]
     assert interleaved == list(zip(one, other))
+
+
+def test_streams_taken_into_a_list_stay_independent():
+    # every generator is its own object: drawing from one leaves the others' states alone
+    seeds, key = [2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 7], (rng.SINE_TAG, 15)  # 1 and 2 words
+    gens = list(rng.streams(seeds, *key))
+    draws = [gen.random(4).tolist() for gen in gens]
+    expected = [np.random.default_rng(np.random.SeedSequence([seed, *key])).random(4).tolist()
+                for seed in seeds]
+    assert draws == expected
