@@ -1,9 +1,9 @@
-"""Per-example losses (NLL, squared, cropped) and their exact Gaussian expectations.
+"""Per-example losses clip(c0 + r^2 / den, a, b) and their exact Gaussian expectations.
 
-The NLL loss is an affine transform of the squared loss:
-nll = 0.5*log(2*pi*sigma2) + squared / (2*sigma2). Cropping clamps the
-inner loss into [a, b] per example, before any averaging. Every loss is a
-function of the residual r = y - w . phi(x), and under a Gaussian posterior
+Every loss is that one record (`LossSpec`) of the residual r = y - w . phi(x):
+the squared loss is (c0, den) = (0, 1) on the whole line, the NLL at sigma2 is
+(0.5*log(2*pi*sigma2), 2*sigma2), and cropping clamps a plain loss into a
+finite [a, b] per example, before any averaging. Under a Gaussian posterior
 (or a Gaussian task) r is Gaussian, so its expected loss has a closed form,
 and so has the posterior's empirical risk (`empirical_gibbs_risk`), alike for
 one posterior, a stack of them and a family of column block widths.
@@ -30,7 +30,6 @@ on [4, 8).
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -44,56 +43,59 @@ _MIN_VAR = 1e-300
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Tagged loss description: nll(sigma2), squared, or cropped(inner, a, b)."""
+    """The loss clip(c0 + r^2 / den, a, b): plain on (-inf, inf), cropped on a finite a < b."""
 
-    kind: str
-    sigma2: Optional[float] = None
-    a: Optional[float] = None
-    b: Optional[float] = None
-    inner: Optional["LossSpec"] = None
+    c0: float
+    den: float
+    a: float = -math.inf
+    b: float = math.inf
 
     def __post_init__(self):
-        if self.kind == "nll":
-            if not (self.sigma2 is not None and self.sigma2 > 0
-                    and math.isfinite(math.log(2.0 * math.pi * float(self.sigma2)))):
-                raise ValueError("nll loss requires sigma2 > 0 with log(2*pi*sigma2) finite, "
-                                 f"got {self.sigma2!r}")
-        elif self.kind == "cropped":
-            if self.inner is None or self.inner.kind == "cropped":
-                raise ValueError("cropped loss wraps a plain nll or squared loss")
-            if self.a is None or self.b is None or not -math.inf < self.a < self.b < math.inf:
-                raise ValueError("cropped loss requires finite a < b")
-        elif self.kind != "squared":
-            raise ValueError(f"unknown loss kind {self.kind!r}")
+        if not (math.isfinite(self.c0) and 0.0 < self.den < math.inf):
+            raise ValueError("loss c0 + r^2 / den needs a finite c0 and a finite den > 0, "
+                             f"got c0 = {self.c0!r}, den = {self.den!r}")
+        plain = self.a == -math.inf and self.b == math.inf
+        if not (plain or -math.inf < self.a < self.b < math.inf):
+            raise ValueError("loss ends must be (-inf, inf) or finite a < b, "
+                             f"got ({self.a!r}, {self.b!r})")
+
+    @property
+    def kind(self) -> str:
+        """The loss's name in a trace ('cropped', 'squared' or 'nll'), derived from the record."""
+        if math.isfinite(self.a):
+            return "cropped"
+        return "squared" if (self.c0, self.den) == (0.0, 1.0) else "nll"
 
     @classmethod
     def nll(cls, sigma2: float) -> "LossSpec":
-        return cls(kind="nll", sigma2=sigma2)
+        """The Gaussian NLL 0.5 log(2 pi sigma2) + r^2 / (2 sigma2)."""
+        sigma2 = float(sigma2)
+        c0 = 0.5 * math.log(2.0 * math.pi * sigma2) if sigma2 > 0 else math.nan
+        if not math.isfinite(c0):
+            raise ValueError("nll loss requires sigma2 > 0 with log(2*pi*sigma2) finite, "
+                             f"got {sigma2!r}")
+        return cls(c0, 2.0 * sigma2)
 
     @classmethod
     def squared(cls) -> "LossSpec":
-        return cls(kind="squared")
+        return cls(0.0, 1.0)
 
     @classmethod
     def cropped(cls, inner: "LossSpec", a: float, b: float) -> "LossSpec":
-        return cls(kind="cropped", inner=inner, a=a, b=b)
-
-
-def _affine_in_squared(spec: LossSpec) -> tuple[float, float]:
-    """(c0, denom) with loss(r) = c0 + r^2 / denom, for the squared and nll losses."""
-    if spec.kind == "squared":
-        return 0.0, 1.0
-    return 0.5 * math.log(2.0 * math.pi * spec.sigma2), 2.0 * spec.sigma2
+        """The plain loss inner clamped into a finite [a, b] per example."""
+        if math.isfinite(inner.a) or not -math.inf < a < b < math.inf:
+            raise ValueError("cropped loss needs a plain inner loss and finite a < b, "
+                             f"got ({a!r}, {b!r})")
+        return cls(inner.c0, inner.den, a, b)
 
 
 def expected_loss(spec: LossSpec, mu, var):
     """E loss(r) for a residual r ~ N(mu, var), elementwise; var = 0 gives loss(mu)."""
     mu = np.asarray(mu, dtype=float)
     var = np.asarray(var, dtype=float)
-    if spec.kind == "cropped":
+    if math.isfinite(spec.a):
         return _expected_cropped(spec, mu, var)
-    c0, denom = _affine_in_squared(spec)
-    return c0 + (mu * mu + var) / denom
+    return spec.c0 + (mu * mu + var) / spec.den
 
 
 # Both polynomials hold their coefficients constant term first, as 0-d arrays: numpy
@@ -218,17 +220,16 @@ def _beyond(t: float, mu, second, sd):
 
 
 def _expected_cropped(spec: LossSpec, mu, var):
-    """E clip(c0 + r^2 / denom, a, b) for r ~ N(mu, var), clamped into [a, b].
+    """E clip(c0 + r^2 / den, a, b) for r ~ N(mu, var), clamped into [a, b].
 
     The loss is below a for |r| < t_a and above b for |r| > t_b, so with G and M
     of `_beyond` it is base + (c0 - base) G(t_a) + (b - c0) G(t_b) + (M(t_a) -
-    M(t_b)) / denom, base = max(a, c0). The default crop has c0 >= a, so t_a = 0;
+    M(t_b)) / den, base = max(a, c0). The default crop has c0 >= a, so t_a = 0;
     where c0 >= b it is the constant b. np.clip undoes rounding past a or b, keeping NaN.
     """
-    a, b = spec.a, spec.b
-    c0, denom = _affine_in_squared(spec.inner)
-    t_a = math.sqrt(max(a - c0, 0.0) * denom)
-    t_b = math.sqrt(max(b - c0, 0.0) * denom)
+    c0, den, a, b = spec.c0, spec.den, spec.a, spec.b
+    t_a = math.sqrt(max(a - c0, 0.0) * den)
+    t_b = math.sqrt(max(b - c0, 0.0) * den)
     if not math.isfinite(t_b):  # else inf * phi(inf) turns the expectation into NaN
         raise ValueError(f"cropped loss upper end b = {b!r} is too large: "
                          f"the residual where the loss reaches it overflows")
@@ -238,7 +239,7 @@ def _expected_cropped(spec: LossSpec, mu, var):
     second, sd = mu * mu + var, np.sqrt(var)
     (g_a, m_a), (g_b, m_b) = (_beyond(t, mu, second, sd) for t in (t_a, t_b))
     base = max(a, c0)
-    return np.clip(base + (c0 - base) * g_a + (b - c0) * g_b + (m_a - m_b) / denom, a, b)
+    return np.clip(base + (c0 - base) * g_a + (b - c0) * g_b + (m_a - m_b) / den, a, b)
 
 
 def empirical_gibbs_risk(post: GaussianPosterior, design: DesignMatrix, loss: LossSpec):
@@ -252,7 +253,7 @@ def empirical_gibbs_risk(post: GaussianPosterior, design: DesignMatrix, loss: Lo
     The examples are taken in the `stack_blocks` of the entries of post's
     means, each block's expected losses written into one array of them all, so
     the work arrays stay within a block and the mean has the bits of a single
-    pass. A cropped loss's mean is clamped into [a, b].
+    pass. The mean is clamped into the loss's [a, b], the whole line for a plain loss.
     """
     if design.n == 0:
         raise ValueError("the empirical risk needs at least one example")
@@ -264,4 +265,4 @@ def empirical_gibbs_risk(post: GaussianPosterior, design: DesignMatrix, loss: Lo
         losses[..., rows] = expected_loss(loss, labels[..., rows] - post.predict(block_phi),
                                           post.predictive_var(block_phi))
     risk = np.mean(losses, axis=-1)  # of values in [a, b], but it can round past b
-    return scalar_or_stack(np.clip(risk, loss.a, loss.b) if loss.kind == "cropped" else risk)
+    return scalar_or_stack(np.clip(risk, loss.a, loss.b))

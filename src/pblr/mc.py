@@ -1,8 +1,8 @@
 """Oracles: exact generalization risk, the per-sample bounds, coverage study.
 
-The generalization risk is exact for every loss: closed form for the
-squared and NLL losses, a self-checking tensor Gauss-Hermite rule for the
-cropped one, refined from 8 nodes per axis in steps of about sqrt(2) (d <= 5).
+The generalization risk is exact for every loss: closed form for a plain
+loss, a self-checking tensor Gauss-Hermite rule for a cropped one, refined
+from 8 nodes per axis in steps of about sqrt(2) (d <= 5).
 That rule runs over the posterior's whitened coordinates z, w = mean + L^{-T} z;
 its grid of residual variances is broadcast from per-axis terms, and a stack's
 posteriors go through it in blocks of k^d grid points each. Both take one
@@ -77,8 +77,8 @@ def gibbs_generalization_risk(post: GaussianPosterior, task: LinearTaskSpec,
     """Exact E_{w~posterior} E_{(x,y)~task} loss(w, x, y): a float, or an array for a stack.
 
     Given w the residual y - w.x is N(0, s(w)) with s(w) = task.squared_risk(w).
-    The squared and nll losses are affine in s, and E_w s(w) = s(mean) +
-    input_var tr(A^{-1}). The cropped loss is not: its E_w is a tensor Gauss-Hermite
+    A plain loss is affine in s, and E_w s(w) = s(mean) + input_var tr(A^{-1}).
+    A cropped loss is not: its E_w is a tensor Gauss-Hermite
     rule (Golub & Welsch 1969) with k nodes on each axis of z in w = mean + L^{-T} z,
     k climbing from 8 in steps of about sqrt(2) (8, 12, 16, 24, ...) until two
     successive rules agree within 1e-10 relative; the first two fit _MAX_POINTS up
@@ -87,9 +87,11 @@ def gibbs_generalization_risk(post: GaussianPosterior, task: LinearTaskSpec,
     broadcast from them, with no grid of weights. Each rule is evaluated for every
     posterior of the stack that has not yet converged, in `stack_blocks` of k^d
     points per posterior. When some posterior has no such pair within _MAX_POINTS
-    points it raises ValueError.
+    points it raises ValueError, as it does for a posterior whose width is not task.d.
     """
-    if loss.kind != "cropped":
+    if post.d != task.d:
+        raise ValueError(f"posterior has {post.d} weights, task {task.d} dimensions")
+    if not math.isfinite(loss.a):
         s = task.squared_risk(post.mean) + task.input_var * post.cov_trace
         return scalar_or_stack(expected_loss(loss, 0.0, s))
     d = post.d
@@ -132,7 +134,7 @@ def sample_bounds(task: LinearTaskSpec, model: ModelConfig, n: int,
     empirical cropped risk serve the stack, so entry s has the bits of a
     stack of one at seeds[s]; the scalar bound formulas run once per sample.
     """
-    if getattr(cropped, "kind", None) != "cropped":
+    if cropped is None or not math.isfinite(cropped.a):
         raise ValueError("the catoni and alquier families need a cropped loss")
     if not len(seeds):
         raise ValueError("sample_bounds needs at least one seed")

@@ -4,13 +4,15 @@ Under the Gaussian generative model (inputs N(0, input_var I), labels
 w_star . x + noise, prior N(0, prior_var I)), the log-MGF of the centered
 loss deviation V = generalization_risk(w) - loss(w, x, y) is held to the
 sub-gamma envelope lambda^2 s^2 / (2 (1 - c lambda)) with explicit variance
-factor s^2 and scale c. The bounds use the envelope at lambda = 1 only, and
+factor s^2 and scale c. A plain loss c0 + r^2 / den has the NLL's (s^2, c) at
+sigma2 = den / 2, since c0 cancels in V; the squared loss's are the NLL's at
+sigma2 = 1/2. The bounds use the envelope at lambda = 1 only, and
 `nll_subgamma_params` is the paper's instantiation there: it is not claimed on
 all of (0, 1/c), since at sigma2 = 0.1 the MGF check finds lambda = 0.25 and
 0.5 above it. The defaults are not affected: `fig-c` (sigma2 = 2) uses lambda =
-1, and `validate` checks the squared loss, the NLL's at sigma2 = 1/2, which
-stays within its envelope at every lambda checked. The s^2 formula needs
-||w_star||^2, which is oracle knowledge only available for synthetic tasks.
+1, and `validate` checks the squared loss, which stays within its envelope at
+every lambda checked. The s^2 formula needs ||w_star||^2, which is oracle
+knowledge only available for synthetic tasks.
 """
 
 import math
@@ -45,12 +47,6 @@ def _check_lambda(lam: float, c: float) -> None:
         raise ValueError("c must be non-negative")
     if c > 0 and lam >= 1.0 / c:
         raise ValueError(f"lambda {lam} outside the sub-gamma range (0, {1.0 / c})")
-
-
-def squared_loss_subgamma_params(input_var: float, prior_var: float, dim: int,
-                                 w_star_sq_norm: float, noise_var: float) -> SubGammaParams:
-    """Sub-gamma (s^2, c) for the squared loss, the NLL at sigma2 = 1/2 less a constant."""
-    return nll_subgamma_params(0.5, input_var, prior_var, dim, w_star_sq_norm, noise_var)
 
 
 def nll_subgamma_params(sigma2: float, input_var: float, prior_var: float,
@@ -90,22 +86,22 @@ def empirical_mgf_check(task: LinearTaskSpec, prior_var: float, loss: LossSpec,
     standard normal, so the squared-loss V = s(w) (1 - Z^2). Given Z, the
     prior expectation e = E_w exp(lambda V) is a noncentral chi-square MGF in
     closed form; psi_hat = log mean e over m draws of Z, and its band is the
-    delta-method SE sd(e) / (sqrt(m) mean(e)). The envelope and c are the loss's
-    own (s^2, c) for this task and prior, the squared loss's or the NLL's at its
-    sigma2; as 1 - Z^2 <= 1, e is bounded for every lambda < 1/c.
+    delta-method SE sd(e) / (sqrt(m) mean(e)). A plain loss c0 + r^2 / den
+    scales the squared-loss V by 1 / den, and its envelope and c are the NLL's
+    (s^2, c) at sigma2 = den / 2 for this task and prior; as 1 - Z^2 <= 1, e is
+    bounded for every lambda < 1/c.
     """
-    if loss.kind not in ("squared", "nll"):
-        raise ValueError("MGF check supports the squared and nll losses")
+    if math.isfinite(loss.a):
+        raise ValueError("MGF check supports plain losses c0 + r^2 / den, not a cropped one")
     if m < 10_000:
         raise ValueError("MGF estimation needs at least 1e4 samples")
     setting = (task.input_var, prior_var, task.d, task.w_star_sq_norm, task.noise_var)
-    params = (squared_loss_subgamma_params(*setting) if loss.kind == "squared"
-              else nll_subgamma_params(loss.sigma2, *setting))
+    params = nll_subgamma_params(loss.den / 2.0, *setting)
     for lam in lambda_grid:
         _check_lambda(lam, params.c)
     u = rng.stream(seed, rng.MGF_TAG).standard_normal(m)
     np.subtract(1.0, np.square(u, out=u), out=u)
-    scale = 1.0 if loss.kind == "squared" else 0.5 / loss.sigma2  # V_nll = V_sq / (2 sigma2)
+    scale = 1.0 / loss.den
     # Three work arrays serve every lambda. The steps are those of t = lam scale
     # input_var u, r = 1 - 2 prior_var t and log_e = lam scale noise_var u +
     # t ||w*||^2 / r - d/2 log r, in the same order, so the rows keep their bits.

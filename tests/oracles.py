@@ -135,13 +135,8 @@ def kl_gaussians(mean0: np.ndarray, cov0: np.ndarray, mean1: np.ndarray,
 
 
 def loss_of_residual(spec, resid: np.ndarray) -> np.ndarray:
-    """Loss of each residual y - w.x, written out directly per loss kind."""
-    if spec.kind == "cropped":
-        return np.clip(loss_of_residual(spec.inner, resid), spec.a, spec.b)
-    sq = resid * resid
-    if spec.kind == "squared":
-        return sq
-    return 0.5 * math.log(2.0 * math.pi * spec.sigma2) + sq / (2.0 * spec.sigma2)
+    """Loss clip(c0 + r^2 / den, a, b) of each residual r = y - w.x, written out directly."""
+    return np.clip(spec.c0 + resid * resid / spec.den, spec.a, spec.b)
 
 
 def precision(post) -> np.ndarray:
@@ -213,10 +208,7 @@ def expected_cropped_four_edges(spec, mu, var):
     from scipy.special import ndtr
 
     mu, var = np.asarray(mu, dtype=float), np.asarray(var, dtype=float)
-    a, b = spec.a, spec.b
-    inner = spec.inner
-    c0, denom = ((0.0, 1.0) if inner.kind == "squared" else
-                 (0.5 * math.log(2.0 * math.pi * inner.sigma2), 2.0 * inner.sigma2))
+    c0, denom, a, b = spec.c0, spec.den, spec.a, spec.b
     t_a = math.sqrt(max(a - c0, 0.0) * denom)
     t_b = math.sqrt(max(b - c0, 0.0) * denom)
     var = np.maximum(var, 1e-300)
@@ -374,7 +366,7 @@ def mgf_rows_reference(task, prior_var: float, loss, params, lambda_grid, m: int
     from pblr.subgamma import subgamma_envelope
 
     u = 1.0 - rng.stream(seed, rng.MGF_TAG).standard_normal(m) ** 2
-    scale = 1.0 if loss.kind == "squared" else 0.5 / loss.sigma2
+    scale = 1.0 / loss.den
     rows = []
     for lam in lambda_grid:
         t = lam * scale * task.input_var * u

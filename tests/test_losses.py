@@ -87,7 +87,38 @@ def test_loss_spec_validation():
     with pytest.raises(ValueError):
         LossSpec.cropped(LossSpec.cropped(LossSpec.squared(), 0.0, 1.0), 0.0, 1.0)
     with pytest.raises(ValueError):
-        LossSpec(kind="huber")
+        LossSpec(0.0, 1.0, -math.inf, 4.0)  # one infinite end
+
+
+def test_loss_record_constants():
+    # written out here, as the test oracles read c0 and den from the record
+    for sigma2 in (1e-300, 0.5, 2.0, 2.8e307):
+        assert LossSpec.nll(sigma2) == LossSpec(0.5 * math.log(2 * math.pi * sigma2),
+                                                2 * sigma2, -math.inf, math.inf)
+    assert LossSpec.squared() == LossSpec(0.0, 1.0)
+    cropped = LossSpec.cropped(LossSpec.nll(2.0), 1.0, 4.0)
+    assert cropped == LossSpec(LossSpec.nll(2.0).c0, 4.0, 1.0, 4.0)
+
+
+@pytest.mark.parametrize("fields", [
+    (0.0, 1.0, -math.inf, 4.0), (0.0, 1.0, 1.0, math.inf),  # one infinite end
+    (0.0, 0.0), (0.0, -1.0), (0.0, math.inf), (0.0, math.nan),  # den
+    (math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0),  # c0
+    (0.0, 1.0, 2.0, 2.0), (0.0, 1.0, 3.0, 2.0), (0.0, 1.0, math.nan, 2.0),  # a >= b
+])
+def test_loss_record_refuses_an_invalid_state(fields):
+    with pytest.raises(ValueError):
+        LossSpec(*fields)
+
+
+@pytest.mark.parametrize("inner, a, b", [
+    (LossSpec.cropped(LossSpec.squared(), 0.0, 1.0), 0.0, 1.0),
+    (LossSpec.squared(), -math.inf, math.inf),
+    (LossSpec.nll(2.0), math.nan, 4.0), (LossSpec.nll(2.0), 1.0, math.nan),
+])
+def test_cropped_refuses_a_cropped_inner_loss_or_an_open_end(inner, a, b):
+    with pytest.raises(ValueError, match="cropped loss"):
+        LossSpec.cropped(inner, a, b)
 
 
 @pytest.mark.parametrize("sigma2", [1e308, np.float64(2.9e307), math.inf])
@@ -168,7 +199,7 @@ def test_zero_mean_cropped_form_edge_cases():
     for spec in (LossSpec.cropped(LossSpec.nll(2.0), 1.0, 4.0),
                  LossSpec.cropped(LossSpec.squared(), 0.2, 1.0),
                  LossSpec.cropped(LossSpec.squared(), 0.2, 1e300)):
-        at_zero = np.clip(loss_of_residual(spec.inner, np.zeros(1)), spec.a, spec.b)
+        at_zero = loss_of_residual(spec, np.zeros(1))
         assert expected_loss(spec, 0.0, 0.0) == at_zero[0]
         assert expected_loss(spec, 0.0, np.zeros(3)).tolist() == [at_zero[0]] * 3
 

@@ -64,6 +64,18 @@ def test_generalization_risk_point_mass_at_truth():
     assert est == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("loss", [
+    LossSpec.nll(2.0), LossSpec.cropped(LossSpec.nll(2.0), 1.0, 4.0)], ids=["nll", "cropped"])
+def test_generalization_risk_refuses_a_posterior_of_another_width(d, loss):
+    # neither width may be broadcast against the task's 3 weights
+    task = LinearTaskSpec(w_star=np.array([0.3, -0.2, 0.1]), input_var=1.0,
+                          noise_var=0.1, seed=0)
+    post = spd_posterior(np.full(d, 0.1), 4.0)
+    with pytest.raises(ValueError, match=f"posterior has {d} weights, task 3 dimensions"):
+        gibbs_generalization_risk(post, task, loss)
+
+
 def test_generalization_risk_point_mass_closed_form():
     task = LinearTaskSpec(w_star=np.array([1.0, 0.0]), input_var=0.7,
                           noise_var=0.2, seed=0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,7 @@ from pblr.cli import main
 from pblr.experiments import run_validate
 from pblr.losses import LossSpec
 from pblr.subgamma import (SubGammaParams, dominated, empirical_mgf_check,
-                           nll_subgamma_params, squared_loss_subgamma_params,
-                           subgamma_envelope)
+                           nll_subgamma_params, subgamma_envelope)
 from pblr.tasks import LinearTaskSpec
 
 SMALL_TASK = LinearTaskSpec(w_star=np.array([0.3, -0.2]), input_var=0.5,
@@ -18,20 +19,20 @@ SMALL_PRIOR_VAR = 0.1
 
 
 def test_squared_params_direct_substitution():
-    p = squared_loss_subgamma_params(1.0, 0.01, 20, 0.25, 1.0 / 9.0)
+    p = nll_subgamma_params(0.5, 1.0, 0.01, 20, 0.25, 1.0 / 9.0)
     assert p.c == pytest.approx(0.02, abs=1e-15)
     assert p.s2 == pytest.approx(1.1177777777777778, abs=1e-12)
 
 
 def test_squared_params_noiseless_zero_target():
     for d in (1, 7, 30):
-        p = squared_loss_subgamma_params(0.4, 0.3, d, 0.0, 1e-300)
+        p = nll_subgamma_params(0.5, 0.4, 0.3, d, 0.0, 1e-300)
         assert p.s2 == pytest.approx(2.0 * 0.4 * 0.3 * d, rel=1e-9)
 
 
 def test_squared_params_scale_linear_in_prior_var():
-    base = squared_loss_subgamma_params(0.7, 0.2, 3, 0.1, 0.05)
-    doubled = squared_loss_subgamma_params(0.7, 0.4, 3, 0.1, 0.05)
+    base = nll_subgamma_params(0.5, 0.7, 0.2, 3, 0.1, 0.05)
+    doubled = nll_subgamma_params(0.5, 0.7, 0.4, 3, 0.1, 0.05)
     assert doubled.c == pytest.approx(2.0 * base.c, rel=1e-14)
 
 
@@ -56,7 +57,7 @@ def test_nll_params_are_rescaled_squared_params():
         wsq = float(rng.uniform(0.0, 2.0))
         noise = float(rng.uniform(0.01, 1.0))
         nll = nll_subgamma_params(sigma2, input_var, prior_var, d, wsq, noise)
-        sqr = squared_loss_subgamma_params(input_var, prior_var, d, wsq, noise)
+        sqr = nll_subgamma_params(0.5, input_var, prior_var, d, wsq, noise)
         assert nll.c == pytest.approx(sqr.c / (2.0 * sigma2), rel=1e-14)
         rescaled = 2.0 * (input_var * (prior_var * d + wsq)
                           + noise * (1.0 - nll.c)) / (2.0 * sigma2)
@@ -71,7 +72,7 @@ def test_params_flatten_as_noise_model_widens():
 
 def test_lambda_outside_subgamma_range_rejected():
     with pytest.raises(ValueError, match="must be below 1"):
-        squared_loss_subgamma_params(1.0, 0.5, 2, 0.0, 0.1)  # c = 1
+        nll_subgamma_params(0.5, 1.0, 0.5, 2, 0.0, 0.1)  # c = 1
     with pytest.raises(ValueError, match="must be below 1"):
         nll_subgamma_params(1.0, 2.0, 1.0, 2, 0.0, 0.1)  # c = 2
     with pytest.raises(ValueError):
@@ -92,13 +93,12 @@ def test_params_validation():
     with pytest.raises(ValueError):
         subgamma_envelope(0.5, 1.0, float("nan"))
     with pytest.raises(ValueError):
-        squared_loss_subgamma_params(1.0, 1.0, 0, 0.0, 0.1)
+        nll_subgamma_params(0.5, 1.0, 1.0, 0, 0.0, 0.1)
 
 
 def small_variance_params():
-    return squared_loss_subgamma_params(SMALL_TASK.input_var, SMALL_PRIOR_VAR,
-                                        SMALL_TASK.d, SMALL_TASK.w_star_sq_norm,
-                                        SMALL_TASK.noise_var)
+    return nll_subgamma_params(0.5, SMALL_TASK.input_var, SMALL_PRIOR_VAR,
+                               SMALL_TASK.d, SMALL_TASK.w_star_sq_norm, SMALL_TASK.noise_var)
 
 
 def test_mgf_mean_zero_deviation_at_small_lambda():
@@ -139,6 +139,23 @@ def test_mgf_nll_envelope_uses_the_nll_params():
         [subgamma_envelope(lam, params.s2, params.c) for lam in lams]
 
 
+def test_nll_envelope_holds_at_lambda_1_only_at_small_sigma2():
+    # fig-c's task at sigma2 = 0.1: the paper's NLL pair is its lambda = 1 instantiation,
+    # and the exact log-MGF lies above it at lambda = 0.25 and 0.5
+    task = LinearTaskSpec(w_star=np.full(20, 0.5 / math.sqrt(20)), input_var=1.0,
+                          noise_var=1.0 / 9.0, seed=0)
+    lams = (0.25, 0.5, 1.0)
+    rows = empirical_mgf_check(task, 0.01, LossSpec.nll(0.1), lams, 100_000, 1)
+    assert [dominated(row) for row in rows] == [False, False, True]
+    assert [row[1] for row in rows] == pytest.approx([0.2688, 0.7629, 2.0046], abs=5e-5)
+    envelopes = [row[2] for row in rows]
+    assert envelopes == pytest.approx([0.1763, 0.7237, 3.0556], abs=5e-5)
+    exact = [squared_log_mgf_quadrature(lam / 0.2, task.w_star, task.input_var,
+                                        task.noise_var, 0.01) for lam in lams]
+    assert exact == pytest.approx([0.2707, 0.7657, 2.0087], abs=5e-5)
+    assert [psi <= env for psi, env in zip(exact, envelopes)] == [False, False, True]
+
+
 def test_mgf_grid_validation():
     params = small_variance_params()
     with pytest.raises(ValueError):
@@ -157,15 +174,12 @@ def test_mgf_grid_validation():
         assert np.isfinite(psi_hat) and 0.0 < band < np.inf
 
 
-@pytest.mark.parametrize("loss", [LossSpec.squared(), LossSpec.nll(2.0)],
-                         ids=["squared", "nll"])
-def test_mgf_rows_keep_their_bits(loss):
+@pytest.mark.parametrize("loss, sigma2", [
+    (LossSpec.squared(), 0.5), (LossSpec.nll(2.0), 2.0)], ids=["squared", "nll"])
+def test_mgf_rows_keep_their_bits(loss, sigma2):
     # the in-place pass computes each row with the operations of plain array code
-    params = small_variance_params()
-    if loss.kind == "nll":
-        params = nll_subgamma_params(loss.sigma2, SMALL_TASK.input_var, SMALL_PRIOR_VAR,
-                                     SMALL_TASK.d, SMALL_TASK.w_star_sq_norm,
-                                     SMALL_TASK.noise_var)
+    params = nll_subgamma_params(sigma2, SMALL_TASK.input_var, SMALL_PRIOR_VAR, SMALL_TASK.d,
+                                 SMALL_TASK.w_star_sq_norm, SMALL_TASK.noise_var)
     lams = [0.25, 0.5, 1.0, 0.99 / params.c]
     for seed in range(5):
         assert empirical_mgf_check(SMALL_TASK, SMALL_PRIOR_VAR, loss, lams, 20_000, seed) == \
