@@ -8,12 +8,16 @@ Each command in COMMANDS runs once per tree, in a fresh interpreter with one
 BLAS thread, and each file it writes is compared byte for byte. A file that
 differs is compared cell by cell: the script prints how many cells moved and,
 per column, the largest relative change with its old and new values and the
-largest absolute change. Each file gets one line that starts with two spaces
-and its name; the detail lines under it start with four. It exits 1 when any
-file differs or is missing from one tree, else 0. A command that exits
-nonzero in either tree stops the script with its stderr and exit status 2, so
-a failure shared by both trees is not read as agreement; so does a revision
-that `git archive` cannot export.
+largest absolute change.
+
+An output may move only when CHANGES.md records it. A file that differs or is
+missing from one tree must be named by a line that the working tree's
+CHANGES.md adds since REV (`git diff REV -- CHANGES.md`, so an uncommitted
+entry counts). The script exits 0 when every file is identical or every moved
+file is so named, and 1, naming each unnamed file, otherwise. A command that
+exits nonzero in either tree stops the script with its stderr and exit status
+2, so a failure shared by both trees is not read as agreement; so does a
+revision that git cannot export or diff.
 """
 
 import json
@@ -44,7 +48,7 @@ COMMANDS = {
     "validate-5000": ["validate", "--trials", "5000", "--mgf-m", "10000"],
 }
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-COMMAND_FAILED = 2  # the exit status when pblr fails in either tree; 1 means outputs differ
+COMMAND_FAILED = 2  # the exit status when a command fails; 1 means an unrecorded move
 
 
 def run(tree: Path, argv, out: Path) -> None:
@@ -115,18 +119,35 @@ def compare(old: Path, new: Path) -> list:
     return lines
 
 
+def export(rev, tree: Path) -> None:
+    """Write rev's files into a new directory tree; exits the script unless git can export rev."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True)
+    if archive.returncode != 0:
+        print(archive.stderr.decode(), file=sys.stderr)
+        sys.exit(COMMAND_FAILED)
+    tree.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive.stdout, check=True)
+
+
+def recorded(rev) -> list:
+    """The lines that the working tree's CHANGES.md adds since rev."""
+    diff = subprocess.run(["git", "-C", str(ROOT), "diff", rev, "--", "CHANGES.md"],
+                          capture_output=True, text=True)
+    if diff.returncode != 0:
+        print(diff.stderr, file=sys.stderr)
+        sys.exit(COMMAND_FAILED)
+    lines = diff.stdout.splitlines()
+    hunks = next((i for i, line in enumerate(lines) if line.startswith("@@")), len(lines))
+    return [line[1:] for line in lines[hunks:] if line.startswith("+")]
+
+
 def main(argv) -> int:
     rev = argv[0] if argv else "HEAD"
-    differs = False
+    moved = set()
     with tempfile.TemporaryDirectory(prefix="pblr-compare-") as tmp:
         tmp = Path(tmp)
         base = tmp / "tree"
-        base.mkdir()
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True)
-        if archive.returncode != 0:
-            print(archive.stderr.decode(), file=sys.stderr)
-            return COMMAND_FAILED
-        subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
+        export(rev, base)
         for name, command in COMMANDS.items():
             outs = {label: tmp / label / name for label in ("old", "new")}
             for label, tree in (("old", base), ("new", ROOT)):
@@ -137,9 +158,17 @@ def main(argv) -> int:
                 missing = [label for label in outs if file not in files[label]]
                 lines = ([f"missing from the {missing[0]} tree"] if missing
                          else compare(outs["old"] / file, outs["new"] / file))
-                differs |= lines != ["identical"]
+                if lines != ["identical"]:
+                    moved.add(file)
                 print(f"  {file}: {lines[0]}", *lines[1:], sep="\n")
-    return 1 if differs else 0
+    added = recorded(rev)
+    unnamed = False
+    for file in sorted(moved):
+        named = any(file in line for line in added)
+        unnamed |= not named
+        print(f"{file} moved; a line added to CHANGES.md names it" if named
+              else f"{file} moved, and no line added to CHANGES.md names it")
+    return 1 if unnamed else 0
 
 
 if __name__ == "__main__":

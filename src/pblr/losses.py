@@ -90,9 +90,15 @@ class LossSpec:
 
 
 def expected_loss(spec: LossSpec, mu, var):
-    """E loss(r) for a residual r ~ N(mu, var), elementwise; var = 0 gives loss(mu)."""
+    """E loss(r) for a residual r ~ N(mu, var), elementwise; var = 0 gives loss(mu).
+
+    A negative var is refused; a NaN one gives NaN.
+    """
     mu = np.asarray(mu, dtype=float)
     var = np.asarray(var, dtype=float)
+    negative = var < 0.0
+    if negative.any():
+        raise ValueError(f"residual variance must be >= 0, got {float(var[negative][0])!r}")
     if math.isfinite(spec.a):
         return _expected_cropped(spec, mu, var)
     return spec.c0 + (mu * mu + var) / spec.den
@@ -255,6 +261,8 @@ def empirical_gibbs_risk(post: GaussianPosterior, design: DesignMatrix, loss: Lo
     the work arrays stay within a block and the mean has the bits of a single
     pass. The mean is clamped into the loss's [a, b], the whole line for a plain loss.
     """
+    if post.d != design.d:
+        raise ValueError(f"posterior has {post.d} weights, design {design.d} features")
     if design.n == 0:
         raise ValueError("the empirical risk needs at least one example")
     phi, labels = design.phi, design.labels

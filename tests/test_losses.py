@@ -333,6 +333,26 @@ def test_empirical_risk_needs_an_example():
         empirical_gibbs_risk(make_posterior([0.0], 1.0), design, LossSpec.squared())
 
 
+@pytest.mark.parametrize("post_d, design_d", [(1, 3), (3, 1)])
+@pytest.mark.parametrize("name", ["nll", "cropped-nll"])
+def test_empirical_risk_refuses_a_posterior_of_another_width(post_d, design_d, name):
+    # neither width may reach the matrix product against the design
+    gen = np.random.default_rng(2)
+    design = DesignMatrix(phi=gen.standard_normal((6, design_d)), labels=gen.standard_normal(6))
+    post = make_posterior(np.full(post_d, 0.1), 4.0)
+    with pytest.raises(ValueError,
+                       match=f"posterior has {post_d} weights, design {design_d} features"):
+        empirical_gibbs_risk(post, design, LOSSES[name])
+
+
+@pytest.mark.parametrize("name", ["squared", "nll", "cropped-nll"])
+def test_expected_loss_refuses_a_negative_variance(name):
+    # the first negative variance is named; a NaN one is no error and gives NaN
+    with pytest.raises(ValueError, match=r"variance must be >= 0, got -2\.0"):
+        expected_loss(LOSSES[name], [0.0, 1.0, 0.5], [1.0, -2.0, -3.0])
+    assert np.isnan(expected_loss(LOSSES[name], [0.0, 1.0], [math.nan, 1.0])[0])
+
+
 def test_mc_estimator_unbiased_across_seeds():
     # pooled over 50 seeds the plain Monte-Carlo estimate pins the exact
     # cropped term far tighter than any single run
