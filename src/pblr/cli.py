@@ -3,7 +3,10 @@
 Each subcommand writes CSV/JSON files into --out; every file starts with
 '#'-prefixed metadata lines (seed, parameters, tool version) so a rerun
 with the same flags reproduces identical bytes. The exit code is nonzero
-whenever an inline invariant check fails. `main` builds its parser on its
+whenever an inline invariant check fails. Each flag's range is checked by
+its own parser action while the command line is parsed, before --out is
+created, so a command line that holds an out-of-range value fails even if a
+later copy of the flag would override it. `main` builds its parser on its
 first call and reuses it for every later call in the process; its list
 defaults are tuples, so no parse sees another's values. An omitted --seed is
 taken from PBL_SEED as it is at that call, and PBL_SEED is read only then.
@@ -45,18 +48,38 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _checked(test, rule):
+    """An action that stores a flag's value, or list, if `test` holds for each; else ValueError."""
+    class Checked(argparse.Action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            for v in values if isinstance(values, list) else [values]:
+                if not test(v):
+                    raise ValueError(f"{self.option_strings[0]} {rule}, got {v}")
+            setattr(namespace, self.dest, values)
+    return Checked
+
+
+def _at_least(low):
+    return _checked(lambda v: v >= low, f"must be at least {low}")
+
+
+_DELTA = _checked(lambda v: 0 < v <= 1, "must lie in (0, 1]")
+_VARIANCE = _checked(lambda v: v > 0 and math.isfinite(v), "must be positive and finite")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int,
+    parser.add_argument("--seed", type=int, action=_at_least(0),
                         help=f"master seed (falls back to PBL_SEED, then {exp.DEFAULT_SEED})")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory (default: current directory)")
 
 
 def _sine_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sigma2", type=float, default=exp.SINE_SIGMA2)
-    parser.add_argument("--sigma-pi2", type=float, default=exp.SINE_SIGMA_PI2)
-    parser.add_argument("--degrees", type=int, nargs="+", default=exp.DEFAULT_DEGREES)
-    parser.add_argument("--n", type=int, default=exp.SINE_N)
+    parser.add_argument("--sigma2", type=float, action=_VARIANCE, default=exp.SINE_SIGMA2)
+    parser.add_argument("--sigma-pi2", type=float, action=_VARIANCE, default=exp.SINE_SIGMA_PI2)
+    parser.add_argument("--degrees", type=int, nargs="+", action=_at_least(1),
+                        default=exp.DEFAULT_DEGREES)
+    parser.add_argument("--n", type=int, action=_at_least(1), default=exp.SINE_N)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,33 +92,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_a = sub.add_parser("fig-a", help="posterior-mean predictions per degree")
     _add_common(p_a)
     _sine_flags(p_a)
-    p_a.add_argument("--grid-size", type=int, default=200)
+    p_a.add_argument("--grid-size", type=int, action=_at_least(1), default=exp.FIG_A_GRID_SIZE)
 
     p_b = sub.add_parser("fig-b", help="evidence decomposition per degree")
     _add_common(p_b)
     _sine_flags(p_b)
-    p_b.add_argument("--test-size", type=int, default=1000,
+    p_b.add_argument("--test-size", type=int, action=_at_least(1), default=exp.FIG_B_TEST_SIZE,
                      help="test points for test_risk (unused with --seeds K > 1)")
-    p_b.add_argument("--seeds", type=int, default=1,
+    p_b.add_argument("--seeds", type=int, action=_at_least(1), default=1,
                      help="with K > 1, report the distribution of the highest-evidence "
                           "degree over K seeds instead of a single run")
 
     p_c = sub.add_parser("fig-c", help="bound values against sample size")
     _add_common(p_c)
-    p_c.add_argument("--delta", type=float, default=exp.DEFAULT_DELTA)
-    p_c.add_argument("--sigma2", type=float, default=exp.LINREG_SIGMA2)
-    p_c.add_argument("--sigma-pi2", type=float, default=exp.LINREG_SIGMA_PI2)
-    p_c.add_argument("--n-grid", type=int, nargs="+", default=exp.DEFAULT_N_GRID)
+    p_c.add_argument("--delta", type=float, action=_DELTA, default=exp.DEFAULT_DELTA)
+    p_c.add_argument("--sigma2", type=float, action=_VARIANCE, default=exp.LINREG_SIGMA2)
+    p_c.add_argument("--sigma-pi2", type=float, action=_VARIANCE, default=exp.LINREG_SIGMA_PI2)
+    p_c.add_argument("--n-grid", type=int, nargs="+", action=_at_least(1),
+                     default=exp.DEFAULT_N_GRID)
     p_c.add_argument("--crop", type=float, nargs=2, metavar=("A", "B"),
                      default=exp.DEFAULT_CROP)
 
     p_v = sub.add_parser("validate", help="bound coverage study and MGF check")
     _add_common(p_v)
-    p_v.add_argument("--delta", type=float, default=exp.DEFAULT_DELTA)
-    p_v.add_argument("--trials", type=int, default=100)
+    p_v.add_argument("--delta", type=float, action=_DELTA, default=exp.DEFAULT_DELTA)
+    p_v.add_argument("--trials", type=int, action=_at_least(1), default=exp.COVERAGE_TRIALS)
     # Ignored: perfbench/workloads.py COVERAGE_TINY still passes it (ROADMAP item 1).
     p_v.add_argument("--mc-weights", type=int, help=argparse.SUPPRESS)
-    p_v.add_argument("--mgf-m", type=int, default=exp.MGF_M)
+    p_v.add_argument("--mgf-m", type=int, action=_at_least(10_000), default=exp.MGF_M)
     return parser
 
 
@@ -105,29 +129,7 @@ def _sine_meta(args) -> dict:
             "degrees": " ".join(map(str, args.degrees))}
 
 
-def _require_positive(args, *flags, low=1) -> None:
-    """Reject a count flag, or any value of a list flag, below `low`, naming the flag."""
-    for flag in flags:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        for v in value if isinstance(value, (list, tuple)) else [value]:
-            if v < low:
-                raise ValueError(f"{flag} must be at least {low}, got {v}")
-
-
-def _require_delta(args) -> None:
-    if not 0 < args.delta <= 1:
-        raise ValueError(f"--delta must lie in (0, 1], got {args.delta}")
-
-
-def _require_variances(args) -> None:
-    for flag, value in (("--sigma2", args.sigma2), ("--sigma-pi2", args.sigma_pi2)):
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"{flag} must be positive and finite, got {value}")
-
-
 def cmd_fig_a(args) -> int:
-    _require_positive(args, "--n", "--grid-size", "--degrees")
-    _require_variances(args)
     dataset, rows = exp.run_fig_a(seed=args.seed, n=args.n, sigma2=args.sigma2,
                                   sigma_pi2=args.sigma_pi2, degrees=args.degrees,
                                   grid_size=args.grid_size)
@@ -141,8 +143,6 @@ def cmd_fig_a(args) -> int:
 
 
 def cmd_fig_b(args) -> int:
-    _require_positive(args, "--n", "--seeds", "--test-size", "--degrees")
-    _require_variances(args)
     out = args.out
     if args.seeds > 1:  # selection needs only the evidence: no test set
         wins = collections.Counter(exp.selected_degrees(
@@ -164,9 +164,6 @@ def cmd_fig_b(args) -> int:
 
 
 def cmd_fig_c(args) -> int:
-    _require_positive(args, "--n-grid")
-    _require_delta(args)
-    _require_variances(args)
     a, b = args.crop
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"--crop needs finite A < B, got {a} {b}")
@@ -180,9 +177,6 @@ def cmd_fig_c(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    _require_positive(args, "--trials")
-    _require_positive(args, "--mgf-m", low=10_000)
-    _require_delta(args)
     coverage, mgf, ok = exp.run_validate(seed=args.seed, trials=args.trials,
                                          delta=args.delta, mgf_m=args.mgf_m)
     out = args.out
@@ -214,7 +208,8 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
         if args.seed is None:
             args.seed = _seed_default()
-        _require_positive(args, "--seed", low=0)
+            if args.seed < 0:
+                raise ValueError(f"--seed must be at least 0, got {args.seed}")
         args.out.mkdir(parents=True, exist_ok=True)
         return handlers[args.command](args)
     except ValueError as exc:

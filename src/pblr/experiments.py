@@ -38,6 +38,8 @@ SINE_NOISE_VAR = 0.25
 SINE_SIGMA2 = 0.5
 SINE_SIGMA_PI2 = 1.0 / 0.005
 DEFAULT_DEGREES = tuple(range(1, 8))
+FIG_A_GRID_SIZE = 200
+FIG_B_TEST_SIZE = 1_000
 
 # linear-task bound comparison defaults
 LINREG_D = 20
@@ -49,6 +51,7 @@ LINREG_SIGMA_PI2 = 0.01
 DEFAULT_DELTA = 0.05
 DEFAULT_CROP = (1.0, 4.0)
 DEFAULT_N_GRID = (10, 100, 1_000, 10_000, 100_000, 1_000_000)
+COVERAGE_TRIALS = 100
 
 # MGF study defaults: a small-variance squared-loss configuration
 MGF_TASK = LinearTaskSpec(w_star=np.array([0.3, -0.2]), input_var=0.5,
@@ -107,7 +110,7 @@ def _polynomial_fits(xs, labels, sigma2, sigma_pi2, degrees) -> tuple:
 
 
 def run_fig_a(seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2, sigma_pi2=SINE_SIGMA_PI2,
-              degrees=DEFAULT_DEGREES, grid_size=200):
+              degrees=DEFAULT_DEGREES, grid_size=FIG_A_GRID_SIZE):
     """Posterior-mean predictions per degree on a dense input grid."""
     dataset = gen_sine_task(SineTaskSpec(n=n, noise_var=SINE_NOISE_VAR, seed=seed))
     degrees, post, _ = _polynomial_fits(dataset.raw_inputs, dataset.labels, sigma2,
@@ -121,7 +124,7 @@ def run_fig_a(seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2, sigma_pi2=SINE_SI
 
 
 def run_fig_b(seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2, sigma_pi2=SINE_SIGMA_PI2,
-              degrees=DEFAULT_DEGREES, test_size=1000):
+              degrees=DEFAULT_DEGREES, test_size=FIG_B_TEST_SIZE):
     """Evidence decomposition per degree plus the Gibbs NLL risk on fresh data."""
     if test_size < 1:
         raise ValueError(f"test_size must be at least 1, got {test_size}")
@@ -215,14 +218,15 @@ FIG_C_COLUMNS = ("n", "emp_gibbs_nll", "gen_gibbs_nll", "bound_subgamma",
                  "bound_alquier_n_cropped")
 
 
-def run_coverage(seed=DEFAULT_SEED, trials=100, n=20, d=3, delta=DEFAULT_DELTA) -> dict:
+def run_coverage(seed=DEFAULT_SEED, trials=COVERAGE_TRIALS, n=20, d=3,
+                 delta=DEFAULT_DELTA) -> dict:
     """Coverage study (the coverage.json dict) on a low-dimensional copy of the fig_c task."""
     task, model, cropped = _linear_setup(seed, d, LINREG_SIGMA2, LINREG_SIGMA_PI2,
                                          DEFAULT_CROP)
     return run_validity_study(task, model, n, cropped, delta, trials)
 
 
-def run_validate(seed=DEFAULT_SEED, trials=100, delta=DEFAULT_DELTA, mgf_m=MGF_M):
+def run_validate(seed=DEFAULT_SEED, trials=COVERAGE_TRIALS, delta=DEFAULT_DELTA, mgf_m=MGF_M):
     """Coverage study plus MGF envelope check; returns (coverage, mgf rows, ok)."""
     coverage = run_coverage(seed=seed, trials=trials, delta=delta)
     slack = delta + 2.0 * math.sqrt(delta * (1.0 - delta) / trials)

@@ -182,6 +182,40 @@ def test_evidence_identity_on_random_instances():
         assert report.kl >= -1e-10
 
 
+def covariance(post):
+    """The posterior covariance A^{-1} = L^{-T} L^{-1}."""
+    inv = np.linalg.inv(post.chol)
+    return inv.T @ inv
+
+
+def pac_bayes_objective(post, design, cfg):
+    """n * E_post[NLL] + KL(post || prior), with the KL of two generic Gaussians."""
+    risk = empirical_gibbs_risk(post, design, LossSpec.nll(cfg.noise_var))
+    return design.n * risk + kl_gaussians(post.mean, covariance(post), np.zeros(post.d),
+                                          cfg.prior_var * np.eye(post.d))
+
+
+def test_bayes_posterior_minimizes_the_pac_bayes_objective():
+    # F(q) = NLE + KL(q || rho*) for every Gaussian q, so the fitted posterior rho*
+    # minimizes the objective F and its minimum is the negative log evidence
+    rng = np.random.default_rng(18)
+    for _ in range(300):
+        design, cfg = random_instance(rng, n=int(rng.integers(1, 60)),
+                                      d=int(rng.integers(1, 8)))
+        best = fit_posterior(design, cfg)
+        nle = evidence_decomposition(best, design, cfg).neg_log_evidence
+        d = best.d
+        scale = np.tril(0.3 * rng.standard_normal((d, d)), -1) + 1.0
+        q = blr.GaussianPosterior(mean=best.mean + 0.3 * rng.standard_normal(d),
+                                  chol=best.chol * scale)
+        f_q = pac_bayes_objective(q, design, cfg)
+        tol = 1e-12 * max(1.0, abs(f_q))
+        gap = f_q - nle
+        assert abs(gap - kl_gaussians(q.mean, covariance(q), best.mean, covariance(best))) <= tol
+        assert gap >= -tol
+        assert abs(pac_bayes_objective(best, design, cfg) - nle) <= 1e-12 * max(1.0, abs(nle))
+
+
 def test_evidence_decomposition_empty():
     design = DesignMatrix(phi=np.zeros((0, 2)), labels=np.zeros(0))
     report = evidence_decomposition(fit_posterior(design, UNIT_CFG), design, UNIT_CFG)

@@ -100,13 +100,23 @@ def test_empty_test_set_exits_nonzero(tmp_path, capsys):
     (["fig-b", "--seeds", 3, "--test-size", -5], "--test-size"),
     (["fig-c", "--n-grid", 10, 0], "--n-grid"),
     (["fig-a", "--degrees", 0], "--degrees"),
+    # a later copy of the flag does not rescue an out-of-range one
+    (["validate", "--trials", 0, "--trials", 5, "--mgf-m", 10000], "--trials"),
 ], ids=["fig-b-seeds-0", "fig-b-seeds-neg", "fig-a-grid-size-0", "fig-a-n-0", "fig-b-n-0",
-        "fig-b-seeds-test-size-neg", "fig-c-n-grid-0", "fig-a-degrees-0"])
+        "fig-b-seeds-test-size-neg", "fig-c-n-grid-0", "fig-a-degrees-0",
+        "validate-trials-0-then-5"])
 def test_meaningless_count_exits_nonzero(tmp_path, capsys, argv, flag):
     assert run([*argv, "--out", tmp_path]) == 1
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith(f"error: {flag} must be at least 1")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_out_of_range_flag_fails_before_out_is_created(tmp_path, capsys):
+    out = tmp_path / "new"
+    assert run(["fig-a", "--n", 0, "--out", out]) == 1
+    assert capsys.readouterr().err.strip().split("\n") == ["error: --n must be at least 1, got 0"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, flag", [
