@@ -3,11 +3,12 @@
 Each subcommand writes CSV/JSON files into --out; every file starts with
 '#'-prefixed metadata lines (seed, parameters, tool version) so a rerun
 with the same flags reproduces identical bytes. The exit code is nonzero
-whenever an inline invariant check fails. Each flag's range is checked by
-its own parser action while the command line is parsed, before --out is
-created, so a command line that holds an out-of-range value fails even if a
-later copy of the flag would override it. `main` builds its parser on its
-first call and reuses it for every later call in the process; its list
+whenever an inline invariant check fails. A command that prints an `error:`
+line writes nothing, not even --out, which the first file written creates.
+Each flag's range is checked by its own parser action as the command line is
+parsed (-inf and -nan parse as values), so an out-of-range value fails even
+if a later copy of the flag would override it. `main` builds its parser on
+its first call and reuses it for every later call in the process; its list
 defaults are tuples, so no parse sees another's values. An omitted --seed is
 taken from PBL_SEED as it is at that call, and PBL_SEED is read only then.
 """
@@ -41,8 +42,8 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's own pattern misses exponent notation, so -1e3 read as an option
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # every negative spelling float() takes; argparse's own reads -1e3 and -inf as options
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|(inf|infinity|nan)$)", re.I)
 
     def error(self, message):
         raise ValueError(message)
@@ -180,11 +181,11 @@ def cmd_validate(args) -> int:
     coverage, mgf, ok = exp.run_validate(seed=args.seed, trials=args.trials,
                                          delta=args.delta, mgf_m=args.mgf_m)
     out = args.out
-    with open(out / "coverage.json", "w", encoding="utf-8") as fh:
-        json.dump(coverage, fh, indent=2)
-        fh.write("\n")
     exp.write_csv(out / "mgf.csv", ("lambda", "psi_hat", "envelope", "band"), mgf,
                   {"seed": args.seed, "m": args.mgf_m, "loss": "squared"})
+    with open(out / "coverage.json", "w", encoding="utf-8") as fh:  # write_csv made out
+        json.dump(coverage, fh, indent=2)
+        fh.write("\n")
     for fam in coverage["families"]:
         print(f"coverage {fam['family']}: {fam['violations']}/{fam['trials']} violations")
     for row in mgf:
@@ -210,7 +211,6 @@ def main(argv=None) -> int:
             args.seed = _seed_default()
             if args.seed < 0:
                 raise ValueError(f"--seed must be at least 0, got {args.seed}")
-        args.out.mkdir(parents=True, exist_ok=True)
         return handlers[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

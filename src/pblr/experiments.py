@@ -18,6 +18,7 @@ plus the MGF envelope check.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -65,8 +66,8 @@ def write_csv(path, columns, rows, metadata) -> None:
     """CSV with '#'-prefixed metadata lines before the header; LF endings.
 
     Each column holds one type: a float column is written as float's repr, any
-    other with str. Raises ValueError, before the file is opened, naming the
-    first non-finite float cell in row order.
+    other with str. Raises ValueError, before the file or its directory is
+    made, naming the first non-finite float cell in row order.
     """
     cols = list(zip(*rows))
     is_float = [isinstance(col[0], float) for col in cols]
@@ -79,6 +80,7 @@ def write_csv(path, columns, rows, metadata) -> None:
     lines = [f"# tool_version = {__version__}",
              *(f"# {key} = {val}" for key, val in metadata.items()), ",".join(columns),
              *map(",".join, zip(*cells))]
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -201,8 +203,7 @@ def run_fig_c(seed=DEFAULT_SEED, n_grid=DEFAULT_N_GRID, delta=DEFAULT_DELTA,
         post, report, bounds = sample_bounds(task, model, n, cropped, delta, [task.seed])
         gen_nll = gibbs_generalization_risk(post, task, LossSpec.nll(sigma2))
         rows.append((n, float(report.gibbs_emp_risk_total[0] / n), float(gen_nll[0]),
-                     *(float(bounds[family][0]) for family in
-                       ("subgamma", "catoni", "alquier_sqrtn", "alquier_n"))))
+                     *bounds[:, 0].tolist()))
     metadata = {
         "seed": seed, "delta": delta, "d": task.d, "w_norm": LINREG_W_NORM,
         "input_var": task.input_var, "noise_var": task.noise_var,

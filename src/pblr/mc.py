@@ -118,7 +118,7 @@ def gibbs_generalization_risk(post: GaussianPosterior, task: LinearTaskSpec,
                      f"{gap[0]:.3g}, and no finer rule in d = {d} fits {_MAX_POINTS} points")
 
 
-FAMILIES = ("subgamma", "catoni", "alquier_sqrtn")  # checked by the coverage study
+FAMILIES = ("subgamma", "catoni", "alquier_sqrtn", "alquier_n")  # coverage checks [:3]
 
 
 def sample_bounds(task: LinearTaskSpec, model: ModelConfig, n: int,
@@ -126,12 +126,12 @@ def sample_bounds(task: LinearTaskSpec, model: ModelConfig, n: int,
     """Fit the posterior to n draws of the task at each of the S seeds and bound its risk.
 
     Returns (post, report, bounds): the S posteriors as one stacked
-    GaussianPosterior, their EvidenceReport of (S,) arrays, and bounds
-    mapping subgamma (the evidence form, on the NLL loss), catoni,
-    alquier_sqrtn and alquier_n (on the cropped loss) to (S,) arrays of their
-    values at confidence 1 - delta; catoni is capped at the crop's top b, which
-    the cropped risk never exceeds. One fit, one evidence split and one
-    empirical cropped risk serve the stack, so entry s has the bits of a
+    GaussianPosterior, their EvidenceReport of (S,) arrays, and the (4, S)
+    bound values at confidence 1 - delta, one row per name in FAMILIES:
+    subgamma (the evidence form, on the NLL loss), catoni, alquier_sqrtn and
+    alquier_n (on the cropped loss); catoni is capped at the crop's top b,
+    which the cropped risk never exceeds. One fit, one evidence split and one
+    empirical cropped risk serve the stack, so column s has the bits of a
     stack of one at seeds[s]; the scalar bound formulas run once per sample.
     """
     if cropped is None or not math.isfinite(cropped.a):
@@ -152,24 +152,22 @@ def sample_bounds(task: LinearTaskSpec, model: ModelConfig, n: int,
                for lam in lams))
             for nle, kl, emp in zip(report.neg_log_evidence.tolist(), report.kl.tolist(),
                                     emp_crop.tolist())]
-    return post, report, dict(zip(("subgamma", "catoni", "alquier_sqrtn", "alquier_n"),
-                                  np.array(rows).T))
+    return post, report, np.array(rows).T
 
 
 def _block_bounds_and_risks(task: LinearTaskSpec, model: ModelConfig, n: int,
-                            cropped: LossSpec, delta: float, block: range) -> dict:
-    """Fit the trials of block in one stack; {family: (bounds, risks)}, arrays over the block."""
+                            cropped: LossSpec, delta: float, block: range) -> tuple:
+    """Fit block's trials in one stack: (bounds, risks) of FAMILIES[:3], each (3, len(block))."""
     seeds = [rng.derive_seed(task.seed, rng.TRIAL_TAG, trial, 0) for trial in block]
     post, _, bounds = sample_bounds(task, model, n, cropped, delta, seeds)
     risk_nll = gibbs_generalization_risk(post, task, LossSpec.nll(model.noise_var))
     risk_crop = gibbs_generalization_risk(post, task, cropped)
-    return {family: (bounds[family], risk_nll if family == "subgamma" else risk_crop)
-            for family in FAMILIES}
+    return bounds[:3], np.array([risk_nll, risk_crop, risk_crop])
 
 
 def run_validity_study(task: LinearTaskSpec, model: ModelConfig, n: int,
                        cropped: LossSpec, delta: float, trials: int) -> dict:
-    """Violation counts per bound family over independent training draws.
+    """Violation counts of FAMILIES[:3] over independent training draws.
 
     A trial violates a family when its exact risk exceeds the bound; a
     non-finite bound or risk raises ValueError instead of counting either way.
@@ -181,22 +179,20 @@ def run_validity_study(task: LinearTaskSpec, model: ModelConfig, n: int,
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    counts = {family: 0 for family in FAMILIES}
+    counts = 0
     for block in stack_blocks(trials, n * task.d):
-        per_family = _block_bounds_and_risks(task, model, n, cropped, delta, block)
-        bound, risk = (np.array([pair[i] for pair in per_family.values()], dtype=float)
-                       for i in (0, 1))  # (families, trials of the block)
+        bound, risk = _block_bounds_and_risks(task, model, n, cropped, delta, block)
         bad = ~(np.isfinite(bound) & np.isfinite(risk))
         if bad.any():  # the first trial with a bad value, then its first bad family
             trial, j = np.argwhere(bad.T)[0]
-            raise ValueError(f"trial {block[trial]}, {list(per_family)[j]}: bound "
+            raise ValueError(f"trial {block[trial]}, {FAMILIES[j]}: bound "
                              f"{bound[j, trial]} and risk {risk[j, trial]} must both be finite")
-        for family, above in zip(per_family, risk > bound):
-            counts[family] += int(np.count_nonzero(above))
+        counts = counts + np.count_nonzero(risk > bound, axis=1)
     return {
         "delta": delta,
-        "families": [{"family": family, "trials": trials, "violations": counts[family],
-                      "rate": counts[family] / trials} for family in FAMILIES],
+        "families": [{"family": family, "trials": trials, "violations": count,
+                      "rate": count / trials}
+                     for family, count in zip(FAMILIES, counts.tolist())],
         "config": {
             "n": n, "trials": trials, "delta": delta, "seed": task.seed, "d": task.d,
             "input_var": task.input_var, "task_noise_var": task.noise_var,

@@ -119,6 +119,15 @@ def test_out_of_range_flag_fails_before_out_is_created(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_late_failure_leaves_no_out_directory(tmp_path, capsys):
+    # degree 40 parses, then fails in the fit: the command writes nothing, not even --out
+    out = tmp_path / "new"
+    assert run(["fig-a", "--degrees", 40, "--out", out]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error: posterior precision")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["fig-c", "--crop", 4, 1], "--crop"),
     (["fig-c", "--crop", 1, "inf"], "--crop"),
@@ -130,9 +139,14 @@ def test_out_of_range_flag_fails_before_out_is_created(tmp_path, capsys):
     (["fig-c", "--sigma2", "inf"], "--sigma2"),
     (["fig-c", "--sigma2", "-1e-3"], "--sigma2"),
     (["validate", "--delta", "-1E-2"], "--delta"),
+    (["fig-c", "--sigma2", "-inf"], "--sigma2"),
+    (["fig-b", "--sigma-pi2", "-Infinity"], "--sigma-pi2"),
+    (["fig-c", "--crop", "-INF", 1], "--crop"),
+    (["validate", "--delta", "-nan"], "--delta"),
 ], ids=["fig-c-crop-reversed", "fig-c-crop-inf", "fig-c-delta-2", "validate-delta-0",
         "fig-a-sigma2-neg", "fig-b-sigma-pi2-0", "fig-c-sigma-pi2-nan", "fig-c-sigma2-inf",
-        "fig-c-sigma2-neg-exp", "validate-delta-neg-exp"])
+        "fig-c-sigma2-neg-exp", "validate-delta-neg-exp", "fig-c-sigma2-neg-inf",
+        "fig-b-sigma-pi2-neg-infinity", "fig-c-crop-neg-inf", "validate-delta-neg-nan"])
 def test_out_of_range_value_names_the_flag(tmp_path, capsys, argv, flag):
     assert run([*argv, "--out", tmp_path]) == 1
     err = capsys.readouterr().err.strip().split("\n")

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from pblr import blr, experiments as exp, losses
+from pblr import blr, experiments as exp, losses, mc
 from pblr.blr import GaussianPosterior, fit_posterior
 from pblr.losses import LossSpec, empirical_gibbs_risk
 from pblr.mc import sample_bounds
@@ -98,15 +98,15 @@ def test_fig_c_bound_columns_are_sample_bounds():
         n = row[0]
         _, report, bounds = sample_bounds(task, model, n, cropped, exp.DEFAULT_DELTA,
                                           [task.seed])  # fig-c's stack of one
-        assert set(bounds) == set(columns.values())
-        for column, family in columns.items():
-            assert row[exp.FIG_C_COLUMNS.index(column)] == bounds[family][0], column
+        assert bounds.shape == (4, 1) and mc.FAMILIES == tuple(columns.values())
+        for j, column in enumerate(columns):
+            assert row[exp.FIG_C_COLUMNS.index(column)] == bounds[j, 0], column
         # the evidence form equals the direct form emp + (kl + ln(1/delta))/n + gap
         params = nll_subgamma_params(model.noise_var, task.input_var, model.prior_var,
                                      task.d, task.w_star_sq_norm, task.noise_var)
         direct = subgamma_bound(report.gibbs_emp_risk_total[0] / n, report.kl[0], n,
                                 exp.DEFAULT_DELTA, params.s2, params.c)
-        assert bounds["subgamma"][0] == pytest.approx(direct, rel=1e-12)
+        assert bounds[0, 0] == pytest.approx(direct, rel=1e-12)
 
 
 def test_fig_c_deterministic():

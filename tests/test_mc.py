@@ -197,12 +197,12 @@ def test_sample_bounds_needs_a_seed():
 
 def fake_block(values, bad_trial=0):
     """A stand-in for mc._block_bounds_and_risks: subgamma (bound, risk) = values at
-    bad_trial, and the finite, covered (1.0, 0.5) at every other trial."""
+    bad_trial, and the finite, covered (1.0, 0.5) at every other (family, trial)."""
     def fake(task, model, n, cropped, delta, block):
-        bound, risk = np.ones(len(block)), np.full(len(block), 0.5)
+        bound, risk = np.ones((3, len(block))), np.full((3, len(block)), 0.5)
         if bad_trial in block:
-            bound[block.index(bad_trial)], risk[block.index(bad_trial)] = values
-        return {"subgamma": (bound, risk)}
+            bound[0, block.index(bad_trial)], risk[0, block.index(bad_trial)] = values
+        return bound, risk
     return fake
 
 
@@ -228,9 +228,9 @@ def test_nonfinite_value_names_its_trial(monkeypatch, block):
 
 def test_first_nonfinite_trial_wins_over_family_order(monkeypatch):
     # trial-major: trial 1's catoni is reported before trial 2's subgamma
-    def fake(task, model, n, cropped, delta, block):
-        return {"subgamma": (np.array([1.0, 1.0, np.nan]), np.full(3, 0.5)),
-                "catoni": (np.array([1.0, np.nan, 1.0]), np.full(3, 0.5))}
+    def fake(task, model, n, cropped, delta, block):  # rows subgamma, catoni, alquier_sqrtn
+        bound = np.array([[1.0, 1.0, np.nan], [1.0, np.nan, 1.0], [1.0, 1.0, 1.0]])
+        return bound, np.full((3, 3), 0.5)
     monkeypatch.setattr(mc, "_block_bounds_and_risks", fake)
     with pytest.raises(ValueError, match="trial 1, catoni"):
         run_validity_study(**study_args(trials=3))
@@ -262,8 +262,8 @@ def test_stacked_study_matches_stacks_of_one():
     args = study_args(trials=20)
     task, model, n, cropped, delta, trials = args.values()
     nll = LossSpec.nll(model.noise_var)
-    stacked = mc._block_bounds_and_risks(task, model, n, cropped, delta, range(trials))
-    assert set(stacked) == set(mc.FAMILIES)
+    bound, risk = mc._block_bounds_and_risks(task, model, n, cropped, delta, range(trials))
+    assert bound.shape == risk.shape == (3, trials)
     for trial in range(trials):
         seed = streams.derive_seed(task.seed, streams.TRIAL_TAG, trial, 0)
         post, report, bounds = sample_bounds(task, model, n, cropped, delta, [seed])
@@ -274,10 +274,11 @@ def test_stacked_study_matches_stacks_of_one():
         single = GaussianPosterior(mean=post.mean[0], chol=post.chol[0])
         assert gibbs_generalization_risk(single, task, nll) == risks["nll"][0]
         assert gibbs_generalization_risk(single, task, cropped) == risks["cropped"][0]
-        for family, (bound, risk) in stacked.items():
-            assert bound[trial] == bounds[family][0], (trial, family)
+        assert bounds.shape == (len(mc.FAMILIES), 1)
+        for j, family in enumerate(mc.FAMILIES[:3]):
+            assert bound[j, trial] == bounds[j, 0], (trial, family)
             expected = risks["nll" if family == "subgamma" else "cropped"][0]
-            assert risk[trial] == expected, (trial, family)
+            assert risk[j, trial] == expected, (trial, family)
 
 
 def test_cropped_oracle_matches_a_fixed_32_node_rule():
