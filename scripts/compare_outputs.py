@@ -33,6 +33,7 @@ NARROW_CROP = ["--sigma2", "10", "--crop", "2.0702310797116956", "2.070231079711
                "--n-grid", "10", "1000"]
 COMMANDS = {
     "fig-a": ["fig-a"],
+    "fig-a-shape": ["fig-a", "--grid-size", "3", "--degrees", "5", "2", "5"],
     "fig-b": ["fig-b"],
     "fig-c": ["fig-c"],
     "validate": ["validate"],

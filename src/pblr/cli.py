@@ -16,6 +16,7 @@ taken from PBL_SEED as it is at that call, and PBL_SEED is read only then.
 import argparse
 import collections
 import functools
+import itertools
 import json
 import math
 import os
@@ -131,9 +132,13 @@ def _sine_meta(args) -> dict:
 
 
 def cmd_fig_a(args) -> int:
-    dataset, rows = exp.run_fig_a(seed=args.seed, n=args.n, sigma2=args.sigma2,
-                                  sigma_pi2=args.sigma_pi2, degrees=args.degrees,
-                                  grid_size=args.grid_size)
+    """fig_a.csv and train.csv; each grid point and degree is formatted once, as by write_csv."""
+    dataset, degrees, grid, preds = exp.run_fig_a(
+        seed=args.seed, n=args.n, sigma2=args.sigma2, sigma_pi2=args.sigma_pi2,
+        degrees=args.degrees, grid_size=args.grid_size)
+    xs = list(map(float.__repr__, grid.tolist()))
+    rows = [row for degree, pred in zip(map(str, degrees), preds.tolist())
+            for row in zip(itertools.repeat(degree), xs, pred)]
     out = args.out
     exp.write_csv(out / "fig_a.csv", ("degree", "x", "mean_prediction"), rows,
                   {**_sine_meta(args), "grid_size": args.grid_size})

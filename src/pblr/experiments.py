@@ -11,7 +11,7 @@ test risk carry the same leading degree axis. The fig-b seed scan
 design entries per seed as one `tasks.gen_sine_stack` and takes the argmin
 along the degree axis, axis 0, so each seed's sample and evidence have the bits
 of its own draw and fit. `write_csv` checks and formats a table one column at a
-time.
+time; run_fig_a returns arrays, and cli formats each grid point and degree once.
 fig_c: bound values against training-set size for the 20-dimensional
 Gaussian linear task. validate: coverage of the bounds over repeated draws
 plus the MGF envelope check.
@@ -113,16 +113,12 @@ def _polynomial_fits(xs, labels, sigma2, sigma_pi2, degrees) -> tuple:
 
 def run_fig_a(seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2, sigma_pi2=SINE_SIGMA_PI2,
               degrees=DEFAULT_DEGREES, grid_size=FIG_A_GRID_SIZE):
-    """Posterior-mean predictions per degree on a dense input grid."""
+    """(dataset, degrees, grid, preds): preds[i, j] is degrees[i]'s posterior mean at grid[j]."""
     dataset = gen_sine_task(SineTaskSpec(n=n, noise_var=SINE_NOISE_VAR, seed=seed))
     degrees, post, _ = _polynomial_fits(dataset.raw_inputs, dataset.labels, sigma2,
                                         sigma_pi2, degrees)
     grid = np.linspace(0.0, TWO_PI, grid_size)
-    preds = post.predict(polynomial_features(grid, max(degrees)))  # (degree, grid point)
-    xs = grid.tolist()
-    rows = [(degree, x, p) for degree, pred in zip(degrees, preds.tolist())
-            for x, p in zip(xs, pred)]
-    return dataset, rows
+    return dataset, degrees, grid, post.predict(polynomial_features(grid, max(degrees)))
 
 
 def run_fig_b(seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2, sigma_pi2=SINE_SIGMA_PI2,

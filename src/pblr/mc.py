@@ -17,6 +17,7 @@ design entries, n*d per trial), and count how often the true Gibbs risk
 exceeds each bound.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -36,6 +37,14 @@ _HERMITE_NODES = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
 _MAX_POINTS = 2 ** 18  # points of the largest rule: 64 nodes per axis in d = 3
 
 
+@functools.cache
+def _hermite(k: int) -> tuple:
+    """numpy's k-node probabilists' Gauss-Hermite (nodes, weights), read-only, built once per k."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(k)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _rule(mean: np.ndarray, inv_chol: np.ndarray, k: int, task: LinearTaskSpec,
           loss: LossSpec) -> np.ndarray:
     """The k-node rule's sum of prob * E loss over the grid of z, per posterior (rows of mean).
@@ -47,7 +56,7 @@ def _rule(mean: np.ndarray, inv_chol: np.ndarray, k: int, task: LinearTaskSpec,
     handling can tie a row's bits to the stack size.
     """
     d = mean.shape[1]
-    nodes, weights = np.polynomial.hermite_e.hermegauss(k)
+    nodes, weights = _hermite(k)
     prob = weights
     for _ in range(d - 1):
         prob = np.multiply.outer(prob, weights)

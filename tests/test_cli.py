@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from pblr import experiments as exp
-from pblr.cli import build_parser, main
+from pblr.cli import _sine_meta, build_parser, main
 
 
 def run(args):
@@ -33,6 +34,32 @@ def test_fig_a_writes_files(tmp_path):
     assert any(l.startswith("# tool_version = ") for l in train_meta)
     assert train_lines[len(train_meta)] == "x_0,y"
     assert len(train_lines) - len(train_meta) == 16
+
+
+@pytest.mark.parametrize("flags", [[], ["--grid-size", 1, "--degrees", 3, 1],
+                                   ["--grid-size", 3, "--degrees", 5, 2, 5]])
+def test_fig_a_table_equals_the_per_cell_table(tmp_path, flags):
+    # cli formats each grid point and degree once; write_csv would format every cell
+    argv = [str(a) for a in ["fig-a", "--seed", 1, *flags]]
+    assert run([*argv, "--out", tmp_path / "cli"]) == 0
+    args = build_parser().parse_args(argv)
+    _, degrees, grid, preds = exp.run_fig_a(seed=1, degrees=args.degrees,
+                                            grid_size=args.grid_size)
+    rows = [(degree, x, p) for degree, pred in zip(degrees, preds.tolist())
+            for x, p in zip(grid.tolist(), pred)]
+    assert all(isinstance(cell, float) for _, *cells in rows for cell in cells)
+    exp.write_csv(tmp_path / "cells" / "fig_a.csv", ("degree", "x", "mean_prediction"), rows,
+                  {**_sine_meta(args), "grid_size": args.grid_size})
+    assert (tmp_path / "cli" / "fig_a.csv").read_bytes() == \
+        (tmp_path / "cells" / "fig_a.csv").read_bytes()
+
+
+def test_write_csv_refuses_nan_beside_a_str_column(tmp_path):
+    path = tmp_path / "new" / "fig_a.csv"
+    rows = [("1", "0.0", 0.5), ("1", "0.5", 0.25), ("2", "0.0", math.nan)]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: p = nan is not finite')}$"):
+        exp.write_csv(path, ("degree", "x", "p"), rows, {})
+    assert not path.parent.exists()
 
 
 def test_rerun_reproduces_identical_bytes(tmp_path):

@@ -15,10 +15,10 @@ from oracles import subgamma_bound
 
 
 def test_fig_a_row_count_and_grid():
-    dataset, rows = exp.run_fig_a(seed=0, degrees=(1, 2, 3), grid_size=50)
+    dataset, _, grid, preds = exp.run_fig_a(seed=0, degrees=(1, 2, 3), grid_size=50)
     assert dataset.n == exp.SINE_N
-    assert len(rows) == 3 * 50
-    xs = sorted({r[1] for r in rows})
+    assert preds.shape == (3, 50)
+    xs = sorted(grid.tolist())
     assert xs[0] == 0.0 and xs[-1] == pytest.approx(2 * math.pi)
 
 
@@ -41,8 +41,8 @@ def test_sine_studies_reject_non_integral_degrees():
 def test_fig_a_dense_noiseless_interpolates_sine(monkeypatch):
     # degree-7 fit on dense nearly noiseless data approximates sin closely
     monkeypatch.setattr(exp, "SINE_NOISE_VAR", 1e-12)
-    _, rows = exp.run_fig_a(seed=0, n=500, degrees=(7,), grid_size=100)
-    errs = [abs(pred - math.sin(x)) for _, x, pred in rows]
+    _, _, grid, preds = exp.run_fig_a(seed=0, n=500, degrees=(7,), grid_size=100)
+    errs = [abs(pred - math.sin(x)) for x, pred in zip(grid.tolist(), preds[0].tolist())]
     assert max(errs) < 0.1
 
 

@@ -371,3 +371,21 @@ def test_validate_oracle_stops_at_the_12_node_rule(monkeypatch):
     monkeypatch.setattr(mc, "expected_loss", counting)
     exp.run_coverage(seed=1, trials=10)
     assert sum(evaluated) == 10 * (8 ** 3 + 12 ** 3)
+
+
+def test_hermite_rules_are_built_once_per_process(monkeypatch):
+    # every call of the cropped oracle reuses the 8- and 12-node rules of the first
+    built, real = [], np.polynomial.hermite_e.hermegauss
+
+    def counting(k):
+        built.append(k)
+        return real(k)
+
+    monkeypatch.setattr(np.polynomial.hermite_e, "hermegauss", counting)
+    mc._hermite.cache_clear()
+    first = exp.run_coverage(trials=10)
+    assert exp.run_coverage(trials=10) == first
+    assert built == [8, 12]
+    nodes, weights = mc._hermite(8)
+    assert not (nodes.flags.writeable or weights.flags.writeable)
+    assert all(np.array_equal(a, b) for a, b in zip((nodes, weights), real(8)))
