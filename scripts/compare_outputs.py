@@ -55,6 +55,7 @@ COMMAND_FAILED = 2  # the exit status when a command fails; 1 means an unrecorde
 def run(tree: Path, argv, out: Path) -> None:
     """Run pblr argv in tree, writing into out; exits the script unless pblr exits 0."""
     env = {**os.environ, **ENV, "PYTHONPATH": str(tree / "src")}
+    # pblr no longer reads PBL_SEED, but an older REV still takes an omitted --seed from it
     env.pop("PBL_SEED", None)
     done = subprocess.run([sys.executable, "-m", "pblr.cli", *argv, "--out", str(out)],
                           cwd=tree, env=env, capture_output=True, text=True, timeout=600)

@@ -3,14 +3,14 @@
 Each subcommand writes CSV/JSON files into --out; every file starts with
 '#'-prefixed metadata lines (seed, parameters, tool version) so a rerun
 with the same flags reproduces identical bytes. The exit code is nonzero
-whenever an inline invariant check fails. A command that prints an `error:`
-line writes nothing, not even --out, which the first file written creates.
+whenever an inline invariant check fails. A bad flag, a failed check or a
+non-finite cell writes nothing, not even --out, which the first file written
+creates; an OS error stops at the file it hits, and files already written stay.
 Each flag's range is checked by its own parser action as the command line is
 parsed (-inf and -nan parse as values), so an out-of-range value fails even
 if a later copy of the flag would override it. `main` builds its parser on
 its first call and reuses it for every later call in the process; its list
-defaults are tuples, so no parse sees another's values. An omitted --seed is
-taken from PBL_SEED as it is at that call, and PBL_SEED is read only then.
+defaults are tuples, so no parse sees another's values.
 """
 
 import argparse
@@ -19,23 +19,12 @@ import functools
 import itertools
 import json
 import math
-import os
 import re
 import sys
 from pathlib import Path
 
 from . import __version__, experiments as exp
 from .subgamma import dominated
-
-
-def _seed_default() -> int:
-    env = os.environ.get("PBL_SEED")
-    if not env:
-        return exp.DEFAULT_SEED
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"PBL_SEED must be an integer, got {env!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,8 +59,8 @@ _VARIANCE = _checked(lambda v: v > 0 and math.isfinite(v), "must be positive and
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, action=_at_least(0),
-                        help=f"master seed (falls back to PBL_SEED, then {exp.DEFAULT_SEED})")
+    parser.add_argument("--seed", type=int, action=_at_least(0), default=exp.DEFAULT_SEED,
+                        help="master seed (default: %(default)s)")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory (default: current directory)")
 
@@ -212,10 +201,6 @@ def main(argv=None) -> int:
                 "validate": cmd_validate}
     try:
         args = _parser().parse_args(argv)
-        if args.seed is None:
-            args.seed = _seed_default()
-            if args.seed < 0:
-                raise ValueError(f"--seed must be at least 0, got {args.seed}")
         return handlers[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

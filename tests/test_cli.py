@@ -104,14 +104,6 @@ def test_invalid_degree_exits_nonzero(tmp_path, capsys):
     assert "degrees" in capsys.readouterr().err
 
 
-def test_invalid_seed_env_exits_nonzero(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("PBL_SEED", "abc")
-    assert run(["fig-a", "--out", tmp_path]) == 1
-    err = capsys.readouterr().err
-    assert err.strip() == "error: PBL_SEED must be an integer, got 'abc'"
-    assert not (tmp_path / "fig_a.csv").exists()
-
-
 def test_empty_test_set_exits_nonzero(tmp_path, capsys):
     assert run(["fig-b", "--out", tmp_path, "--test-size", 0]) == 1
     assert capsys.readouterr().err.strip() == "error: --test-size must be at least 1, got 0"
@@ -153,6 +145,22 @@ def test_late_failure_leaves_no_out_directory(tmp_path, capsys):
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("error: posterior precision")
     assert not out.exists()
+
+
+def test_out_that_is_a_file_gives_one_line(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("kept\n", encoding="utf-8")
+    assert run(["fig-a", "--grid-size", 2, "--out", out]) == 1
+    assert capsys.readouterr().err.split("\n") == [f"error: File exists: {out}", ""]
+    assert out.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_os_error_while_writing_gives_one_line(tmp_path, capsys):
+    # the error stops at train.csv; fig_a.csv, written first, stays
+    (tmp_path / "train.csv").mkdir()
+    assert run(["fig-a", "--grid-size", 2, "--out", tmp_path]) == 1
+    assert capsys.readouterr().err.split("\n") == [
+        f"error: Is a directory: {tmp_path / 'train.csv'}", ""]
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -232,21 +240,6 @@ def test_help_and_version_still_exit_zero():
         assert exc.value.code == 0
 
 
-@pytest.mark.parametrize("argv", [["--version"], ["fig-a", "--help"]],
-                         ids=["version", "fig-a-help"])
-def test_malformed_seed_env_leaves_help_and_version_alone(monkeypatch, argv):
-    monkeypatch.setenv("PBL_SEED", "abc")
-    with pytest.raises(SystemExit) as exc:
-        run(argv)
-    assert exc.value.code == 0
-
-
-def test_malformed_seed_env_is_not_read_when_seed_is_given(tmp_path, monkeypatch):
-    monkeypatch.setenv("PBL_SEED", "abc")
-    assert run(["fig-a", "--seed", 3, "--grid-size", 2, "--out", tmp_path]) == 0
-    assert metadata(tmp_path / "fig_a.csv")["seed"] == "3"
-
-
 @pytest.mark.parametrize("argv", [["fig-a"], ["fig-b"], ["fig-c", "--n-grid", 10]],
                          ids=["fig-a", "fig-b", "fig-c"])
 def test_sigma2_whose_log_constant_overflows_names_noise_var(tmp_path, capsys, argv):
@@ -264,15 +257,6 @@ def test_subgamma_scale_error_names_c_and_variances(tmp_path, capsys):
     assert "c = input_var*prior_var/sigma2 = 50.0" in err[0]
     assert "sigma2 = 2.0" in err[0] and "prior_var = 100.0" in err[0]
     assert not (tmp_path / "fig_c.csv").exists()
-
-
-@pytest.mark.parametrize("command", ["fig-a", "fig-b", "fig-c", "validate"])
-def test_negative_seed_from_env_names_the_flag(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setenv("PBL_SEED", "-1")
-    assert run([command, "--out", tmp_path]) == 1
-    assert capsys.readouterr().err.strip().split("\n") == [
-        "error: --seed must be at least 0, got -1"]
-    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, csv", [
@@ -392,20 +376,9 @@ def test_validate_smoke_run_is_fast(tmp_path):
     assert "lambda,psi_hat,envelope,band" in mgf_lines
 
 
-def test_seed_env_fallback(tmp_path, monkeypatch):
-    # main takes an omitted --seed from PBL_SEED, and without it from DEFAULT_SEED
-    monkeypatch.setenv("PBL_SEED", "99")
-    assert run(["fig-a", "--grid-size", 2, "--out", tmp_path / "env"]) == 0
-    monkeypatch.delenv("PBL_SEED")
-    assert run(["fig-a", "--grid-size", 2, "--out", tmp_path / "unset"]) == 0
-    assert [metadata(tmp_path / out / "fig_a.csv")["seed"] for out in ("env", "unset")] == \
-        ["99", str(exp.DEFAULT_SEED)]
-
-
-def test_explicit_seed_overrides_env(monkeypatch):
-    monkeypatch.setenv("PBL_SEED", "99")
-    args = build_parser().parse_args(["fig-a", "--seed", "5"])
-    assert args.seed == 5
+def test_omitted_seed_writes_the_default(tmp_path):
+    assert run(["fig-a", "--grid-size", 2, "--out", tmp_path]) == 0
+    assert metadata(tmp_path / "fig_a.csv")["seed"] == str(exp.DEFAULT_SEED) == "1"
 
 
 def metadata(path):
@@ -413,14 +386,12 @@ def metadata(path):
             for l in path.read_text(encoding="utf-8").split("\n") if l.startswith("# ")}
 
 
-def test_each_call_reads_pbl_seed(tmp_path, monkeypatch):
-    # main keeps one parser per process; the seed still comes from this call's PBL_SEED
+def test_each_call_uses_its_own_seed(tmp_path):
+    # main keeps one parser per process; an omitted --seed is the default, not the last one given
     for seed in ("7", "8"):
-        monkeypatch.setenv("PBL_SEED", seed)
-        assert run(["fig-b", "--out", tmp_path / seed]) == 0
-    monkeypatch.delenv("PBL_SEED")
-    assert run(["fig-b", "--out", tmp_path / "unset"]) == 0
-    assert [metadata(tmp_path / out / "fig_b.csv")["seed"] for out in ("7", "8", "unset")] == \
+        assert run(["fig-b", "--seed", seed, "--out", tmp_path / seed]) == 0
+    assert run(["fig-b", "--out", tmp_path / "omitted"]) == 0
+    assert [metadata(tmp_path / out / "fig_b.csv")["seed"] for out in ("7", "8", "omitted")] == \
         ["7", "8", str(exp.DEFAULT_SEED)]
 
 

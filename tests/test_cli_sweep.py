@@ -89,8 +89,7 @@ def check_finite(path):
             _finite(cell)
 
 
-def test_random_command_lines_fail_closed(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("PBL_SEED", raising=False)
+def test_random_command_lines_fail_closed(tmp_path, capsys):
     r = random.Random(20_161_605)
     failures = []
     for i in range(LINES):

@@ -36,7 +36,7 @@ def python(*argv, env=None) -> float:
 
     Returns the command's peak RSS in MB.
     """
-    env = {**{key: val for key, val in os.environ.items() if key != "PBL_SEED"}, **(env or {}),
+    env = {**os.environ, **(env or {}),
            "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
     done = subprocess.run([sys.executable, "-c", PEAK, "timeout", "120", sys.executable,
                            "-W", "error::RuntimeWarning", *map(str, argv)],
@@ -136,17 +136,17 @@ def test_fig_c_and_validate_run_without_scipy(tmp_path):
     python("-c", NO_SCIPY, tmp_path)
 
 
-# Five sine commands and the two linear ones, which draw through
+# Six sine commands and the two linear ones, which draw through
 # tasks.gen_linear_stack. The scan from seed 4294967000 is one block
 # (rng.streams) of seeds of one and of two 32-bit words.
 REPEATED = {"fig-a": ["fig-a"], "fig-b-3-1": ["fig-b", "--degrees", "3", "1"],
-            "fig-b": ["fig-b"], "scan": ["fig-b", "--seeds", "2000"],
+            "fig-b-7": ["fig-b", "--seed", "7"], "fig-b": ["fig-b"],
+            "scan": ["fig-b", "--seeds", "2000"],
             "scan-wide": ["fig-b", "--seeds", "300", "--seed", "4294967000"],
             "fig-c": ["fig-c", "--n-grid", "10", "1000"],
             "validate": ["validate", "--trials", "300", "--mgf-m", "10000"]}
 IN_PROCESS = """
 import json
-import os
 import sys
 
 from pblr.cli import main
@@ -154,16 +154,13 @@ from pblr.cli import main
 for run in ("1", "2"):
     for name, argv in json.loads(sys.argv[2]).items():
         assert main([*argv, "--out", f"{sys.argv[1]}/{run}/{name}"]) == 0, argv
-os.environ["PBL_SEED"] = "7"
-assert main(["fig-b", "--out", f"{sys.argv[1]}/env/fig-b"]) == 0
 """
 
 
 def test_repeated_in_process_calls_match_fresh_processes(tmp_path):
     # `pblr.cli.main` keeps one parser per process, so a second call must not see
     # the first one's flags or seed: every file of both in-process rounds equals,
-    # byte for byte, the file of the same command run in a fresh process. A last
-    # in-process fig-b takes its seed from PBL_SEED, set in that process.
+    # byte for byte, the file of the same command run in a fresh process.
     python("-c", IN_PROCESS, tmp_path, json.dumps(REPEATED))
     for name, argv in REPEATED.items():
         fresh = tmp_path / "fresh" / name
@@ -173,7 +170,13 @@ def test_repeated_in_process_calls_match_fresh_processes(tmp_path):
             for file in os.listdir(fresh):
                 assert (tmp_path / run / name / file).read_bytes() == \
                     (fresh / file).read_bytes(), (run, name, file)
-    pblr("fig-b", "--out", tmp_path / "fresh" / "env", env={"PBL_SEED": "7"})
-    in_process = (tmp_path / "env" / "fig-b" / "fig_b.csv").read_bytes()
-    assert b"\n# seed = 7\n" in in_process
-    assert in_process == (tmp_path / "fresh" / "env" / "fig_b.csv").read_bytes()
+    assert b"\n# seed = 7\n" in (tmp_path / "fresh" / "fig-b-7" / "fig_b.csv").read_bytes()
+
+
+def test_environment_does_not_set_the_seed(tmp_path):
+    # the command line is a command's only input: a PBL_SEED variable changes no byte
+    pblr("fig-b", "--out", tmp_path / "env", env={"PBL_SEED": "7"})
+    pblr("fig-b", "--out", tmp_path / "plain")
+    written = (tmp_path / "env" / "fig_b.csv").read_bytes()
+    assert b"\n# seed = 1\n" in written
+    assert written == (tmp_path / "plain" / "fig_b.csv").read_bytes()
