@@ -38,6 +38,7 @@ COMMANDS = {
     "fig-c": ["fig-c"],
     "validate": ["validate"],
     "fig-b-3-1": ["fig-b", "--degrees", "3", "1"],
+    "fig-b-n-40": ["fig-b", "--n", "40", "--sigma2", "0.1", "--degrees", "7", "2"],
     "scan-200": ["fig-b", "--seeds", "200"],
     "scan-2000": ["fig-b", "--seeds", "2000"],
     "scan-20000": ["fig-b", "--seeds", "20000"],

@@ -88,8 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_b = sub.add_parser("fig-b", help="evidence decomposition per degree")
     _add_common(p_b)
     _sine_flags(p_b)
-    p_b.add_argument("--test-size", type=int, action=_at_least(1), default=exp.FIG_B_TEST_SIZE,
-                     help="test points for test_risk (unused with --seeds K > 1)")
     p_b.add_argument("--seeds", type=int, action=_at_least(1), default=1,
                      help="with K > 1, report the distribution of the highest-evidence "
                           "degree over K seeds instead of a single run")
@@ -148,12 +146,11 @@ def cmd_fig_b(args) -> int:
         print(f"wrote {out / 'fig_b_selection.csv'}")
         return 0
     rows = exp.run_fig_b(seed=args.seed, n=args.n, sigma2=args.sigma2,
-                         sigma_pi2=args.sigma_pi2, degrees=args.degrees,
-                         test_size=args.test_size)
+                         sigma_pi2=args.sigma_pi2, degrees=args.degrees)
     exp.write_csv(out / "fig_b.csv",
                   ("degree", "neg_log_evidence", "gibbs_emp_risk_total", "kl",
                    "test_risk"),
-                  rows, {**_sine_meta(args), "test_size": args.test_size})
+                  rows, {**_sine_meta(args), "test_size": exp.FIG_B_TEST_SIZE})
     print(f"wrote {out / 'fig_b.csv'}")
     return 0
 

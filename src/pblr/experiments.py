@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, rng
-from .blr import (EvidenceReport, ModelConfig, evidence_decomposition, fit_posterior,
-                  stack_blocks)
+from .blr import ModelConfig, evidence_decomposition, fit_posterior, stack_blocks
 from .losses import LossSpec, empirical_gibbs_risk
 from .mc import gibbs_generalization_risk, run_validity_study, sample_bounds
 from .subgamma import dominated, empirical_mgf_check, nll_subgamma_params
@@ -122,14 +121,12 @@ def run_fig_a(seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2, sigma_pi2=SINE_SI
 
 
 def run_fig_b(seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2, sigma_pi2=SINE_SIGMA_PI2,
-              degrees=DEFAULT_DEGREES, test_size=FIG_B_TEST_SIZE):
-    """Evidence decomposition per degree plus the Gibbs NLL risk on fresh data."""
-    if test_size < 1:
-        raise ValueError(f"test_size must be at least 1, got {test_size}")
+              degrees=DEFAULT_DEGREES):
+    """Evidence decomposition per degree plus the Gibbs NLL risk on FIG_B_TEST_SIZE fresh points."""
     train = gen_sine_task(SineTaskSpec(n=n, noise_var=SINE_NOISE_VAR, seed=seed))
     degrees, post, report = _polynomial_fits(train.raw_inputs, train.labels, sigma2, sigma_pi2,
                                              degrees)
-    test = gen_sine_task(SineTaskSpec(n=test_size, noise_var=SINE_NOISE_VAR,
+    test = gen_sine_task(SineTaskSpec(n=FIG_B_TEST_SIZE, noise_var=SINE_NOISE_VAR,
                                       seed=rng.derive_seed(seed, rng.TEST_SET_TAG)))
     # every degree's risk at once, over (degree, test point) blocks of the test set
     risk = empirical_gibbs_risk(post, DesignMatrix(polynomial_features(
@@ -138,26 +135,16 @@ def run_fig_b(seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2, sigma_pi2=SINE_SI
                     report.gibbs_emp_risk_total.tolist(), report.kl.tolist(), risk.tolist()))
 
 
-def polynomial_family(seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2,
-                      sigma_pi2=SINE_SIGMA_PI2, degrees=DEFAULT_DEGREES) -> tuple:
-    """(degree, EvidenceReport) pairs in the order of `degrees`, fitted on one sine sample."""
-    sample = gen_sine_task(SineTaskSpec(n=n, noise_var=SINE_NOISE_VAR, seed=seed))
-    degrees, _, report = _polynomial_fits(sample.raw_inputs, sample.labels, sigma2, sigma_pi2,
-                                          degrees)
-    return tuple((degree, EvidenceReport(*terms)) for degree, *terms in zip(
-        degrees, report.neg_log_evidence, report.gibbs_emp_risk_total, report.kl))
-
-
 def selected_degrees(seeds, seed=DEFAULT_SEED, n=SINE_N, sigma2=SINE_SIGMA2,
                      sigma_pi2=SINE_SIGMA_PI2, degrees=DEFAULT_DEGREES) -> np.ndarray:
     """The highest-evidence degree of each of the sine samples seed, ..., seed + seeds - 1.
 
-    Draws the same samples as `polynomial_family`, one `gen_sine_stack` per
+    Draws the same samples as `run_fig_b`, one `gen_sine_stack` per
     `stack_blocks` block of n*(top degree + 1) design entries per seed, and
-    fits each block at once, so each evidence has the bits of
-    `polynomial_family`'s. Keeps the first of tied
-    evidences, so the degree listed first wins a tie. A block fails as a
-    whole, with the error of its first failing check.
+    fits each block at once, so each evidence has the bits of `run_fig_b`'s
+    neg_log_evidence. Keeps the first of tied evidences, so the degree listed
+    first wins a tie. A block fails as a whole, with the error of its first
+    failing check.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be at least 1, got {seeds}")

@@ -96,13 +96,17 @@ def gibbs_generalization_risk(post: GaussianPosterior, task: LinearTaskSpec,
     broadcast from them, with no grid of weights. Each rule is evaluated for every
     posterior of the stack that has not yet converged, in `stack_blocks` of k^d
     points per posterior. When some posterior has no such pair within _MAX_POINTS
-    points it raises ValueError, as it does for a posterior whose width is not task.d.
+    points it raises ValueError, as it does for a posterior whose width is not task.d
+    and, for a cropped loss, for a width family, whose members share one whole-design L.
     """
     if post.d != task.d:
         raise ValueError(f"posterior has {post.d} weights, task {task.d} dimensions")
     if not math.isfinite(loss.a):
         s = task.squared_risk(post.mean) + task.input_var * post.cov_trace
         return scalar_or_stack(expected_loss(loss, 0.0, s))
+    if post.widths is not None:
+        raise ValueError(f"the width family {list(post.widths)} has no cropped "
+                         "generalization oracle")
     d = post.d
     ladder = [k for k in _HERMITE_NODES if k ** d <= _MAX_POINTS]
     if len(ladder) < 2:

@@ -8,7 +8,7 @@ several seeds: `gen_sine_stack` (consecutive seeds) and `gen_linear_stack`
 (any seeds). A stack's seeds are hashed as one block (`rng.streams`), and each
 row draws from its own generator, so it keeps the bits of its seed's stream.
 `gen_sine_task` and `gen_linear_task` are their one-seed cases, each a plain `Dataset`:
-fig-a, fig-b and `polynomial_family` draw the first, only the benchmark's oracle the second.
+fig-a and fig-b draw the first, only the benchmark's oracle the second.
 """
 
 from dataclasses import dataclass
@@ -26,10 +26,6 @@ class Dataset:
 
     raw_inputs: np.ndarray
     labels: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.labels.shape[0]
 
 
 @dataclass(frozen=True)

@@ -189,7 +189,7 @@ def test_criterion_9_selection_equivalence():
     start = time.monotonic()
     clauses = []
     for seed in range(50):
-        nles = [report.neg_log_evidence for _, report in exp.polynomial_family(seed=seed)]
+        nles = [row[1] for row in exp.run_fig_b(seed=seed)]
         bounds = model_selection_bounds(nles, exp.SINE_N, 0.05, 1.0, 0.0)
         selected = int(np.argmin(bounds))
         clauses.append((selected == int(np.argmin(nles)),

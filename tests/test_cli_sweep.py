@@ -37,7 +37,6 @@ FLAGS = {
     "--n": _one(-1, 0, 1, 2, 15, 50),
     "--degrees": _some(-1, 0, 1, 2, 3, 7, 14, 40),
     "--grid-size": _one(-1, 0, 1, 2, 30),
-    "--test-size": _one(-1, 0, 1, 2, 1_000),
     "--seeds": _one(-1, 0, 1, 2, 50),
     "--n-grid": _some(-1, 0, 1, 10, 100, 1_000),
     "--trials": _one(-1, 0, 1, 2, 5),
@@ -47,8 +46,7 @@ FLAGS = {
 # defaults of fig-c's n grid, validate's trials and its MGF draws out of the sweep
 COMMANDS = {
     "fig-a": ((), ("--seed", "--sigma2", "--sigma-pi2", "--n", "--degrees", "--grid-size")),
-    "fig-b": ((), ("--seed", "--sigma2", "--sigma-pi2", "--n", "--degrees", "--test-size",
-                   "--seeds")),
+    "fig-b": ((), ("--seed", "--sigma2", "--sigma-pi2", "--n", "--degrees", "--seeds")),
     "fig-c": (("--n-grid",), ("--seed", "--sigma2", "--sigma-pi2", "--delta", "--crop")),
     "validate": (("--trials", "--mgf-m"), ("--seed", "--delta")),
 }

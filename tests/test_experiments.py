@@ -16,7 +16,7 @@ from oracles import subgamma_bound
 
 def test_fig_a_row_count_and_grid():
     dataset, _, grid, preds = exp.run_fig_a(seed=0, degrees=(1, 2, 3), grid_size=50)
-    assert dataset.n == exp.SINE_N
+    assert len(dataset.labels) == exp.SINE_N
     assert preds.shape == (3, 50)
     xs = sorted(grid.tolist())
     assert xs[0] == 0.0 and xs[-1] == pytest.approx(2 * math.pi)
@@ -169,28 +169,30 @@ def test_run_validate_quick():
     assert all(map(dominated, mgf))
 
 
-@pytest.mark.parametrize("degrees, test_size", [
-    ((3, 1), 1000), (tuple(range(1, 8)), 1000), (tuple(range(1, 8)), 10_000),
+@pytest.mark.parametrize("degrees, budget, blocks", [
+    ((3, 1), blr.STACK_BUDGET, 1), (tuple(range(1, 8)), blr.STACK_BUDGET, 1),
+    (tuple(range(1, 8)), 12_288, 5),
 ], ids=["3-1", "1-7", "1-7-blocked"])
-def test_fig_b_test_risk_matches_a_fit_per_degree(monkeypatch, degrees, test_size):
+def test_fig_b_test_risk_matches_a_fit_per_degree(monkeypatch, degrees, budget, blocks):
     calls, real = [], losses.expected_loss
 
     def counting(loss, resid, var):
         calls.append(resid.shape)
         return real(loss, resid, var)
     monkeypatch.setattr(losses, "expected_loss", counting)
-    rows = exp.run_fig_b(degrees=degrees, test_size=test_size)
+    monkeypatch.setattr(blr, "STACK_BUDGET", budget)
+    rows = exp.run_fig_b(degrees=degrees)
     # every degree's test risk from one expected_loss call per block of test points,
-    # each block within the budget: 2,194 points of 7 degrees' 8 weights at 10,000
+    # each block within the budget: 219 points of 7 degrees' 8 weights at 12,288
     widths = len(degrees) * (max(degrees) + 1)
-    assert len(calls) == len(blr.stack_blocks(test_size, widths))
-    assert len(calls) == (1 if test_size == 1000 else 5)
+    assert len(calls) == len(blr.stack_blocks(exp.FIG_B_TEST_SIZE, widths))
+    assert len(calls) == blocks
     assert all(shape[0] == len(degrees) and math.prod(shape) * (max(degrees) + 1)
                <= blr.STACK_BUDGET for shape in calls)
     train = exp.gen_sine_task(exp.SineTaskSpec(n=exp.SINE_N, noise_var=exp.SINE_NOISE_VAR,
                                                seed=exp.DEFAULT_SEED))
     test = exp.gen_sine_task(exp.SineTaskSpec(
-        n=test_size, noise_var=exp.SINE_NOISE_VAR,
+        n=exp.FIG_B_TEST_SIZE, noise_var=exp.SINE_NOISE_VAR,
         seed=exp.rng.derive_seed(exp.DEFAULT_SEED, exp.rng.TEST_SET_TAG)))
     _, fits, _ = exp._polynomial_fits(train.raw_inputs, train.labels, exp.SINE_SIGMA2,
                                       exp.SINE_SIGMA_PI2, degrees)
@@ -213,9 +215,8 @@ def test_fig_b_factors_each_degree_once(cholesky_calls):
 
 @pytest.mark.parametrize("run_sine", [
     lambda degrees: exp.run_fig_a(degrees=degrees, grid_size=10),
-    lambda degrees: exp.run_fig_b(degrees=degrees, test_size=10),
-    lambda degrees: exp.polynomial_family(degrees=degrees),
-], ids=["run_fig_a", "run_fig_b", "polynomial_family"])
+    lambda degrees: exp.run_fig_b(degrees=degrees),
+], ids=["run_fig_a", "run_fig_b"])
 def test_sine_study_fits_each_degree_once(cholesky_calls, run_sine):
     run_sine((1, 2, 3))
     assert cholesky_calls == [()]  # one fit at degree 3 serves degrees 1 and 2
@@ -223,7 +224,7 @@ def test_sine_study_fits_each_degree_once(cholesky_calls, run_sine):
 
 @pytest.mark.parametrize("run_sine, sizes", [
     (lambda: exp.run_fig_a(degrees=(2, 5, 3), grid_size=10), [(15,), (10,)]),
-    (lambda: exp.run_fig_b(degrees=(2, 5, 3), test_size=10), [(15,), (10,)]),
+    (lambda: exp.run_fig_b(degrees=(2, 5, 3)), [(15,), (1000,)]),
     (lambda: exp.selected_degrees(seeds=4, degrees=(2, 5, 3)), [(4, 15)]),
 ], ids=["run_fig_a", "run_fig_b", "selected_degrees"])
 def test_sine_study_builds_each_power_once(monkeypatch, run_sine, sizes):
@@ -255,8 +256,7 @@ def stacked_evidences(seeds, sigma2=exp.SINE_SIGMA2, degrees=exp.DEFAULT_DEGREES
 
 def test_seed_scan_evidence_matches_per_seed_fits():
     stacked = stacked_evidences(range(200))
-    per_seed = np.array([[report.neg_log_evidence for _, report in
-                          exp.polynomial_family(seed=seed)] for seed in range(200)])
+    per_seed = np.array([[row[1] for row in exp.run_fig_b(seed=seed)] for seed in range(200)])
     # both paths run blr's one fit routine and one split, so the bits agree
     np.testing.assert_array_equal(stacked, per_seed)
 
@@ -264,7 +264,7 @@ def test_seed_scan_evidence_matches_per_seed_fits():
 def _per_seed_winners(seeds):
     winners = []
     for seed in seeds:
-        nles = [report.neg_log_evidence for _, report in exp.polynomial_family(seed=seed)]
+        nles = [row[1] for row in exp.run_fig_b(seed=seed)]
         winners.append(exp.DEFAULT_DEGREES[nles.index(min(nles))])
     return winners
 
@@ -293,7 +293,7 @@ def test_seed_scan_raises_a_stacked_failure_that_no_seed_makes(monkeypatch):
 def test_stacked_fits_fail_as_the_per_seed_path(kwargs):
     with pytest.raises(ValueError) as per_seed:
         for seed in (1, 2, 3):
-            exp.polynomial_family(seed=seed, **kwargs)
+            exp.run_fig_b(seed=seed, **kwargs)
     with pytest.raises(ValueError) as stacked:
         stacked_evidences((1, 2, 3), **kwargs)
     assert str(stacked.value) == str(per_seed.value)

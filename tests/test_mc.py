@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from pblr.blr import GaussianPosterior, ModelConfig, fit_posterior
 from pblr.losses import LossSpec
 from pblr import blr, experiments as exp, mc, rng as streams
 from pblr.mc import gibbs_generalization_risk, run_validity_study, sample_bounds
-from pblr.tasks import DesignMatrix, LinearTaskSpec, gen_linear_task
+from pblr.tasks import DesignMatrix, LinearTaskSpec, gen_linear_stack, gen_linear_task
 
 from oracles import (cropped_risk_tensor_rule, generalization_risk_mc, posterior_draws,
                      precision, sample_posterior)
@@ -74,6 +75,39 @@ def test_generalization_risk_refuses_a_posterior_of_another_width(d, loss):
     post = spd_posterior(np.full(d, 0.1), 4.0)
     with pytest.raises(ValueError, match=f"posterior has {d} weights, task 3 dimensions"):
         gibbs_generalization_risk(post, task, loss)
+
+
+def width_family(widths):
+    """(task, design, cfg, family): the d = 3 linear task, 20 draws, the fit's width family."""
+    task = LinearTaskSpec(w_star=np.array([0.3, -0.2, 0.1]), input_var=1.0,
+                          noise_var=0.1, seed=0)
+    design = DesignMatrix(*(a[0] for a in gen_linear_stack(task, 20, [1])))
+    cfg = ModelConfig(noise_var=2.0, prior_var=0.01)
+    return task, design, cfg, fit_posterior(design, cfg, widths)
+
+
+@pytest.mark.parametrize("widths", [[2], [2, 3]], ids=["2", "2-3"])
+def test_cropped_oracle_refuses_a_width_family(widths):
+    # the members share the whole design's L^{-1}, which factors no member but the
+    # widest: a rule over it gives width 2 1.325908, not the 1.323526 +- 7.1e-6 of a
+    # 5e6-draw Monte Carlo of that member
+    task, _, _, family = width_family(widths)
+    with pytest.raises(ValueError, match=re.escape(
+            f"the width family {widths} has no cropped generalization oracle")):
+        gibbs_generalization_risk(family, task, LossSpec.cropped(LossSpec.nll(2.0), 1.0, 4.0))
+
+
+def test_plain_oracle_takes_a_width_family_member_by_member():
+    # member k's weights past k are exactly 0 and cov_trace is tr(A_k^{-1})
+    task, design, cfg, family = width_family([1, 2, 3])
+    risks = gibbs_generalization_risk(family, task, LossSpec.nll(cfg.noise_var))
+    for k, risk in zip(family.widths, risks):
+        alone = fit_posterior(DesignMatrix(design.phi[:, :k], design.labels), cfg)
+        mean = np.pad(alone.mean, (0, task.d - k))
+        s = task.noise_var + task.input_var * (np.sum((task.w_star - mean) ** 2)
+                                               + alone.cov_trace)
+        nll = 0.5 * math.log(2.0 * math.pi * cfg.noise_var) + s / (2.0 * cfg.noise_var)
+        assert risk == pytest.approx(nll, rel=1e-14, abs=0.0), k
 
 
 def test_generalization_risk_point_mass_closed_form():

@@ -5,7 +5,7 @@ import pytest
 
 from pblr.bounds import subgamma_evidence_bound
 from pblr.experiments import (DEFAULT_SEED, SINE_N, SINE_NOISE_VAR, SINE_SIGMA2,
-                              SINE_SIGMA_PI2, polynomial_family, selected_degrees)
+                              SINE_SIGMA_PI2, run_fig_b, selected_degrees)
 from pblr.bounds import hierarchical_bound, model_selection_bounds
 from pblr.tasks import SineTaskSpec, gen_sine_task, polynomial_features
 
@@ -80,9 +80,9 @@ def test_family_validation():
 
 
 def test_fig_b_selection_report_shape():
-    family = polynomial_family(seed=0, degrees=(1, 2, 3))
-    assert [deg for deg, _ in family] == [1, 2, 3]
-    nles = [report.neg_log_evidence for _, report in family]
+    rows = run_fig_b(seed=0, degrees=(1, 2, 3))
+    assert [row[0] for row in rows] == [1, 2, 3]
+    nles = [row[1] for row in rows]
     bounds = model_selection_bounds(nles, SINE_N, 0.05, 1.0, 0.0)
     assert len(bounds) == 3
     assert min(bounds) - hierarchical_bound(nles, SINE_N, 0.05, 1.0, 0.0) >= -1e-12
@@ -96,9 +96,9 @@ def test_polynomial_family_selection_consistency():
     # bound is the winner by evidence for any (s2, c), and averaging
     # dominates selection
     for seed in range(8):
-        family = polynomial_family(seed=seed)
-        assert [deg for deg, _ in family] == list(range(1, 8))
-        nles = [report.neg_log_evidence for _, report in family]
+        rows = run_fig_b(seed=seed)
+        assert [row[0] for row in rows] == list(range(1, 8))
+        nles = [row[1] for row in rows]
         for s2, c in [(1.0, 0.0), (0.4, 0.2)]:
             bounds = model_selection_bounds(nles, SINE_N, 0.05, s2, c)
             assert int(np.argmin(bounds)) == int(np.argmin(nles))
@@ -113,14 +113,14 @@ def test_seed_scan_selects_degree_1_over_2000_seeds():
 
 
 def exact_evidence_errors(seeds) -> dict:
-    """degree -> worst relative error of `polynomial_family`'s evidence over seeds."""
+    """degree -> worst relative error of `run_fig_b`'s evidence over seeds."""
     worst = dict.fromkeys(EXACT_EVIDENCE_RTOL, 0.0)
     for seed in seeds:
         sample = gen_sine_task(SineTaskSpec(n=SINE_N, noise_var=SINE_NOISE_VAR, seed=seed))
-        for degree, report in polynomial_family(seed=seed, degrees=tuple(EXACT_EVIDENCE_RTOL)):
+        for degree, nle, *_ in run_fig_b(seed=seed, degrees=tuple(EXACT_EVIDENCE_RTOL)):
             exact = nle_exact_rational(sample.raw_inputs, sample.labels, degree,
                                        SINE_SIGMA2, SINE_SIGMA_PI2)
-            worst[degree] = max(worst[degree], abs(report.neg_log_evidence - exact) / abs(exact))
+            worst[degree] = max(worst[degree], abs(nle - exact) / abs(exact))
     return worst
 
 

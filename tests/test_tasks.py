@@ -46,7 +46,7 @@ def test_design_matrix_shape_mismatch():
 def test_sine_task_shapes_and_range():
     spec = SineTaskSpec(n=15, noise_var=0.25, seed=3)
     ds = gen_sine_task(spec)
-    assert ds.n == 15
+    assert len(ds.labels) == 15
     assert ds.raw_inputs.min() >= 0.0 and ds.raw_inputs.max() <= 2 * np.pi
     # 6 sigma envelope around the sine curve
     assert np.abs(ds.labels - np.sin(ds.raw_inputs)).max() <= 6 * 0.5
@@ -54,7 +54,7 @@ def test_sine_task_shapes_and_range():
 
 def test_sine_task_empty():
     ds = gen_sine_task(SineTaskSpec(n=0, noise_var=0.25, seed=0))
-    assert ds.n == 0
+    assert len(ds.labels) == 0
 
 
 def test_sine_task_noiseless_limit():
